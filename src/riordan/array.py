@@ -8,8 +8,6 @@ g * f^k.  The group product is (g, f) . (u, v) = (g * u(f), v(f)), inverse
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import series
 from .bivar import BivarPoly, BivariateRational, CoeffMatrix, from_univariate
 from .series import InsufficientOrder, Series
@@ -80,16 +78,24 @@ def require_unipotent(a: RiordanPair) -> None:
 
 
 def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
-    """N x N truncation of the matrix with entries [x^n] g * f^k."""
+    """N x N truncation of the matrix with entries [x^n] g * f^k.
+
+    Needs order N.  When the first N coefficients of g and f are integers the
+    columns are built over int; otherwise over Fraction.  Column k = g * f^k
+    starts at x^k (f(0) = 0), so only its rows n >= k are written.
+    """
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
-    rows = [[Fraction(0)] * N for _ in range(N)]
-    col = a.g
+    g, f = a.g.coeffs[:N], a.f.coeffs[:N]
+    if all(c.denominator == 1 for c in g + f):
+        g, f = [int(c) for c in g], [int(c) for c in f]
+    rows = [[0] * N for _ in range(N)]
+    col = g
     for k in range(N):
-        for n in range(N):
-            rows[n][k] = col.coeffs[n]
+        for n in range(k, N):
+            rows[n][k] = col[n]
         if k + 1 < N:
-            col = col * a.f
+            col = series._mul_lists(col, f, N)
     return CoeffMatrix(rows)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .series import _frac
+
 
 class ZeroConstant(ValueError):
     """Denominator vanishes at the origin, so no power series expansion exists."""
@@ -18,10 +20,6 @@ class ZeroConstant(ValueError):
 
 class DimensionError(ValueError):
     """Matrix shapes do not match the request."""
-
-
-def _frac(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 class BivarPoly:
@@ -141,12 +139,16 @@ def from_univariate(coeff_list, var: str = "x") -> BivarPoly:
 
 
 class CoeffMatrix:
-    """Dense square matrix of exact rationals."""
+    """Dense square matrix of exact rationals.
+
+    Entries are kept as given when they are ``int`` (an integer triangle
+    stays integer for the minor sweep); anything else becomes a Fraction.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = [[_frac(c) for c in row] for row in rows]
+        rows = [[c if type(c) is int else _frac(c) for c in row] for row in rows]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionError("matrix must be square and fully populated")

@@ -24,7 +24,6 @@ EXIT_PRECISION = 3
 EXIT_NETWORK = 4
 EXIT_PARSE = 5
 
-PAIR_SPECS = ("R", "tildeR", "Rinv", "example1", "catalan", "pascal", "A361654")
 MATRIX_SPECS = ("asm-classical", "vertex20")
 
 
@@ -100,30 +99,44 @@ def _render_sequence(values, fmt):
     return " ".join(cells)
 
 
-def _order_for(args, N, symmetrizing):
+def _order_for(args, N):
+    """Series order for an N x N request: ``--order``, else max(N, 2).
+
+    The matrix route (triangle, row-reversal symmetrization, minors) reads
+    only the first N coefficients; a Riordan pair needs order >= 2.
+    """
     if args.order is not None:
         return args.order
-    return 2 * N + 4
+    return max(N, 2)
+
+
+def _require_nonnegative(**sizes):
+    for name, value in sizes.items():
+        if value is not None and value < 0:
+            raise UsageError(f"{name} must be nonnegative, got {value}")
 
 
 def cmd_matrix(args):
+    _require_nonnegative(N=args.N, order=args.order)
     name, r = _parse_family(args.family)
-    M = _build_matrix(name, r, args.N, _order_for(args, args.N, False))
+    M = _build_matrix(name, r, args.N, _order_for(args, args.N))
     print(_render_matrix(M, args.format))
     return EXIT_PASS
 
 
 def cmd_symmetrize(args):
+    _require_nonnegative(N=args.N, order=args.order)
     name, r = _parse_family(args.family)
     if name in MATRIX_SPECS:
         raise UsageError(f"{name} is already a full matrix; it has no symmetrization")
-    pair = _build_pair(name, r, _order_for(args, args.N, True))
+    pair = _build_pair(name, r, _order_for(args, args.N))
     S = symmetrize(pair, args.N)
     print(_render_matrix(S, args.format))
     return EXIT_PASS
 
 
 def cmd_minors(args):
+    _require_nonnegative(count=args.count, order=args.order)
     name, r = _parse_family(args.family)
     count = args.count
     if name in MATRIX_SPECS:
@@ -131,7 +144,7 @@ def cmd_minors(args):
             raise UsageError(f"{name} is already a full matrix; --symmetrize does not apply")
         M = _build_matrix(name, r, count, None)
     else:
-        pair = _build_pair(name, r, _order_for(args, count, args.symmetrize))
+        pair = _build_pair(name, r, _order_for(args, count))
         if args.symmetrize:
             M = symmetrize(pair, count)
             require_integer_entries(M)

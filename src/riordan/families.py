@@ -1,8 +1,10 @@
 """Constructors for the specific arrays under study, plus reference oracles.
 
-Every constructor takes an explicit truncation order.  A symmetrization to
-N x N needs order >= 2N, so callers that know N should size orders as 2N + 4
-(the command line front end does this automatically).
+Every constructor takes an explicit truncation order.  The matrix route to
+an N x N block (``array.matrix``, ``symmetry.symmetrize``, the minors) needs
+order N; the generating function route ``symmetry.symmetrize_gf`` needs 2N.
+The command line front end sizes orders as max(N, 2), since a Riordan pair
+needs order 2 or more.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ workhorse is a single fraction-free (Bareiss) elimination sweep over an
 integer copy of the matrix: after k steps the next pivot equals the (k+1)-st
 leading minor, so one O(N^3) pass yields the whole sequence.  Rational
 entries are handled by scaling each row to integers and dividing each minor
-by the accumulated row scales.
+by the accumulated row scales; an all-integer matrix goes to the sweep as is.
 
 A zero pivot means that leading minor is genuinely zero.  The sweep then
 swaps row and column k symmetrically with a later index whose diagonal entry
@@ -13,9 +13,8 @@ is nonzero; such a swap maps bordered minors to bordered minors, so the
 elimination state stays a valid Bareiss state and the sweep continues.  Only
 the block sizes strictly between the swapped indices see a different
 "leading" submatrix afterwards, and those few minors are recomputed
-independently (cofactor expansion up to 8 x 8, row-pivoted elimination
-beyond).  When no symmetric pivot exists at all, every remaining minor is
-computed independently.
+independently by row-pivoted elimination.  When no symmetric pivot exists
+at all, every remaining minor is computed independently.
 """
 
 from __future__ import annotations
@@ -78,13 +77,6 @@ def _det_int(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _block_det_int(rows, m: int) -> int:
-    block = [row[:m] for row in rows[:m]]
-    if m <= 8:
-        return int(det_cofactor([[Fraction(c) for c in row] for row in block]))
-    return _det_int(block)
-
-
 def _bareiss_minor_sweep(rows, count: int):
     """Integer minors of the leading blocks, from one elimination sweep."""
     a = [row[:count] for row in rows[:count]]
@@ -113,14 +105,20 @@ def _bareiss_minor_sweep(rows, count: int):
             row_i[k] = 0
         prev = piv
     for m in fix:
-        minors[m] = _block_det_int(rows, m + 1)
+        minors[m] = _det_int([row[: m + 1] for row in rows[: m + 1]])
     return minors
+
+
+def _all_int(rows) -> bool:
+    return all(type(c) is int for row in rows for c in row)
 
 
 def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
     """First `count` leading principal minors, exactly."""
     if count < 0 or count > M.n:
         raise DimensionError(f"requested {count} minors of a {M.n}x{M.n} matrix")
+    if _all_int(row[:count] for row in M.rows[:count]):
+        return MinorSequence(_bareiss_minor_sweep(M.rows, count))
     scales = []
     int_rows = []
     for row in M.rows[:count]:
@@ -139,6 +137,8 @@ def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
 
 def det(M: CoeffMatrix):
     """Exact determinant of the whole matrix."""
+    if _all_int(M.rows):
+        return _det_int(M.rows)
     scale = 1
     int_rows = []
     for row in M.rows:

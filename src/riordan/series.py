@@ -32,12 +32,21 @@ class InsufficientOrder(ValueError):
 
 
 def _frac(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+    """Exact rational from an exact number; a float is refused, not rounded."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}: pass an int or a Fraction")
+    return Fraction(c)
 
 
 def _mul_lists(a, b, n):
-    """First n coefficients of the Cauchy product of coefficient lists."""
-    out = [Fraction(0)] * n
+    """First n coefficients of the Cauchy product of coefficient lists.
+
+    The arithmetic is the operands' own: int lists give ints, and any
+    Fraction operand makes the touched entries Fractions.
+    """
+    out = [0] * n
     for i, ai in enumerate(a):
         if i >= n:
             break

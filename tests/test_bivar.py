@@ -24,6 +24,18 @@ def ints(M):
     return [[int(v) for v in row] for row in M.rows]
 
 
+def test_bivar_poly_rejects_floats():
+    with pytest.raises(TypeError):
+        BivarPoly({(0, 0): 1, (1, 1): 0.5})
+
+
+def test_coeff_matrix_rejects_floats_and_keeps_ints():
+    with pytest.raises(TypeError):
+        CoeffMatrix([[1, 0], [0.25, 1]])
+    M = CoeffMatrix([[1, F(1, 2)], [2, F(3)]])
+    assert [[type(c) for c in row] for row in M.rows] == [[int, F], [int, F]]
+
+
 def test_bivar_poly_arithmetic():
     assert bivar_mul(ONE - X, ONE - Y) == ONE - X - Y + X * Y
     assert bivar_mul(ONE - X * Y, ONE - X - Y) == BivarPoly(

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from riordan.cli import main
-from riordan.families import reference_B20, robbins
+from riordan.families import reference_B20, robbins, twenty_vertex_matrix
+from riordan.minors import principal_minors
 
 
 def run(capsys, *argv):
@@ -187,3 +190,39 @@ def test_oeis_mismatch_fails(capsys, tmp_path):
     )
     assert rc == 1
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "R:1", "-3"),
+        ("minors", "R:1", "-2", "--symmetrize"),
+        ("symmetrize", "R:1", "-1"),
+        ("matrix", "vertex20", "-2"),
+        ("matrix", "R:1", "4", "--order", "-1"),
+    ],
+)
+def test_negative_size_is_usage_error(capsys, argv):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_symmetrized_minors_of_empty_and_unit_blocks(capsys):
+    assert run(capsys, "minors", "R:1", "--symmetrize", "0") == (0, "\n")
+    assert run(capsys, "minors", "R:1", "--symmetrize", "1") == (0, "1\n")
+
+
+def test_robbins_minors_at_default_order(capsys):
+    rc, out = run(capsys, "minors", "R:1", "--symmetrize", "60")
+    assert rc == 0
+    assert [int(v) for v in out.split()] == [robbins(n + 1) for n in range(60)]
+    assert run(capsys, "minors", "R:1", "--symmetrize", "60", "--order", "124") == (0, out)
+
+
+def test_twenty_vertex_family_route_matches_gf_matrix(capsys):
+    rc, out = run(capsys, "minors", "R:2", "--symmetrize", "40")
+    assert rc == 0
+    assert [int(v) for v in out.split()] == list(principal_minors(twenty_vertex_matrix(40), 40))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from riordan import series
+from riordan import minors, series
 from riordan.array import RiordanPair, conjugate, matrix
 from riordan.bivar import CoeffMatrix, DimensionError
 from riordan.families import make_R, reference_B20, robbins
@@ -128,3 +128,36 @@ def test_minor_sequence_type():
     got = principal_minors(CoeffMatrix([[2, 0], [0, 3]]), 2)
     assert isinstance(got, MinorSequence)
     assert got == [2, 6]
+
+
+def test_zero_pivot_fixup_matches_cofactor(monkeypatch):
+    # a symmetric integer matrix whose sweep swaps index 0 with 3 and must
+    # recompute the 2 x 2 and 3 x 3 minors independently
+    rows = [
+        [0, 1, 2, 3, 1],
+        [1, 0, 4, 1, 2],
+        [2, 4, 0, 5, 1],
+        [3, 1, 5, 7, 2],
+        [1, 2, 1, 2, 3],
+    ]
+    calls = []
+    det_int = minors._det_int
+
+    def counted(block):
+        calls.append(len(block))
+        return det_int(block)
+
+    monkeypatch.setattr(minors, "_det_int", counted)
+    got = principal_minors(CoeffMatrix(rows), 5)
+    assert calls == [2, 3]
+    expected = [det_cofactor([[F(c) for c in row[:m]] for row in rows[:m]]) for m in range(1, 6)]
+    assert list(got) == expected
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        M = _random_symmetric(rng, n)
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            M.rows[i][i] = 0
+        got = principal_minors(M, n)
+        for m in range(1, n + 1):
+            assert got[m - 1] == det_cofactor([[F(c) for c in row[:m]] for row in M.rows[:m]])

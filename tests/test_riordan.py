@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from riordan import series
+from riordan import cli, series, verify
 from riordan.array import (
     RiordanPair,
     apply,
@@ -21,6 +21,7 @@ from riordan.array import (
 from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand, gf_identity_check
 from riordan.families import catalan_pair, make_example1, make_R, pascal_pair
 from riordan.series import InsufficientOrder
+from riordan.symmetry import closed_form_entry
 
 F = Fraction
 
@@ -304,3 +305,46 @@ def test_sum_formulas_match_matrix_randomized():
         for n in range(9):
             assert rs.coeffs[n] == sum(M[n][k] for k in range(9))
             assert ds.coeffs[n] == sum(M[n - k][k] for k in range(n + 1))
+
+
+def _fraction_triangle(a, N):
+    """Reference triangle: [x^n] g * f^k by explicit Fraction convolutions."""
+    g = [F(c) for c in a.g.coeffs[:N]]
+    f = [F(c) for c in a.f.coeffs[:N]]
+    cols = [g]
+    for _ in range(1, N):
+        prev = cols[-1]
+        cols.append([sum((prev[i] * f[n - i] for i in range(n + 1)), F(0)) for n in range(N)])
+    return [[cols[k][n] for k in range(N)] for n in range(N)]
+
+
+@pytest.mark.parametrize("r", range(-2, 6))
+def test_matrix_R_matches_closed_form_entry(r):
+    M = matrix(make_R(r, 60), 60)
+    assert all(type(c) is int for row in M.rows for c in row)
+    assert M.rows == [[closed_form_entry(r, n, k) for k in range(60)] for n in range(60)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*(f"tildeR:{r}" for r in range(-1, 4)), *(f"Rinv:{r}" for r in range(-1, 4))]
+    + ["catalan", "pascal", "example1", "A361654"],
+)
+def test_integral_families_match_fraction_reference(spec):
+    a = cli._build_pair(*cli._parse_family(spec), 30)
+    M = matrix(a, 30)
+    assert all(type(c) is int for row in M.rows for c in row)
+    assert M.rows == _fraction_triangle(a, 30)
+
+
+def test_rational_pair_matrix_keeps_fractions():
+    rng = random.Random(41)
+    rational = 0
+    for _ in range(20):
+        a = verify._random_pair(rng, 12)
+        M = matrix(a, 12)
+        assert M.rows == _fraction_triangle(a, 12)
+        if any(c.denominator != 1 for c in a.g.coeffs + a.f.coeffs):
+            rational += 1
+            assert all(type(c) is F for row in M.rows for c in row if c)
+    assert rational

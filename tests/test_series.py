@@ -27,6 +27,13 @@ def test_poly_pads_and_truncates():
     assert coeffs(series.poly([1, 2, 3, 4], 2)) == [1, 2]
 
 
+def test_series_rejects_floats():
+    with pytest.raises(TypeError):
+        Series([0.1, 1])
+    with pytest.raises(TypeError):
+        series.poly([1, 0.5], 4)
+
+
 def test_mul_examples():
     a = series.poly([1, -1], 4)
     b = series.poly([1, 1, 1], 4)
