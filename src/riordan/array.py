@@ -86,9 +86,8 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     """
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
-    g, f = a.g.coeffs[:N], a.f.coeffs[:N]
-    if all(c.denominator == 1 for c in g + f):
-        g, f = [int(c) for c in g], [int(c) for c in f]
+    gf = series._integral(a.g.coeffs[:N] + a.f.coeffs[:N])
+    g, f = gf[:N], gf[N:]
     rows = [[0] * N for _ in range(N)]
     col = g
     for k in range(N):

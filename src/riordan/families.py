@@ -208,7 +208,7 @@ def minor_polynomial_table() -> list[list[int]]:
     make_R(r), for r = 0..5."""
     table = []
     for r in range(6):
-        sym = symmetrize(make_R(r, 16), 6)
+        sym = symmetrize(make_R(r, 6), 6)
         require_integer_entries(sym)
         table.append([int(v) for v in principal_minors(sym, 6)])
     return table

@@ -1,14 +1,16 @@
 """OEIS b-file client with a local immutable cache.
 
 A b-file is plain text: one ``index value`` pair per line, ``#`` comments,
-LF endings.  Fetched files are written to the cache directory once and never
-rewritten; offline mode reads the cache only.
+LF endings.  Fetched files are written to the cache directory once,
+atomically, and never rewritten; offline mode reads the cache only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
+import tempfile
 import urllib.error
 import urllib.request
 
@@ -18,7 +20,7 @@ DEFAULT_TIMEOUT = 15.0
 
 
 class NetworkError(RuntimeError):
-    """The b-file could not be retrieved."""
+    """The b-file could not be retrieved, or not written to the cache."""
 
 
 class ParseError(ValueError):
@@ -115,11 +117,33 @@ def oeis_fetch(
     except (urllib.error.URLError, OSError) as exc:
         raise NetworkError(f"could not fetch {seq_id}: {exc}") from exc
     bfile = parse_bfile(text, seq_id)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    if not os.path.exists(path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _cache_once(path, text)
     return bfile
+
+
+def _cache_once(path: str, text: str) -> None:
+    """Write a cache file that does not exist yet, atomically.
+
+    The text goes to a temp file in the cache directory, which is then
+    renamed onto ``path`` with ``os.replace``; a write that fails midway
+    removes the temp file, so ``path`` never holds a truncated b-file.
+    """
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        if os.path.exists(path):
+            return
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".b", suffix=".part")
+        try:
+            with open(fd, "w", encoding="ascii") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise NetworkError(f"could not write the cache file {path}: {exc}") from exc
 
 
 class Alignment:

@@ -8,7 +8,9 @@ tail coefficient is always a computed zero, never padding.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import isqrt
 
 
 class ZeroConstantTerm(ValueError):
@@ -184,57 +186,101 @@ def mul(a: Series, b: Series) -> Series:
     return a * b
 
 
+def _integral(coeffs):
+    """The coefficients as ints when every one is integral, else unchanged.
+
+    Kernels fed int lists stay on int arithmetic; a Fraction anywhere keeps
+    the exact Fraction path.
+    """
+    if all(c.denominator == 1 for c in coeffs):
+        return [int(c) for c in coeffs]
+    return coeffs
+
+
+def _div_lists(a, b, n):
+    """First n coefficients of a / b for coefficient lists of length >= n;
+    needs b[0] != 0.
+
+    Int lists with b[0] = +-1 give ints (1/b[0] = b[0]); anything else is
+    exact over Fraction, seeded with Fraction(1) / b[0] so that an int b[0]
+    never turns the quotient into a float.
+    """
+    b0 = b[0]
+    inv = b0 if b0 in (1, -1) else Fraction(1) / b0
+    q = []
+    for k in range(n):
+        s = a[k]
+        for j in range(1, k + 1):
+            bj = b[j]
+            if bj:
+                s -= bj * q[k - j]
+        q.append(s * inv)
+    return q
+
+
 def div(a: Series, b: Series) -> Series:
     """Quotient q with q*b = a to the shared truncation; needs b(0) != 0."""
     if b.order == 0 or b.coeffs[0] == 0:
         raise ZeroConstantTerm("divisor has zero constant term")
     n = min(a.order, b.order)
-    inv = 1 / b.coeffs[0]
-    q = []
-    for k in range(n):
-        s = a.coeffs[k]
-        top = min(k, b.order - 1)
-        for j in range(1, top + 1):
-            bj = b.coeffs[j]
-            if bj:
-                s -= bj * q[k - j]
-        q.append(s * inv)
-    return Series(q, n)
+    return Series(_div_lists(_integral(a.coeffs[:n]), _integral(b.coeffs[:n]), n), n)
 
 
 def compose(g: Series, f: Series) -> Series:
-    """g(f(x)) to the shared truncation, by Horner evaluation; needs f(0) = 0."""
+    """g(f(x)) to the shared truncation, by Horner evaluation; needs f(0) = 0.
+
+    Horner nests g_0 + f (g_1 + f (g_2 + ...)).  The partial sum built from
+    g_k .. g_{n-1} is later multiplied by k factors of f, each starting at
+    x^1, so only its first n - k coefficients can reach the result: step k
+    works at length n - k.
+    """
     if f.order == 0 or f.coeffs[0] != 0:
         raise NonzeroLowOrder("inner series must have zero constant term")
     n = min(g.order, f.order)
     if n == 0:
         return Series([], 0)
-    acc = [Fraction(0)] * n
-    for gk in reversed(g.coeffs[:n]):
-        acc = _mul_lists(acc, f.coeffs, n)
-        acc[0] += gk
+    gs, fs = _integral(g.coeffs[:n]), _integral(f.coeffs[:n])
+    acc = [gs[n - 1]]
+    for k in range(n - 2, -1, -1):
+        acc = _mul_lists(acc, fs, n - k)
+        acc[0] += gs[k]
     return Series(acc, n)
 
 
 def revert(f: Series) -> Series:
     """Compositional inverse v with f(v) = v(f) = x to the truncation order.
 
-    Solved coefficient by coefficient: once v_1 .. v_{m-1} are known, the
-    x^m coefficient of f(v) = x pins v_m, because only the f_1 * v_m term of
-    f(v) can still move that coefficient.
+    Lagrange inversion: with h = x / f (one division),
+    v_m = [x^(m-1)] h^m / m.  The powers are split baby-step/giant-step,
+    h^m = h^(s*i) * h^j with s = isqrt(n - 1) and j < s: about 2s series
+    products to order n - 1, then one dot product per coefficient, so
+    O(n^2.5) coefficient products in all.  With integral f and f_1 = +-1,
+    h and its powers are integral, v is integral and each division by m is
+    exact (checked); otherwise the work is exact over Fraction.
     """
     n = f.order
     if n < 2 or f.coeffs[0] != 0 or f.coeffs[1] == 0:
         raise NotReversible("need f(0) = 0 and a nonzero linear coefficient")
-    f1inv = 1 / f.coeffs[1]
-    v = [Fraction(0)] * n
-    v[1] = f1inv
-    for m in range(2, n):
-        acc = [Fraction(0)] * (m + 1)
-        for fk in reversed(f.coeffs[: m + 1]):
-            acc = _mul_lists(acc, v, m + 1)
-            acc[0] += fk
-        v[m] = -acc[m] * f1inv
+    one = [1] + [0] * (n - 2)
+    h = _div_lists(one, _integral(f.coeffs[1:]), n - 1)
+    s = isqrt(n - 1)
+    baby = [one]
+    for _ in range(s):
+        baby.append(_mul_lists(baby[-1], h, n - 1))
+    v = [0] * n
+    giant = one
+    for m in range(1, n):
+        j = m % s
+        if j == 0:
+            giant = _mul_lists(giant, baby[s], n - 1)
+        c = sum(map(operator.mul, giant[:m], reversed(baby[j][:m])))
+        if isinstance(c, int):
+            vm, rem = divmod(c, m)
+            if rem:
+                raise ArithmeticError(f"Lagrange coefficient {c} is not divisible by {m}")
+            v[m] = vm
+        else:
+            v[m] = c / m
     return Series(v, n)
 
 

@@ -66,6 +66,17 @@ def test_inverse_matches_closed_form():
         assert inverse(make_R(r, 20)) == make_R_inverse_closed(r, 20)
 
 
+def test_inverse_matches_closed_form_at_order_100():
+    for r in range(-1, 4):
+        assert inverse(make_R(r, 100)) == make_R_inverse_closed(r, 100)
+
+
+def test_revert_tilde_f_at_order_120():
+    for r in range(4):
+        fbar = series.rational([0, 1, -1], [1, r], 120)
+        assert series.revert(make_tilde_R(r, 120).f) == fbar
+
+
 def test_make_tilde_R():
     assert make_tilde_R(0, 16) == make_R(1, 16)
     t1 = make_tilde_R(1, 8)

@@ -1,11 +1,15 @@
+import errno
+import io
 import os
 
 import pytest
 
+from riordan import oeis
 from riordan.families import reference_B20, robbins
 from riordan.oeis import (
     BFile,
     CacheMiss,
+    NetworkError,
     ParseError,
     align,
     cache_path,
@@ -78,3 +82,61 @@ def test_align_mismatch():
     a = align([1, 2, 3], bf)
     assert not a.ok
     assert a.matched == 2
+
+
+def _serve(monkeypatch, payload: bytes):
+    """Answer every b-file request with `payload`, with no network."""
+    urls = []
+
+    def fake_urlopen(url, timeout):
+        urls.append(url)
+        return io.BytesIO(payload)
+
+    monkeypatch.setattr(oeis.urllib.request, "urlopen", fake_urlopen)
+    return urls
+
+
+ROBBINS_BFILE = "# A005130\n" + "".join(f"{n} {robbins(n)}\n" for n in range(12))
+
+
+def test_fetch_writes_cache_once(tmp_path, monkeypatch):
+    urls = _serve(monkeypatch, ROBBINS_BFILE.encode("ascii"))
+    cache = str(tmp_path / "oeis")
+    bf = oeis_fetch("A005130", cache_dir=cache)
+    assert bf.values == [robbins(n) for n in range(12)]
+    assert urls == ["https://oeis.org/A005130/b005130.txt"]
+    assert os.listdir(cache) == ["b005130.txt"]
+    with open(cache_path("A005130", cache), encoding="ascii") as fh:
+        assert fh.read() == ROBBINS_BFILE
+    assert oeis_fetch("A005130", cache_dir=cache, offline=True).values == bf.values
+
+
+def test_fetch_failing_midway_leaves_no_cache_file(tmp_path, monkeypatch):
+    _serve(monkeypatch, ROBBINS_BFILE.encode("ascii"))
+
+    class HalfWritten:
+        """File that writes half of what it is given, then reports a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(oeis, "open", lambda *a, **k: HalfWritten(open(*a, **k)), raising=False)
+    cache = str(tmp_path)
+    with pytest.raises(NetworkError):
+        oeis_fetch("A005130", cache_dir=cache)
+    assert not os.path.exists(cache_path("A005130", cache))
+    assert os.listdir(cache) == []
+    monkeypatch.undo()
+    with pytest.raises(CacheMiss):
+        oeis_fetch("A005130", cache_dir=cache, offline=True)

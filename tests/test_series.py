@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from riordan import series
+from riordan.families import catalan_shift
 from riordan.series import (
     BadConstantTerm,
     NonzeroLowOrder,
@@ -209,3 +210,114 @@ def test_sqrt_roundtrip_randomized():
         s = series.sqrt(g)
         assert s * s == g
         assert s.coeffs[0] == 1
+
+
+# Reference kernels: the coefficient-by-coefficient reversion, full-length
+# Horner composition and long division, all over Fraction.  The production
+# kernels (Lagrange inversion, trimmed Horner, int fast paths) must match
+# them exactly.
+
+
+def _oracle_div(a, b):
+    n = min(a.order, b.order)
+    inv = F(1) / b.coeffs[0]
+    q = []
+    for k in range(n):
+        s = a.coeffs[k]
+        for j in range(1, k + 1):
+            s -= b.coeffs[j] * q[k - j]
+        q.append(s * inv)
+    return Series(q, n)
+
+
+def _oracle_compose(g, f):
+    n = min(g.order, f.order)
+    acc = [F(0)] * n
+    for gk in reversed(g.coeffs[:n]):
+        acc = series._mul_lists(acc, f.coeffs, n)
+        acc[0] += gk
+    return Series(acc, n)
+
+
+def _oracle_revert(f):
+    # once v_1 .. v_{m-1} are known, only f_1 v_m can still move the x^m
+    # coefficient of f(v), so f(v) = x pins v_m
+    n = f.order
+    f1inv = F(1) / f.coeffs[1]
+    v = [F(0)] * n
+    v[1] = f1inv
+    for m in range(2, n):
+        acc = [F(0)] * (m + 1)
+        for fk in reversed(f.coeffs[: m + 1]):
+            acc = series._mul_lists(acc, v, m + 1)
+            acc[0] += fk
+        v[m] = -acc[m] * f1inv
+    return Series(v, n)
+
+
+LEADS = (1, -1, 2, F(3, 2))
+
+
+def _kernel_case(rng, order, lead, integral):
+    c = [F(rng.randint(-3, 3)) for _ in range(order)]
+    if not integral:
+        c[rng.randrange(order)] = F(rng.randint(-3, 3), rng.randint(2, 4))
+    c[0] = F(lead)
+    return c
+
+
+def _exact(s):
+    return all(type(c) is F for c in s.coeffs)
+
+
+def test_kernels_match_reference_randomized():
+    rng = random.Random(113)
+    for order in range(2, 25):
+        for t, lead in enumerate(LEADS):
+            integral = (order + t) % 2 == 0
+            a = Series(_kernel_case(rng, order, rng.choice(LEADS), integral), order)
+            b = Series(_kernel_case(rng, order, lead, integral), order)
+            f = Series([0] + _kernel_case(rng, order - 1, lead, integral), order)
+            checks = [
+                (series.div(a, b), _oracle_div(a, b)),
+                (series.compose(a, f), _oracle_compose(a, f)),
+            ]
+            # the reference reversion is O(n^4): above order 14 one lead an order
+            if order <= 14 or t == order % len(LEADS):
+                checks.append((series.revert(f), _oracle_revert(f)))
+            for got, want in checks:
+                assert got == want
+                assert _exact(got)
+
+
+def test_kernels_on_short_operands_match_reference():
+    # a divisor or an inner series shorter than the other operand
+    rng = random.Random(127)
+    for _ in range(60):
+        n, m = rng.randint(2, 12), rng.randint(2, 12)
+        lead = rng.choice(LEADS)
+        a = Series(_kernel_case(rng, n, 1, rng.random() < 0.5), n)
+        b = Series(_kernel_case(rng, m, lead, rng.random() < 0.5), m)
+        f = Series([0] + _kernel_case(rng, m - 1, lead, rng.random() < 0.5), m)
+        assert series.div(a, b) == _oracle_div(a, b)
+        assert series.compose(a, f) == _oracle_compose(a, f)
+
+
+@pytest.mark.parametrize(
+    "a, b, exact_type",
+    [
+        ([1, 0, 0, 0], [1, -1, 0, 0], int),
+        ([3, 1, 4, 1], [-1, 5, 9, 2], int),
+        ([1, 0, 0, 0], [2, -1, 0, 0], F),
+        ([1, 0, 0, 0], [F(1), F(1, 2), 0, 0], F),
+        ([F(1, 3), 0, 0, 0], [1, 1, 0, 0], F),
+    ],
+)
+def test_div_kernel_stays_on_int_only_for_unit_integral_divisors(a, b, exact_type):
+    q = series._div_lists(series._integral(a), series._integral(b), 4)
+    assert all(type(c) is exact_type for c in q)
+    assert Series(q, 4) == _oracle_div(Series(a, 4), Series(b, 4))
+
+
+def test_revert_large_order_catalan():
+    assert series.revert(catalan_shift(200)) == series.poly([0, 1, -1], 200)
