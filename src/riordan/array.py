@@ -8,6 +8,8 @@ g * f^k.  The group product is (g, f) . (u, v) = (g * u(f), v(f)), inverse
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import series
 from .bivar import BivarPoly, BivariateRational, CoeffMatrix, from_univariate
 from .series import InsufficientOrder, Series
@@ -80,21 +82,25 @@ def require_unipotent(a: RiordanPair) -> None:
 def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     """N x N truncation of the matrix with entries [x^n] g * f^k.
 
-    Needs order N.  When the first N coefficients of g and f are integers the
-    columns are built over int; otherwise over Fraction.  Column k = g * f^k
-    starts at x^k (f(0) = 0), so only its rows n >= k are written.
+    Needs order N.  The columns are built over int: with g = G / dg and
+    f = F / df over the integers, column k is G * F^k / (dg * df^k).  When
+    the first N coefficients of g and f are integral the entries are ints;
+    otherwise each is one Fraction.  Column k starts at x^k (f(0) = 0), so
+    only its rows n >= k are written.
     """
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
-    gf = series._integral(a.g.coeffs[:N] + a.f.coeffs[:N])
-    g, f = gf[:N], gf[N:]
+    g, dg = series._scaled(a.g.coeffs[:N])
+    f, df = series._scaled(a.f.coeffs[:N])
+    integral = dg == df == 1
     rows = [[0] * N for _ in range(N)]
-    col = g
+    col, d = g, dg
     for k in range(N):
         for n in range(k, N):
-            rows[n][k] = col[n]
+            rows[n][k] = col[n] if integral else Fraction(col[n], d)
         if k + 1 < N:
             col = series._mul_lists(col, f, N)
+            d *= df
     return CoeffMatrix(rows)
 
 

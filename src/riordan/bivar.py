@@ -10,8 +10,9 @@ linear recurrence obtained from ``Q * S = P``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .series import _frac
+from .series import _all_int, _frac, _scaled
 
 
 class ZeroConstant(ValueError):
@@ -176,15 +177,22 @@ class CoeffMatrix:
     __hash__ = None
 
     def __mul__(self, other):
+        """Matrix product.  All-int matrices multiply over int; otherwise each
+        row of the left factor and each column of the right one is scaled to
+        integers, and each entry is one Fraction over the two denominators."""
         if not isinstance(other, CoeffMatrix):
             return NotImplemented
         if self.n != other.n:
             raise DimensionError("size mismatch in matrix product")
-        n = self.n
-        cols = list(zip(*other.rows))
-        return CoeffMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        rows, cols = self.rows, list(zip(*other.rows))
+        rational = not _all_int(*rows, *cols)
+        if rational:
+            rows, drs = zip(*map(_scaled, rows))
+            cols, dcs = zip(*map(_scaled, cols))
+        out = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        if rational:
+            out = [[Fraction(v, dr * dc) for v, dc in zip(vs, dcs)] for vs, dr in zip(out, drs)]
+        return CoeffMatrix(out)
 
     def transpose(self) -> "CoeffMatrix":
         return CoeffMatrix([list(col) for col in zip(*self.rows)])
@@ -244,20 +252,29 @@ def expand(r: BivariateRational, N: int) -> CoeffMatrix:
 
         s[n][k] = (p[n][k] - sum over (i,j) != (0,0) of q[i][j]*s[n-i][k-j]) / q
 
-    Row-major order visits every needed earlier entry first.
+    Row-major order visits every needed earlier entry first.  With an
+    integral numerator and denominator and q = +-1 the entries are ints
+    (1/q = q); otherwise they are Fractions.
     """
     q0 = r.den.coefficient(0, 0)
     if q0 == 0:
         raise ZeroConstant("denominator vanishes at the origin")
-    qterms = [(i, j, c) for (i, j), c in r.den.coeffs.items() if (i, j) != (0, 0)]
-    s = [[Fraction(0)] * N for _ in range(N)]
+    num, den = r.num.coeffs, r.den.coeffs
+    if q0 in (1, -1) and all(c.denominator == 1 for c in (*num.values(), *den.values())):
+        num = {key: int(c) for key, c in num.items()}
+        den = {key: int(c) for key, c in den.items()}
+        inv = int(q0)
+    else:
+        inv = 1 / q0
+    qterms = [(i, j, c) for (i, j), c in den.items() if (i, j) != (0, 0)]
+    s = [[0] * N for _ in range(N)]
     for n in range(N):
         for k in range(N):
-            acc = r.num.coefficient(n, k)
+            acc = num.get((n, k), 0)
             for i, j, c in qterms:
                 if i <= n and j <= k:
                     acc -= c * s[n - i][k - j]
-            s[n][k] = acc / q0
+            s[n][k] = acc * inv
     return CoeffMatrix(s)
 
 

@@ -20,9 +20,10 @@ at all, every remaining minor is computed independently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import prod
 
 from .bivar import CoeffMatrix, DimensionError
+from .series import _all_int, _scaled
 
 
 class MinorSequence(list):
@@ -109,22 +110,13 @@ def _bareiss_minor_sweep(rows, count: int):
     return minors
 
 
-def _all_int(rows) -> bool:
-    return all(type(c) is int for row in rows for c in row)
-
-
 def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
     """First `count` leading principal minors, exactly."""
     if count < 0 or count > M.n:
         raise DimensionError(f"requested {count} minors of a {M.n}x{M.n} matrix")
-    if _all_int(row[:count] for row in M.rows[:count]):
+    if _all_int(*(row[:count] for row in M.rows[:count])):
         return MinorSequence(_bareiss_minor_sweep(M.rows, count))
-    scales = []
-    int_rows = []
-    for row in M.rows[:count]:
-        mult = lcm(*(c.denominator for c in row[:count]))
-        scales.append(mult)
-        int_rows.append([int(c * mult) for c in row[:count]])
+    int_rows, scales = zip(*(_scaled(row[:count]) for row in M.rows[:count]))
     raw = _bareiss_minor_sweep(int_rows, count)
     values = []
     scale_prod = 1
@@ -137,13 +129,8 @@ def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
 
 def det(M: CoeffMatrix):
     """Exact determinant of the whole matrix."""
-    if _all_int(M.rows):
+    if _all_int(*M.rows):
         return _det_int(M.rows)
-    scale = 1
-    int_rows = []
-    for row in M.rows:
-        mult = lcm(*(c.denominator for c in row))
-        scale *= mult
-        int_rows.append([int(c * mult) for c in row])
-    v = Fraction(_det_int(int_rows), scale)
+    int_rows, scales = zip(*map(_scaled, M.rows))
+    v = Fraction(_det_int(int_rows), prod(scales))
     return int(v) if v.denominator == 1 else v

@@ -2,7 +2,9 @@
 
 A b-file is plain text: one ``index value`` pair per line, ``#`` comments,
 LF endings.  Fetched files are written to the cache directory once,
-atomically, and never rewritten; offline mode reads the cache only.
+atomically, and never rewritten; offline mode reads the cache only.  The
+text is ASCII: a byte outside it (say an accented name in a comment) is
+replaced on download, on the cache write and on the cache read alike.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def oeis_fetch(
     check_seq_id(seq_id)
     path = cache_path(seq_id, cache_dir)
     if os.path.exists(path):
-        with open(path, encoding="ascii") as fh:
+        with open(path, encoding="ascii", errors="replace") as fh:
             return parse_bfile(fh.read(), seq_id)
     if offline:
         raise CacheMiss(f"{seq_id} is not cached and offline mode is set")
@@ -135,7 +137,7 @@ def _cache_once(path: str, text: str) -> None:
             return
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".b", suffix=".part")
         try:
-            with open(fd, "w", encoding="ascii") as fh:
+            with open(fd, "w", encoding="ascii", errors="replace") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:

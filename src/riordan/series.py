@@ -4,13 +4,18 @@ A :class:`Series` stores exactly ``order`` coefficients and every operation
 is exact modulo ``x**order``.  Binary operations truncate to the smaller of
 the two operand orders; nothing ever extends precision silently, so a zero
 tail coefficient is always a computed zero, never padding.
+
+The kernels do their inner loops on ``int``.  Integral inputs are converted
+once; rational inputs are scaled to integers over a common denominator
+(:func:`_scaled`), and a ``Fraction`` is built only for each result
+coefficient.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 class ZeroConstantTerm(ValueError):
@@ -42,12 +47,30 @@ def _frac(c) -> Fraction:
     return Fraction(c)
 
 
+def _all_int(*lists) -> bool:
+    return all(type(c) is int for cs in lists for c in cs)
+
+
+def _scaled(c):
+    """Integers over a common denominator: (ints, d) with c[i] == ints[i] / d,
+    d the lcm of the denominators."""
+    d = lcm(*[x.denominator for x in c])
+    if d == 1:
+        return [x.numerator for x in c], 1
+    return [x.numerator * (d // x.denominator) for x in c], d
+
+
 def _mul_lists(a, b, n):
     """First n coefficients of the Cauchy product of coefficient lists.
 
-    The arithmetic is the operands' own: int lists give ints, and any
-    Fraction operand makes the touched entries Fractions.
+    Int lists give ints.  Otherwise both operands are scaled to integers,
+    convolved as ints, and each result is one Fraction over the product of
+    the two denominators.
     """
+    rational = not _all_int(a, b)
+    if rational:
+        a, da = _scaled(a)
+        b, db = _scaled(b)
     out = [0] * n
     for i, ai in enumerate(a):
         if i >= n:
@@ -60,6 +83,9 @@ def _mul_lists(a, b, n):
                 break
             if bj:
                 out[k] += ai * bj
+    if rational:
+        d = da * db
+        return [Fraction(v, d) for v in out]
     return out
 
 
@@ -189,33 +215,46 @@ def mul(a: Series, b: Series) -> Series:
 def _integral(coeffs):
     """The coefficients as ints when every one is integral, else unchanged.
 
-    Kernels fed int lists stay on int arithmetic; a Fraction anywhere keeps
-    the exact Fraction path.
+    The kernels return ints only for int operands, so integral input
+    converted here gives int results, with no Fraction built.
     """
-    if all(c.denominator == 1 for c in coeffs):
-        return [int(c) for c in coeffs]
-    return coeffs
+    ints, d = _scaled(coeffs)
+    return ints if d == 1 else coeffs
 
 
 def _div_lists(a, b, n):
     """First n coefficients of a / b for coefficient lists of length >= n;
     needs b[0] != 0.
 
-    Int lists with b[0] = +-1 give ints (1/b[0] = b[0]); anything else is
-    exact over Fraction, seeded with Fraction(1) / b[0] so that an int b[0]
-    never turns the quotient into a float.
+    Fraction-free: with a = A / da and b = B / db over the integers,
+    Q_k = [x^k](A / B) * B_0^(k+1) is an integer, and
+
+        Q_k = A_k B_0^k - sum over j >= 1 of B_j B_0^(j-1) Q_(k-j).
+
+    Int lists with b[0] = +-1 give the ints Q_k * b[0]^(k+1); anything else
+    gives Fraction(Q_k * db, da * B_0^(k+1)).
     """
-    b0 = b[0]
-    inv = b0 if b0 in (1, -1) else Fraction(1) / b0
+    if n == 0:
+        return []
+    a, b = a[:n], b[:n]
+    rational = not _all_int(a, b) or b[0] not in (1, -1)
+    a, da = _scaled(a)
+    b, db = _scaled(b)
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * b[0])
+    b = [0] + [bj * p for bj, p in zip(b[1:], powers)]  # B_j B_0^(j-1)
     q = []
     for k in range(n):
-        s = a[k]
+        s = a[k] * powers[k]
         for j in range(1, k + 1):
             bj = b[j]
             if bj:
                 s -= bj * q[k - j]
-        q.append(s * inv)
-    return q
+        q.append(s)
+    if rational:
+        return [Fraction(v * db, da * p) for v, p in zip(q, powers[1:])]
+    return [v * p for v, p in zip(q, powers[1:])]
 
 
 def div(a: Series, b: Series) -> Series:
@@ -232,19 +271,25 @@ def compose(g: Series, f: Series) -> Series:
     Horner nests g_0 + f (g_1 + f (g_2 + ...)).  The partial sum built from
     g_k .. g_{n-1} is later multiplied by k factors of f, each starting at
     x^1, so only its first n - k coefficients can reach the result: step k
-    works at length n - k.
+    works at length n - k.  With g = G / dg and f = F / df over the
+    integers, the steps run on G and F, g_k enters as G_k * df^(n-1-k), and
+    the sum is divided by dg * df^(n-1) once at the end.
     """
     if f.order == 0 or f.coeffs[0] != 0:
         raise NonzeroLowOrder("inner series must have zero constant term")
     n = min(g.order, f.order)
     if n == 0:
         return Series([], 0)
-    gs, fs = _integral(g.coeffs[:n]), _integral(f.coeffs[:n])
+    gs, dg = _scaled(g.coeffs[:n])
+    fs, df = _scaled(f.coeffs[:n])
     acc = [gs[n - 1]]
+    scale = 1
     for k in range(n - 2, -1, -1):
         acc = _mul_lists(acc, fs, n - k)
-        acc[0] += gs[k]
-    return Series(acc, n)
+        scale *= df
+        acc[0] += gs[k] * scale
+    d = dg * scale
+    return Series([Fraction(v, d) for v in acc], n)
 
 
 def revert(f: Series) -> Series:
@@ -254,15 +299,16 @@ def revert(f: Series) -> Series:
     v_m = [x^(m-1)] h^m / m.  The powers are split baby-step/giant-step,
     h^m = h^(s*i) * h^j with s = isqrt(n - 1) and j < s: about 2s series
     products to order n - 1, then one dot product per coefficient, so
-    O(n^2.5) coefficient products in all.  With integral f and f_1 = +-1,
-    h and its powers are integral, v is integral and each division by m is
-    exact (checked); otherwise the work is exact over Fraction.
+    O(n^2.5) coefficient products in all.  The powers are taken of the
+    integers H = h * dh, dh the common denominator of h, and
+    v_m = [x^(m-1)] H^m / (m * dh^m).  When h is integral (dh = 1), so is
+    v, since v = x h(v); each division by m is then exact (checked).
     """
     n = f.order
     if n < 2 or f.coeffs[0] != 0 or f.coeffs[1] == 0:
         raise NotReversible("need f(0) = 0 and a nonzero linear coefficient")
     one = [1] + [0] * (n - 2)
-    h = _div_lists(one, _integral(f.coeffs[1:]), n - 1)
+    h, dh = _scaled(_div_lists(one, _integral(f.coeffs[1:]), n - 1))
     s = isqrt(n - 1)
     baby = [one]
     for _ in range(s):
@@ -274,28 +320,46 @@ def revert(f: Series) -> Series:
         if j == 0:
             giant = _mul_lists(giant, baby[s], n - 1)
         c = sum(map(operator.mul, giant[:m], reversed(baby[j][:m])))
-        if isinstance(c, int):
+        if dh == 1:
             vm, rem = divmod(c, m)
             if rem:
                 raise ArithmeticError(f"Lagrange coefficient {c} is not divisible by {m}")
             v[m] = vm
         else:
-            v[m] = c / m
+            v[m] = Fraction(c, m * dh**m)
     return Series(v, n)
 
 
 def sqrt(g: Series) -> Series:
-    """Square root with constant term 1, by the coefficient recurrence."""
+    """Square root with constant term 1, by the coefficient recurrence.
+
+    s_m = (g_m - sum over 0 < k < m of s_k s_(m-k)) / 2, with each product
+    pair taken once.  The recurrence runs for t(x) = s(c x), the root of
+    g(c x): c = 1 for integral g, and c = 4d for g with common denominator
+    d > 1, which makes g(c x) = 1 + 4u with u integral, so t is integral.
+    Coefficients stay int while each halving is exact; an odd numerator (1 + x
+    has the root 1 + x/2 - ...) moves the rest of the recurrence to Fraction.
+    """
     n = g.order
     if n == 0 or g.coeffs[0] != 1:
         raise BadConstantTerm("sqrt needs constant term 1")
-    s = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    gs, d = _scaled(g.coeffs)
+    c = 1 if d == 1 else 4 * d
+    t = [1] + [0] * (n - 1)
+    cm = 1
     for m in range(1, n):
-        acc = Fraction(0)
-        for k in range(1, m):
-            acc += s[k] * s[m - k]
-        s[m] = (g.coeffs[m] - acc) / 2
-    return Series(s, n)
+        cm *= c
+        acc = 0
+        for k in range(1, (m + 1) // 2):
+            acc += t[k] * t[m - k]
+        acc *= 2
+        if m % 2 == 0:
+            acc += t[m // 2] ** 2
+        r = gs[m] * cm // d - acc
+        t[m] = r // 2 if type(r) is int and r % 2 == 0 else Fraction(r, 2)
+    if c == 1:
+        return Series(t, n)
+    return Series([Fraction(tm, c**m) for m, tm in enumerate(t)], n)
 
 
 def derivative(g: Series) -> Series:

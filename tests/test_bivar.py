@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -172,3 +173,77 @@ def test_coeff_matrix_operations():
     assert not A.is_symmetric()
     assert CoeffMatrix([[1, 2], [2, 5]]).is_symmetric()
     assert CoeffMatrix([[1, 0], [7, 2]]).is_lower_triangular()
+
+
+# The matrix product and the expansion run on int over common denominators;
+# the oracles are the naive Fraction matmul and the Fraction recurrence.
+
+
+def _oracle_matmul(A, B):
+    n = len(A)
+    return [[sum((F(A[i][t]) * F(B[t][j]) for t in range(n)), F(0)) for j in range(n)] for i in range(n)]
+
+
+def _oracle_expand(r, N):
+    q0 = r.den.coefficient(0, 0)
+    s = [[F(0)] * N for _ in range(N)]
+    for n in range(N):
+        for k in range(N):
+            acc = r.num.coefficient(n, k)
+            for (i, j), c in r.den.coeffs.items():
+                if (i, j) != (0, 0) and i <= n and j <= k:
+                    acc -= c * s[n - i][k - j]
+            s[n][k] = acc / q0
+    return s
+
+
+def _random_rows(rng, n, kind):
+    rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    if kind != "int":
+        rows = [[F(c) for c in row] for row in rows]
+    if kind == "rational" and n:
+        rows[rng.randrange(n)][rng.randrange(n)] = F(rng.choice([-3, 1, 7]), rng.choice([2, 3, 5]))
+    return rows
+
+
+def _types(M):
+    return {type(c) for row in M.rows for c in row}
+
+
+def test_matmul_matches_naive_fraction_product():
+    rng = random.Random(149)
+    kinds = ("int", "integral", "rational")
+    for n in range(0, 8):
+        for ka in kinds:
+            for kb in kinds:
+                a, b = _random_rows(rng, n, ka), _random_rows(rng, n, kb)
+                P = CoeffMatrix(a) * CoeffMatrix(b)
+                assert P.rows == _oracle_matmul(a, b)
+                if n and ka == kb == "int":
+                    assert _types(P) == {int}
+                elif n and "rational" in (ka, kb):
+                    assert _types(P) == {F}
+
+
+@pytest.mark.parametrize("q0", [1, -1, 2, F(3, 2)])
+def test_expand_matches_fraction_recurrence(q0):
+    rng = random.Random(151)
+    for t in range(40):
+        P = _random_poly(rng, 3, 3)
+        if t % 2:
+            P = P + BivarPoly({(rng.randint(0, 3), rng.randint(0, 3)): F(rng.choice([1, -5]), 3)})
+        Q = _random_poly(rng, 2, 3)
+        Q = Q + (q0 - Q.coefficient(0, 0))
+        r = BivariateRational(P, Q)
+        S = expand(r, 7)
+        assert S.rows == _oracle_expand(r, 7)
+        integral = all(c.denominator == 1 for c in (*P.coeffs.values(), *Q.coeffs.values()))
+        assert _types(S) == ({int} if integral and q0 in (1, -1) else {F})
+
+
+def test_expand_rational_numerator_and_lead_two():
+    # (1/2) / (2 - x - y): entry (n, k) is binom(n+k, k) / 2^(n+k+2)
+    r = BivariateRational(BivarPoly({(0, 0): F(1, 2)}), 2 - X - Y)
+    S = expand(r, 6)
+    assert S.rows == [[F(comb(n + k, k), 2 ** (n + k + 2)) for k in range(6)] for n in range(6)]
+    assert S.rows == _oracle_expand(r, 6)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -226,3 +227,19 @@ def test_twenty_vertex_family_route_matches_gf_matrix(capsys):
     rc, out = run(capsys, "minors", "R:2", "--symmetrize", "40")
     assert rc == 0
     assert [int(v) for v in out.split()] == list(principal_minors(twenty_vertex_matrix(40), 40))
+
+
+# sha256 of stdout, recorded before the series and matrix kernels moved from
+# Fraction to int over common denominators.  Any change to the reports,
+# including a change of number formatting, shows here.
+VERIFY_JSON_SHA256 = {
+    "all": "67d566bfb156965e23c053deb244b739756e47164def74173c62006d46458295",
+    "group-laws": "329fcda653c4fe09138f34245b7deae76a46dfa066faf0e57a5be194b96006f7",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_JSON_SHA256))
+def test_verify_json_output_is_pinned(capsys, suite):
+    rc, out = run(capsys, "verify", suite, "--json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[suite]

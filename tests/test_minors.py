@@ -161,3 +161,19 @@ def test_zero_pivot_fixup_matches_cofactor(monkeypatch):
         got = principal_minors(M, n)
         for m in range(1, n + 1):
             assert got[m - 1] == det_cofactor([[F(c) for c in row[:m]] for row in M.rows[:m]])
+
+
+def test_rational_rows_cleared_to_int_randomized():
+    # rows with proper fractions are scaled to integers before the sweep;
+    # every minor and the determinant must match cofactor expansion
+    rng = random.Random(157)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6])) for _ in range(n)] for _ in range(n)]
+        M = CoeffMatrix(rows)
+        got = principal_minors(M, n)
+        for m in range(1, n + 1):
+            want = det_cofactor([row[:m] for row in rows[:m]])
+            assert got[m - 1] == want
+            assert type(got[m - 1]) is (int if want.denominator == 1 else F)
+        assert det(M) == det_cofactor(rows)

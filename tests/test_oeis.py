@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from riordan import oeis
+from riordan import cli, oeis
 from riordan.families import reference_B20, robbins
 from riordan.oeis import (
     BFile,
@@ -140,3 +140,22 @@ def test_fetch_failing_midway_leaves_no_cache_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(CacheMiss):
         oeis_fetch("A005130", cache_dir=cache, offline=True)
+
+
+def test_non_ascii_comment_is_fetched_cached_and_reread(tmp_path, monkeypatch, capsys):
+    # one Latin-1 byte (an accented name) in a comment line
+    payload = b"# A005130 Robbins numbers, \xe9dition\n" + ROBBINS_BFILE.encode("ascii")
+    urls = _serve(monkeypatch, payload)
+    cache = str(tmp_path / "oeis")
+    argv = ["oeis", "A005130", "--limit", "12", "--cache-dir", cache]
+    assert cli.main(argv) == 0
+    fetched = capsys.readouterr().out
+    assert fetched.split() == [str(robbins(n)) for n in range(12)]
+    assert len(urls) == 1
+    assert os.listdir(cache) == ["b005130.txt"]
+    with open(cache_path("A005130", cache), "rb") as fh:
+        cached = fh.read()
+    assert cached.isascii() and cached.endswith(ROBBINS_BFILE.encode("ascii"))
+    assert cli.main(argv + ["--offline"]) == 0
+    assert capsys.readouterr().out == fetched
+    assert len(urls) == 1

@@ -321,3 +321,119 @@ def test_div_kernel_stays_on_int_only_for_unit_integral_divisors(a, b, exact_typ
 
 def test_revert_large_order_catalan():
     assert series.revert(catalan_shift(200)) == series.poly([0, 1, -1], 200)
+
+
+# The kernels clear denominators and run on int.  Plain Fraction oracles:
+# the naive convolution, the square-root recurrence and _oracle_div above.
+
+
+def _oracle_mul(a, b, n):
+    return [
+        sum((F(a[i]) * F(b[k - i]) for i in range(k + 1) if i < len(a) and k - i < len(b)), F(0))
+        for k in range(n)
+    ]
+
+
+def _oracle_sqrt(g):
+    s = [F(1)] + [F(0)] * (g.order - 1)
+    for m in range(1, g.order):
+        s[m] = (g.coeffs[m] - sum((s[k] * s[m - k] for k in range(1, m)), F(0))) / 2
+    return Series(s, g.order)
+
+
+KINDS = ("int", "integral", "rational")
+
+
+def _operand(rng, length, kind, lead=None):
+    c = [rng.randint(-4, 4) for _ in range(length)]
+    if lead is not None and length:
+        c[0] = lead
+    if kind == "int":
+        return c
+    c = [F(v) for v in c]
+    if kind == "rational" and length:
+        i = rng.randrange(1 if lead is not None and length > 1 else 0, length)
+        c[i] = F(rng.choice([-3, -1, 1, 5]), rng.choice([2, 3, 4]))
+    return c
+
+
+def _proper(c):
+    return any(type(v) is F and v.denominator != 1 for v in c)
+
+
+def _all_int(*operands):
+    return all(type(v) is int for c in operands for v in c)
+
+
+def _check_types(out, operands, int_out):
+    """int results exactly when int_out; a proper fraction in gives Fractions."""
+    assert not any(isinstance(v, float) for v in out)
+    if int_out:
+        assert all(type(v) is int for v in out)
+    else:
+        assert all(type(v) is F for v in out) or not any(_proper(c) for c in operands)
+
+
+def test_mul_kernel_matches_naive_convolution():
+    rng = random.Random(131)
+    for n in range(0, 16):
+        for ka in KINDS:
+            for kb in KINDS:
+                a = _operand(rng, rng.randint(0, n + 2), ka)
+                b = _operand(rng, rng.randint(0, n + 2), kb)
+                out = series._mul_lists(a, b, n)
+                assert out == _oracle_mul(a, b, n)
+                _check_types(out, (a, b), _all_int(a, b))
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_div_kernel_matches_oracle_on_every_lead(lead, kind):
+    rng = random.Random(137)
+    for n in range(1, 18):
+        for ka in KINDS:
+            a = _operand(rng, n, ka)
+            b = _operand(rng, n, "integral" if kind == "int" and type(lead) is F else kind, lead)
+            q = series._div_lists(a, b, n)
+            assert Series(q, n) == _oracle_div(Series(a, n), Series(b, n))
+            _check_types(q, (a, b), _all_int(a, b) and lead in (1, -1))
+            if _all_int(a, b) and lead not in (1, -1):
+                assert all(type(v) is F for v in q)
+
+
+def test_sqrt_matches_recurrence_randomized():
+    rng = random.Random(139)
+    for order in range(1, 24):
+        for kind in KINDS:
+            g = Series([1] + _operand(rng, order - 1, kind), order)
+            assert series.sqrt(g) == _oracle_sqrt(g)
+
+
+def test_sqrt_leaves_int_path_partway():
+    # 1 + x: the root's x coefficient is already 1/2
+    s = series.sqrt(series.poly([1, 1], 12))
+    assert s == _oracle_sqrt(series.poly([1, 1], 12))
+    assert s.coeffs[:3] == [1, F(1, 2), F(-1, 8)]
+    # (1 - 2x)^2 + x^5: the root is 1 - 2x exactly up to x^4, and the x^5
+    # numerator is odd
+    g = series.poly([1, -4, 4, 0, 0, 1], 16)
+    s = series.sqrt(g)
+    assert s == _oracle_sqrt(g)
+    assert s.coeffs[:5] == [1, -2, 0, 0, 0]
+    assert s.coeffs[5] == F(1, 2)
+    assert s * s == g
+
+
+def test_sqrt_families_at_large_order():
+    for r in range(4):
+        g = series.poly([1, -2 * (r + 2), r * r], 60)
+        s = series.sqrt(g)
+        assert s == _oracle_sqrt(g)
+        assert all(c.denominator == 1 for c in s.coeffs)
+    g = series.poly([1, -4], 80)
+    assert coeffs(series.sqrt(g))[1:] == [-2 * comb(2 * k - 2, k - 1) // k for k in range(1, 80)]
+
+
+def test_div_of_order_zero_numerator():
+    assert series.div(Series([], 0), series.poly([1, 1], 2)) == Series([], 0)
+    assert series._div_lists([], [2], 0) == []
