@@ -85,8 +85,8 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     Needs order N.  The columns are built over int: with g = G / dg and
     f = F / df over the integers, column k is G * F^k / (dg * df^k).  When
     the first N coefficients of g and f are integral the entries are ints;
-    otherwise each is one Fraction.  Column k starts at x^k (f(0) = 0), so
-    only its rows n >= k are written.
+    otherwise each is one Fraction, stored as an int when it is integral.
+    Column k starts at x^k (f(0) = 0), so only its rows n >= k are written.
     """
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")

@@ -4,7 +4,9 @@ The rational functions that appear in this package all have tiny polynomial
 numerators and denominators, so :class:`BivarPoly` is a sparse table keyed by
 ``(x_degree, y_degree)``.  :func:`expand` turns a ratio of two such
 polynomials into the dense matrix of its power series coefficients via the
-linear recurrence obtained from ``Q * S = P``.
+linear recurrence obtained from ``Q * S = P``.  Coefficients and entries
+follow the package rule (``series._exact``): an int when integral, else a
+Fraction, never a float.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .series import _all_int, _frac, _scaled
+from .series import _all_int, _exact, _scaled
 
 
 class ZeroConstant(ValueError):
@@ -24,7 +26,8 @@ class DimensionError(ValueError):
 
 
 class BivarPoly:
-    """Sparse bivariate polynomial with exact rational coefficients."""
+    """Sparse bivariate polynomial with exact coefficients, each an int when
+    integral and a Fraction otherwise."""
 
     __slots__ = ("coeffs", "dx", "dy")
 
@@ -32,7 +35,7 @@ class BivarPoly:
         coeffs = {}
         if table:
             for (i, j), c in table.items():
-                c = _frac(c)
+                c = _exact(c)
                 if c:
                     coeffs[(i, j)] = c
         self.coeffs = coeffs
@@ -56,8 +59,8 @@ class BivarPoly:
             terms.append(f"{c}{'*' if mono else ''}{mono}")
         return "BivarPoly(" + " + ".join(terms) + ")"
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.coeffs.get((i, j), Fraction(0))
+    def coefficient(self, i: int, j: int) -> int | Fraction:
+        return self.coeffs.get((i, j), 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -83,7 +86,7 @@ class BivarPoly:
             return NotImplemented
         t = dict(self.coeffs)
         for k, c in o.coeffs.items():
-            t[k] = t.get(k, Fraction(0)) + c
+            t[k] = t.get(k, 0) + c
         return BivarPoly(t)
 
     __radd__ = __add__
@@ -111,7 +114,7 @@ class BivarPoly:
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in o.coeffs.items():
                 k = (i1 + i2, j1 + j2)
-                t[k] = t.get(k, Fraction(0)) + c1 * c2
+                t[k] = t.get(k, 0) + c1 * c2
         return BivarPoly(t)
 
     __rmul__ = __mul__
@@ -120,14 +123,6 @@ class BivarPoly:
 ONE = BivarPoly({(0, 0): 1})
 X = BivarPoly({(1, 0): 1})
 Y = BivarPoly({(0, 1): 1})
-
-
-def bivar_add(a: BivarPoly, b: BivarPoly) -> BivarPoly:
-    return a + b
-
-
-def bivar_mul(a: BivarPoly, b: BivarPoly) -> BivarPoly:
-    return a * b
 
 
 def from_univariate(coeff_list, var: str = "x") -> BivarPoly:
@@ -140,16 +135,13 @@ def from_univariate(coeff_list, var: str = "x") -> BivarPoly:
 
 
 class CoeffMatrix:
-    """Dense square matrix of exact rationals.
-
-    Entries are kept as given when they are ``int`` (an integer triangle
-    stays integer for the minor sweep); anything else becomes a Fraction.
-    """
+    """Dense square matrix of exact numbers, each an int when integral and a
+    Fraction otherwise (an integer triangle goes to the minor sweep as is)."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = [[c if type(c) is int else _frac(c) for c in row] for row in rows]
+        rows = [[_exact(c) for c in row] for row in rows]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionError("matrix must be square and fully populated")
@@ -212,9 +204,6 @@ class CoeffMatrix:
             self.rows[i][j] == 0 for i in range(self.n) for j in range(i + 1, self.n)
         )
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for row in self.rows for c in row)
-
 
 class BivariateRational:
     """Ratio P/Q of bivariate polynomials with Q(0,0) != 0."""
@@ -253,19 +242,14 @@ def expand(r: BivariateRational, N: int) -> CoeffMatrix:
         s[n][k] = (p[n][k] - sum over (i,j) != (0,0) of q[i][j]*s[n-i][k-j]) / q
 
     Row-major order visits every needed earlier entry first.  With an
-    integral numerator and denominator and q = +-1 the entries are ints
-    (1/q = q); otherwise they are Fractions.
+    integral numerator and denominator and q = +-1 the recurrence runs on
+    int (1/q = q); otherwise it multiplies by the Fraction 1/q.
     """
     q0 = r.den.coefficient(0, 0)
     if q0 == 0:
         raise ZeroConstant("denominator vanishes at the origin")
     num, den = r.num.coeffs, r.den.coeffs
-    if q0 in (1, -1) and all(c.denominator == 1 for c in (*num.values(), *den.values())):
-        num = {key: int(c) for key, c in num.items()}
-        den = {key: int(c) for key, c in den.items()}
-        inv = int(q0)
-    else:
-        inv = 1 / q0
+    inv = q0 if q0 in (1, -1) and _all_int(num.values(), den.values()) else Fraction(1, q0)
     qterms = [(i, j, c) for (i, j), c in den.items() if (i, j) != (0, 0)]
     s = [[0] * N for _ in range(N)]
     for n in range(N):

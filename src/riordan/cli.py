@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from collections import namedtuple
 
 from . import families, oeis, verify
 from .array import matrix as pair_matrix
@@ -24,7 +24,23 @@ EXIT_PRECISION = 3
 EXIT_NETWORK = 4
 EXIT_PARSE = 5
 
-MATRIX_SPECS = ("asm-classical", "vertex20")
+
+# Spec name -> Family.  A full-matrix constructor takes N, a pair constructor
+# ([r,] order).  Constructors are held by name and looked up in `families` at
+# call time, so a function rebound there later (the bench tracer) is called.
+Family = namedtuple("Family", "takes_r full_matrix constructor")
+
+FAMILIES = {
+    "R": Family(True, False, "make_R"),
+    "tildeR": Family(True, False, "make_tilde_R"),
+    "Rinv": Family(True, False, "make_R_inverse_closed"),
+    "example1": Family(False, False, "make_example1"),
+    "catalan": Family(False, False, "catalan_pair"),
+    "pascal": Family(False, False, "pascal_pair"),
+    "A361654": Family(False, False, "make_A361654_embed"),
+    "asm-classical": Family(False, True, "classical_asm_matrix"),
+    "vertex20": Family(False, True, "twenty_vertex_matrix"),
+}
 
 
 class UsageError(Exception):
@@ -33,53 +49,37 @@ class UsageError(Exception):
 
 def _parse_family(spec):
     """Split a family spec like R:1 into (name, r); plain names get r=None."""
-    if ":" in spec:
-        name, _, arg = spec.partition(":")
-        if name not in ("R", "tildeR", "Rinv"):
+    name, colon, arg = spec.partition(":")
+    family = FAMILIES.get(name)
+    if colon:
+        if family is None or not family.takes_r:
             raise UsageError(f"family {name!r} does not take a parameter")
         try:
             return name, int(arg)
         except ValueError:
             raise UsageError(f"bad family parameter {arg!r}") from None
-    if spec in ("example1", "catalan", "pascal", "A361654") + MATRIX_SPECS:
-        return spec, None
-    raise UsageError(f"unknown family spec {spec!r}")
+    if family is None or family.takes_r:
+        raise UsageError(f"unknown family spec {spec!r}")
+    return name, None
 
 
 def _build_pair(name, r, order):
-    if name == "R":
-        return families.make_R(r, order)
-    if name == "tildeR":
-        return families.make_tilde_R(r, order)
-    if name == "Rinv":
-        return families.make_R_inverse_closed(r, order)
-    if name == "example1":
-        return families.make_example1(order)
-    if name == "catalan":
-        return families.catalan_pair(order)
-    if name == "pascal":
-        return families.pascal_pair(order)
-    if name == "A361654":
-        return families.make_A361654_embed(order)
-    raise UsageError(f"{name!r} is not a Riordan pair spec")
+    family = FAMILIES.get(name)
+    if family is None or family.full_matrix:
+        raise UsageError(f"{name!r} is not a Riordan pair spec")
+    build = getattr(families, family.constructor)
+    return build(r, order) if family.takes_r else build(order)
 
 
 def _build_matrix(name, r, N, order):
-    if name == "asm-classical":
-        return families.classical_asm_matrix(N)
-    if name == "vertex20":
-        return families.twenty_vertex_matrix(N)
+    family = FAMILIES[name]
+    if family.full_matrix:
+        return getattr(families, family.constructor)(N)
     return pair_matrix(_build_pair(name, r, order), N)
 
 
-def _fmt_value(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return str(v.numerator)
-    return str(v)
-
-
 def _render_matrix(M, fmt):
-    cells = [[_fmt_value(v) for v in row] for row in M.rows]
+    cells = [[str(v) for v in row] for row in M.rows]
     if fmt == "json":
         return json.dumps(cells)
     if fmt == "csv":
@@ -91,7 +91,7 @@ def _render_matrix(M, fmt):
 
 
 def _render_sequence(values, fmt):
-    cells = [_fmt_value(v) for v in values]
+    cells = [str(v) for v in values]
     if fmt == "json":
         return json.dumps(cells)
     if fmt == "csv":
@@ -127,7 +127,7 @@ def cmd_matrix(args):
 def cmd_symmetrize(args):
     _require_nonnegative(N=args.N, order=args.order)
     name, r = _parse_family(args.family)
-    if name in MATRIX_SPECS:
+    if FAMILIES[name].full_matrix:
         raise UsageError(f"{name} is already a full matrix; it has no symmetrization")
     pair = _build_pair(name, r, _order_for(args, args.N))
     S = symmetrize(pair, args.N)
@@ -139,7 +139,7 @@ def cmd_minors(args):
     _require_nonnegative(count=args.count, order=args.order)
     name, r = _parse_family(args.family)
     count = args.count
-    if name in MATRIX_SPECS:
+    if FAMILIES[name].full_matrix:
         if args.symmetrize:
             raise UsageError(f"{name} is already a full matrix; --symmetrize does not apply")
         M = _build_matrix(name, r, count, None)
@@ -198,18 +198,14 @@ def _check_values(name, length):
         return [families.robbins(n) for n in range(length)]
     if name == "vertex20":
         return families.reference_B20()
-    if name == "catalan":
-        pair = families.catalan_pair(16)
-        M = pair_matrix(pair, 12)
-        return [int(M[n][k]) for n in range(12) for k in range(n + 1)]
-    if name == "A361654":
-        pair = families.make_A361654_embed(16)
-        M = pair_matrix(pair, 12)
-        return [int(M[n][k]) for n in range(12) for k in range(n + 1)]
+    if name in ("catalan", "A361654"):
+        M = _build_matrix(name, None, 12, 16)
+        return [M[n][k] for n in range(12) for k in range(n + 1)]
     raise UsageError(f"unknown check target {name!r}")
 
 
 def cmd_oeis(args):
+    _require_nonnegative(limit=args.limit)
     try:
         oeis.check_seq_id(args.sequence)
     except ValueError as exc:

@@ -27,7 +27,7 @@ class TooLarge(ValueError):
 def catalan_gf(order: int) -> Series:
     """Catalan number generating function (1 - sqrt(1 - 4x)) / (2x)."""
     s = series.sqrt(series.poly([1, -4], order + 1))
-    return Series([-c / 2 for c in s.coeffs[1:]], order)
+    return Series([Fraction(-c, 2) for c in s.coeffs[1:]], order)
 
 
 def catalan_shift(order: int) -> Series:

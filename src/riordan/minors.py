@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import prod
 
 from .bivar import CoeffMatrix, DimensionError
-from .series import _all_int, _scaled
+from .series import _all_int, _exact, _scaled
 
 
 class MinorSequence(list):
@@ -33,21 +33,19 @@ class MinorSequence(list):
         return f"MinorSequence({list.__repr__(self)})"
 
 
-def det_cofactor(rows) -> Fraction:
+def det_cofactor(rows) -> int | Fraction:
     """Determinant by cofactor expansion along the first row (test oracle)."""
     n = len(rows)
     if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
+        return 1
+    total = 0
     for j in range(n):
         c = rows[0][j]
         if not c:
             continue
         sub = [row[:j] + row[j + 1 :] for row in rows[1:]]
         total += (-1) ** j * c * det_cofactor(sub)
-    return total
+    return _exact(total)
 
 
 def _det_int(rows) -> int:
@@ -122,8 +120,7 @@ def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
     scale_prod = 1
     for m in range(count):
         scale_prod *= scales[m]
-        v = Fraction(raw[m], scale_prod)
-        values.append(int(v) if v.denominator == 1 else v)
+        values.append(_exact(Fraction(raw[m], scale_prod)))
     return MinorSequence(values)
 
 
@@ -132,5 +129,4 @@ def det(M: CoeffMatrix):
     if _all_int(*M.rows):
         return _det_int(M.rows)
     int_rows, scales = zip(*map(_scaled, M.rows))
-    v = Fraction(_det_int(int_rows), prod(scales))
-    return int(v) if v.denominator == 1 else v
+    return _exact(Fraction(_det_int(int_rows), prod(scales)))

@@ -5,10 +5,12 @@ is exact modulo ``x**order``.  Binary operations truncate to the smaller of
 the two operand orders; nothing ever extends precision silently, so a zero
 tail coefficient is always a computed zero, never padding.
 
-The kernels do their inner loops on ``int``.  Integral inputs are converted
-once; rational inputs are scaled to integers over a common denominator
-(:func:`_scaled`), and a ``Fraction`` is built only for each result
-coefficient.
+Every stored value in the package follows one rule (:func:`_exact`): an
+``int`` when it is integral, a ``Fraction`` otherwise, and a float is
+refused.  The kernels do their inner loops on ``int``: integral inputs are
+ints already, rational inputs are scaled to integers over a common
+denominator (:func:`_scaled`), and a ``Fraction`` is built only for each
+result coefficient.
 """
 
 from __future__ import annotations
@@ -38,13 +40,16 @@ class InsufficientOrder(ValueError):
     """The stored truncation order is too small for the request."""
 
 
-def _frac(c) -> Fraction:
-    """Exact rational from an exact number; a float is refused, not rounded."""
-    if isinstance(c, Fraction):
+def _exact(c):
+    """An exact number in normal form: an int when integral, else a Fraction.
+    A float is refused, not rounded."""
+    if type(c) is int:
         return c
     if isinstance(c, float):
         raise TypeError(f"inexact coefficient {c!r}: pass an int or a Fraction")
-    return Fraction(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _all_int(*lists) -> bool:
@@ -90,18 +95,19 @@ def _mul_lists(a, b, n):
 
 
 class Series:
-    """Power series truncated to ``order`` exact rational coefficients."""
+    """Power series truncated to ``order`` exact coefficients, each an int
+    when integral and a Fraction otherwise."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int | None = None):
-        coeffs = [_frac(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if order is None:
             order = len(coeffs)
         if order < 0:
             raise ValueError("order must be nonnegative")
         if len(coeffs) < order:
-            coeffs = coeffs + [Fraction(0)] * (order - len(coeffs))
+            coeffs = coeffs + [0] * (order - len(coeffs))
         else:
             coeffs = coeffs[:order]
         self.coeffs = coeffs
@@ -114,7 +120,7 @@ class Series:
     def __len__(self):
         return self.order
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         return self.coeffs[n]
 
     def __eq__(self, other):
@@ -124,7 +130,7 @@ class Series:
 
     __hash__ = None
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> int | Fraction:
         if self.order == 0:
             raise InsufficientOrder("series of order 0 has no stored coefficients")
         return self.coeffs[0]
@@ -183,7 +189,7 @@ class Series:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
-            return Series([c / other for c in self.coeffs], self.order)
+            return Series([Fraction(c, other) for c in self.coeffs], self.order)
         if not isinstance(other, Series):
             return NotImplemented
         return div(self, other)
@@ -205,21 +211,6 @@ class Series:
 def poly(coeff_list, order: int) -> Series:
     """Series with the given coefficients, zero-padded or truncated to order."""
     return Series(coeff_list, order)
-
-
-def mul(a: Series, b: Series) -> Series:
-    """Cauchy product, truncated to the smaller operand order."""
-    return a * b
-
-
-def _integral(coeffs):
-    """The coefficients as ints when every one is integral, else unchanged.
-
-    The kernels return ints only for int operands, so integral input
-    converted here gives int results, with no Fraction built.
-    """
-    ints, d = _scaled(coeffs)
-    return ints if d == 1 else coeffs
 
 
 def _div_lists(a, b, n):
@@ -262,7 +253,7 @@ def div(a: Series, b: Series) -> Series:
     if b.order == 0 or b.coeffs[0] == 0:
         raise ZeroConstantTerm("divisor has zero constant term")
     n = min(a.order, b.order)
-    return Series(_div_lists(_integral(a.coeffs[:n]), _integral(b.coeffs[:n]), n), n)
+    return Series(_div_lists(a.coeffs[:n], b.coeffs[:n], n), n)
 
 
 def compose(g: Series, f: Series) -> Series:
@@ -289,7 +280,7 @@ def compose(g: Series, f: Series) -> Series:
         scale *= df
         acc[0] += gs[k] * scale
     d = dg * scale
-    return Series([Fraction(v, d) for v in acc], n)
+    return Series([Fraction(v, d) for v in acc] if d > 1 else acc, n)
 
 
 def revert(f: Series) -> Series:
@@ -308,7 +299,7 @@ def revert(f: Series) -> Series:
     if n < 2 or f.coeffs[0] != 0 or f.coeffs[1] == 0:
         raise NotReversible("need f(0) = 0 and a nonzero linear coefficient")
     one = [1] + [0] * (n - 2)
-    h, dh = _scaled(_div_lists(one, _integral(f.coeffs[1:]), n - 1))
+    h, dh = _scaled(_div_lists(one, f.coeffs[1:], n - 1))
     s = isqrt(n - 1)
     baby = [one]
     for _ in range(s):

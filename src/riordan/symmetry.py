@@ -14,12 +14,11 @@ oracle the tests hold it against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .array import RiordanPair, matrix
 from .bivar import CoeffMatrix
-from .series import InsufficientOrder
+from .series import InsufficientOrder, _all_int
 
 
 class NotLowerTriangular(ValueError):
@@ -53,7 +52,7 @@ def _mul_trunc(a: dict, b: dict, N: int) -> dict:
             i, j = i1 + i2, j1 + j2
             if i < N and j < N:
                 key = (i, j)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
 
 
@@ -70,20 +69,20 @@ def symmetrize_gf(a: RiordanPair, N: int) -> SymmetrizedMatrix:
         )
     f, g = a.f, a.g
     u = {(k, k - 1): f.coeffs[k] for k in range(1, min(f.order, N)) if f.coeffs[k]}
-    acc = {(0, 0): Fraction(1)}
-    term = {(0, 0): Fraction(1)}
+    acc = {(0, 0): 1}
+    term = {(0, 0): 1}
     for _ in range(1, N):
         term = _mul_trunc(term, u, N)
         if not term:
             break
         for k, c in term.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
+            acc[k] = acc.get(k, 0) + c
     gxy = {(j, j): g.coeffs[j] for j in range(min(g.order, N)) if g.coeffs[j]}
     half = _mul_trunc(gxy, acc, N)
-    rows = [[Fraction(0)] * N for _ in range(N)]
+    rows = [[0] * N for _ in range(N)]
     for n in range(N):
         for k in range(N):
-            s = half.get((n, k), Fraction(0)) + half.get((k, n), Fraction(0))
+            s = half.get((n, k), 0) + half.get((k, n), 0)
             if n == k:
                 s -= g.coeffs[n]
             rows[n][k] = s
@@ -114,7 +113,7 @@ def symmetrize(a: RiordanPair, N: int) -> SymmetrizedMatrix:
 
 def require_integer_entries(M: CoeffMatrix) -> None:
     """Raise the integrality diagnostic if any entry is a proper fraction."""
-    if not M.is_integral():
+    if not _all_int(*M.rows):
         raise NonIntegerEntries(
             "symmetrized entries are not integral; truncation order is likely too low"
         )

@@ -468,25 +468,11 @@ def suite_group_laws(seed=DEFAULT_SEED, cases=100):
 
 
 def run_suite(name, seed=DEFAULT_SEED):
-    if name == "robbins":
-        return suite_robbins()
-    if name == "vertex20":
-        return suite_vertex20()
-    if name == "table6":
-        return suite_table6()
-    if name == "inverse6":
-        return suite_inverse6()
-    if name == "tilde":
-        return suite_tilde()
-    if name == "closed-forms":
-        return suite_closed_forms()
-    if name == "factorization":
-        return suite_factorization()
-    if name == "gf-identities":
-        return suite_gf_identities()
-    if name == "group-laws":
-        return suite_group_laws(seed=seed)
-    raise ValueError(f"unknown suite {name!r}")
+    """Run ``suite_<name>``, looked up at call time; group-laws takes the seed."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}")
+    suite = globals()["suite_" + name.replace("-", "_")]
+    return suite(seed=seed) if name == "group-laws" else suite()
 
 
 def run_all(seed=DEFAULT_SEED):

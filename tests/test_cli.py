@@ -73,6 +73,22 @@ def test_minors_inverse_family(capsys):
     assert [int(v) for v in out.split()] == [1, -3, -13, 81, 144, -2017, -1757, 79513, 22704]
 
 
+def test_family_table_looks_up_constructors_at_call_time(capsys, monkeypatch):
+    # a constructor rebound on `families` after import (as the bench tracer
+    # does) is the one the CLI calls, for pair and full-matrix specs alike
+    from riordan import families
+
+    built = []
+    for attr in ("make_R", "twenty_vertex_matrix"):
+        original = getattr(families, attr)
+        monkeypatch.setattr(
+            families, attr, lambda *a, attr=attr, original=original: built.append(attr) or original(*a)
+        )
+    assert run(capsys, "matrix", "R:1", "3")[0] == 0
+    assert run(capsys, "minors", "vertex20", "3")[0] == 0
+    assert built == ["make_R", "twenty_vertex_matrix"]
+
+
 def test_usage_errors(capsys):
     rc, _ = run(capsys, "matrix", "nosuch", "4")
     assert rc == 2
@@ -201,6 +217,7 @@ def test_oeis_mismatch_fails(capsys, tmp_path):
         ("symmetrize", "R:1", "-1"),
         ("matrix", "vertex20", "-2"),
         ("matrix", "R:1", "4", "--order", "-1"),
+        ("oeis", "A005130", "--limit", "-1", "--offline"),
     ],
 )
 def test_negative_size_is_usage_error(capsys, argv):
@@ -229,17 +246,31 @@ def test_twenty_vertex_family_route_matches_gf_matrix(capsys):
     assert [int(v) for v in out.split()] == list(principal_minors(twenty_vertex_matrix(40), 40))
 
 
-# sha256 of stdout, recorded before the series and matrix kernels moved from
-# Fraction to int over common denominators.  Any change to the reports,
-# including a change of number formatting, shows here.
-VERIFY_JSON_SHA256 = {
-    "all": "67d566bfb156965e23c053deb244b739756e47164def74173c62006d46458295",
-    "group-laws": "329fcda653c4fe09138f34245b7deae76a46dfa066faf0e57a5be194b96006f7",
+# sha256 of stdout.  The verify reports were recorded before the series and
+# matrix kernels moved from Fraction to int over common denominators; the
+# other outputs before every container stored integral values as int.  Any
+# change to the outputs, including a change of number formatting, shows here.
+OUTPUT_SHA256 = {
+    "verify all --json": "67d566bfb156965e23c053deb244b739756e47164def74173c62006d46458295",
+    "verify group-laws --json": "329fcda653c4fe09138f34245b7deae76a46dfa066faf0e57a5be194b96006f7",
+    "matrix tildeR:1 12 --format csv": "02464bcad8dcb1210856dd13b4affaf4e894f1ca0984a37f2e4131b2a9de408c",
+    "matrix vertex20 8 --format json": "3561a862b48c38ecdd065f23bc1b6b045c0d9cae72ad78b0b3c7da6783ef2914",
+    "symmetrize example1 8": "26a23c936600d6ee46ba619c4d0bebb2660d9ac1c3cbc2d45d3bed4932d03a5f",
+    "minors R:1 --symmetrize 120": "00e6d4378990849480f0d46c73a94a7c994a99e2a04a258bcf509608836fc8c8",
 }
 
 
-@pytest.mark.parametrize("suite", sorted(VERIFY_JSON_SHA256))
-def test_verify_json_output_is_pinned(capsys, suite):
-    rc, out = run(capsys, "verify", suite, "--json")
+def _assert_pinned(capsys, command):
+    rc, out = run(capsys, *command.split())
     assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[suite]
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]
+
+
+@pytest.mark.parametrize("suite", ["all", "group-laws"])
+def test_verify_json_output_is_pinned(capsys, suite):
+    _assert_pinned(capsys, f"verify {suite} --json")
+
+
+@pytest.mark.parametrize("command", [c for c in OUTPUT_SHA256 if not c.startswith("verify ")])
+def test_output_is_pinned(capsys, command):
+    _assert_pinned(capsys, command)

@@ -346,5 +346,5 @@ def test_rational_pair_matrix_keeps_fractions():
         assert M.rows == _fraction_triangle(a, 12)
         if any(c.denominator != 1 for c in a.g.coeffs + a.f.coeffs):
             rational += 1
-            assert all(type(c) is F for row in M.rows for c in row if c)
+            assert all(type(c) is (int if c.denominator == 1 else F) for row in M.rows for c in row)
     assert rational

@@ -1,5 +1,6 @@
 import pytest
 
+from riordan import verify
 from riordan.verify import SUITE_NAMES, Check, SuiteResult, run_suite, suite_robbins
 
 
@@ -44,3 +45,14 @@ def test_as_dict_shape():
     assert d["checks"][0] == {
         "id": "demo/a", "status": "pass", "expected": "42", "actual": "42", "note": "n",
     }
+
+
+def test_run_suite_looks_up_each_suite_at_call_time(monkeypatch):
+    # a suite rebound on the module after import (as the bench tracer does)
+    # is the one run_suite calls; only group-laws receives the seed
+    calls = []
+    for name in SUITE_NAMES:
+        attr = "suite_" + name.replace("-", "_")
+        monkeypatch.setattr(verify, attr, lambda name=name, **kw: calls.append((name, kw)) or name)
+    assert [run_suite(name, seed=5) for name in SUITE_NAMES] == list(SUITE_NAMES)
+    assert calls == [(name, {"seed": 5} if name == "group-laws" else {}) for name in SUITE_NAMES]
