@@ -14,7 +14,7 @@ from collections import namedtuple
 from . import families, oeis, verify
 from .array import matrix as pair_matrix
 from .minors import principal_minors
-from .series import InsufficientOrder
+from .series import InsufficientOrder, unlimited_int_digits
 from .symmetry import NonIntegerEntries, require_integer_entries, symmetrize
 
 EXIT_PASS = 0
@@ -78,8 +78,14 @@ def _build_matrix(name, r, N, order):
     return pair_matrix(_build_pair(name, r, order), N)
 
 
+def _cells(values):
+    """Decimal text of exact numbers, however many digits they have."""
+    with unlimited_int_digits():
+        return [str(v) for v in values]
+
+
 def _render_matrix(M, fmt):
-    cells = [[str(v) for v in row] for row in M.rows]
+    cells = [_cells(row) for row in M.rows]
     if fmt == "json":
         return json.dumps(cells)
     if fmt == "csv":
@@ -91,7 +97,7 @@ def _render_matrix(M, fmt):
 
 
 def _render_sequence(values, fmt):
-    cells = [str(v) for v in values]
+    cells = _cells(values)
     if fmt == "json":
         return json.dumps(cells)
     if fmt == "csv":

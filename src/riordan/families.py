@@ -10,6 +10,7 @@ needs order 2 or more.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from . import series
@@ -182,7 +183,9 @@ def asm_count_bruteforce(n: int) -> int:
     """Exhaustive count of n x n alternating sign matrices, n <= 5.
 
     Rows are drawn from the alternating-row catalog; columns are pruned via
-    partial sums, which must stay in {0, 1} and end at 1.
+    partial sums, which must stay in {0, 1} and end at 1.  The count of
+    completions depends only on (depth, partial column sums), so it is
+    memoized for the duration of the call.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -190,6 +193,7 @@ def asm_count_bruteforce(n: int) -> int:
         raise TooLarge("brute force enumeration is capped at n = 5")
     rows = _alternating_rows(n)
 
+    @cache
     def walk(depth: int, colsums: tuple) -> int:
         if depth == n:
             return 1 if all(s == 1 for s in colsums) else 0

@@ -7,11 +7,22 @@ leading minor, so one O(N^3) pass yields the whole sequence.  Rational
 entries are handled by scaling each row to integers and dividing each minor
 by the accumulated row scales; an all-integer matrix goes to the sweep as is.
 
+The sweep has two modes, picked by `principal_minors` from the input.  An
+all-integer symmetric block (every symmetrization is one) takes the
+symmetric mode: a Bareiss step maps a symmetric state to a symmetric state,
+so each step updates only the entries on and above the diagonal and reads
+a[i][k] as a[k][i], about half the big-integer work (the fraction-free
+LDL^T view of the same elimination).  Everything else takes the general
+mode, which updates the whole active block: non-symmetric input, and
+rational input, whose row scaling breaks the symmetry.
+
 A zero pivot means that leading minor is genuinely zero.  The sweep then
 swaps row and column k symmetrically with a later index whose diagonal entry
 is nonzero; such a swap maps bordered minors to bordered minors, so the
-elimination state stays a valid Bareiss state and the sweep continues.  Only
-the block sizes strictly between the swapped indices see a different
+elimination state stays a valid Bareiss state and the sweep continues.  In
+the symmetric mode the stale lower half of the active block is first
+mirrored from the upper half, so the swapped rows and columns are current.
+Only the block sizes strictly between the swapped indices see a different
 "leading" submatrix afterwards, and those few minors are recomputed
 independently by row-pivoted elimination.  When no symmetric pivot exists
 at all, every remaining minor is computed independently.
@@ -76,8 +87,13 @@ def _det_int(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _bareiss_minor_sweep(rows, count: int):
-    """Integer minors of the leading blocks, from one elimination sweep."""
+def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
+    """Integer minors of the leading blocks, from one elimination sweep.
+
+    With ``symmetric`` (the caller has checked the block is symmetric) each
+    step updates only the upper half, j >= i, and reads a[i][k] as a[k][i];
+    the entries below the diagonal go stale and are never read.
+    """
     a = [row[:count] for row in rows[:count]]
     minors = [0] * count
     fix = set()
@@ -89,6 +105,10 @@ def _bareiss_minor_sweep(rows, count: int):
             if t is None:
                 fix.update(range(k + 1, count))
                 break
+            if symmetric:
+                for i in range(k + 1, count):
+                    for j in range(k, i):
+                        a[i][j] = a[j][i]
             a[k], a[t] = a[t], a[k]
             for row in a:
                 row[k], row[t] = row[t], row[k]
@@ -96,12 +116,15 @@ def _bareiss_minor_sweep(rows, count: int):
         else:
             minors[k] = a[k][k]
         piv = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, count):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, count):
+            row_i = a[i]
+            if symmetric:
+                aik, start = row_k[i], i
+            else:
+                aik, start = row_i[k], k + 1
+            for j in range(start, count):
                 row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
-            row_i[k] = 0
         prev = piv
     for m in fix:
         minors[m] = _det_int([row[: m + 1] for row in rows[: m + 1]])
@@ -112,9 +135,11 @@ def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
     """First `count` leading principal minors, exactly."""
     if count < 0 or count > M.n:
         raise DimensionError(f"requested {count} minors of a {M.n}x{M.n} matrix")
-    if _all_int(*(row[:count] for row in M.rows[:count])):
-        return MinorSequence(_bareiss_minor_sweep(M.rows, count))
-    int_rows, scales = zip(*(_scaled(row[:count]) for row in M.rows[:count]))
+    block = [row[:count] for row in M.rows[:count]]
+    if _all_int(*block):
+        symmetric = all(block[i][j] == block[j][i] for i in range(count) for j in range(i))
+        return MinorSequence(_bareiss_minor_sweep(block, count, symmetric))
+    int_rows, scales = zip(*map(_scaled, block))
     raw = _bareiss_minor_sweep(int_rows, count)
     values = []
     scale_prod = 1

@@ -16,6 +16,8 @@ import tempfile
 import urllib.error
 import urllib.request
 
+from .series import unlimited_int_digits
+
 SEQ_ID_RE = re.compile(r"\AA\d{6}\Z")
 CACHE_ENV = "RIORDAN_OEIS_CACHE"
 DEFAULT_TIMEOUT = 15.0
@@ -74,7 +76,8 @@ def parse_bfile(text: str, seq_id: str) -> BFile:
         if len(parts) != 2:
             raise ParseError(f"{seq_id} line {lineno}: expected 'index value', got {line!r}")
         try:
-            idx, val = int(parts[0]), int(parts[1])
+            with unlimited_int_digits():
+                idx, val = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"{seq_id} line {lineno}: non-integer field in {line!r}") from None
         if last is not None and idx <= last:

@@ -16,6 +16,8 @@ result coefficient.
 from __future__ import annotations
 
 import operator
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -50,6 +52,26 @@ def _exact(c):
     if not isinstance(c, Fraction):
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Convert ints to and from decimal text at any length inside the block.
+
+    CPython 3.10.7 and later refuse ``str(int)`` and ``int(str)`` past 4300
+    digits by default (``sys.set_int_max_str_digits``); the caller's limit is
+    restored on exit.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    saved = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _all_int(*lists) -> bool:

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
-from riordan.cli import main
+from riordan.cli import _render_sequence, main
 from riordan.families import reference_B20, robbins, twenty_vertex_matrix
 from riordan.minors import principal_minors
 
@@ -244,6 +245,40 @@ def test_twenty_vertex_family_route_matches_gf_matrix(capsys):
     rc, out = run(capsys, "minors", "R:2", "--symmetrize", "40")
     assert rc == 0
     assert [int(v) for v in out.split()] == list(principal_minors(twenty_vertex_matrix(40), 40))
+
+
+def test_twenty_vertex_family_route_matches_gf_matrix_at_60(capsys):
+    # the family route's Sym(R_2) takes the symmetric sweep, the gf matrix
+    # (not symmetric) the general one
+    rc, out = run(capsys, "minors", "R:2", "--symmetrize", "60")
+    assert rc == 0
+    assert [int(v) for v in out.split()] == list(principal_minors(twenty_vertex_matrix(60), 60))
+
+
+def test_render_sequence_past_the_digit_limit():
+    # robbins(195) has 4321 digits, past CPython's default limit of 4300
+    value = robbins(195)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    text = _render_sequence([value], "table")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert len(text) == 4321
+    assert int(text[:2000]) * 10 ** (len(text) - 2000) + int(text[2000:]) == value
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no digit limit"
+)
+def test_minors_print_under_a_lowered_digit_limit(capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit CPython accepts
+    try:
+        rc, out = run(capsys, "minors", "R:1", "--symmetrize", "80")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert rc == 0
+    assert len(str(robbins(80))) > 640
+    assert out.split() == [str(robbins(n + 1)) for n in range(80)]
 
 
 # sha256 of stdout.  The verify reports were recorded before the series and

@@ -6,7 +6,13 @@ import pytest
 from riordan import minors, series
 from riordan.array import RiordanPair, conjugate, matrix
 from riordan.bivar import CoeffMatrix, DimensionError
-from riordan.families import make_R, reference_B20, robbins
+from riordan.families import (
+    classical_asm_matrix,
+    make_R,
+    reference_B20,
+    robbins,
+    twenty_vertex_matrix,
+)
 from riordan.minors import MinorSequence, det, det_cofactor, principal_minors
 from riordan.symmetry import symmetrize
 
@@ -177,3 +183,122 @@ def test_rational_rows_cleared_to_int_randomized():
             assert got[m - 1] == want
             assert type(got[m - 1]) is (int if want.denominator == 1 else F)
         assert det(M) == det_cofactor(rows)
+
+
+def _sweep_both_modes(rows):
+    n = len(rows)
+    sym = minors._bareiss_minor_sweep(rows, n, symmetric=True)
+    gen = minors._bareiss_minor_sweep(rows, n, symmetric=False)
+    return sym, gen
+
+
+def _block_dets(rows):
+    return [minors._det_int([row[:m] for row in rows[:m]]) for m in range(1, len(rows) + 1)]
+
+
+def test_symmetric_mode_matches_general_mode_and_oracles_randomized():
+    rng = random.Random(211)
+    for trial in range(200):
+        n = rng.randint(1, 8)
+        rows = _random_symmetric(rng, n).rows
+        if trial % 2:  # zeroed diagonals send the sweep through swap and fix-up
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                rows[i][i] = 0
+        sym, gen = _sweep_both_modes(rows)
+        assert sym == gen == _block_dets(rows)
+        if n <= 6:
+            assert sym == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
+
+
+def test_symmetric_mode_on_large_entries_and_late_zero_pivots():
+    rng = random.Random(223)
+    for _ in range(40):
+        n = rng.randint(6, 14)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = rng.randint(-(10**30), 10**30)
+        # a singular leading 2 x 2 block: the first swap comes at step 1,
+        # after the lower half has gone stale
+        rows[0][0], rows[0][1], rows[1][0], rows[1][1] = 2, 6, 6, 18
+        sym, gen = _sweep_both_modes(rows)
+        assert sym[1] == 0
+        assert sym == gen == _block_dets(rows)
+
+
+def test_symmetric_mode_mirrors_before_a_late_swap():
+    # minors 1, 0, ...: the zero pivot is met at step 1 and swapped with
+    # index 3, whose row and column come from the stale lower half
+    rows = [
+        [1, 1, 2, 3, 1],
+        [1, 1, 4, 5, 2],
+        [2, 4, 4, 6, 1],
+        [3, 5, 6, 2, 7],
+        [1, 2, 1, 7, 3],
+    ]
+    sym, gen = _sweep_both_modes(rows)
+    assert sym == gen == _block_dets(rows)
+    assert sym == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, 6)]
+    assert sym[1] == 0
+
+
+def test_symmetric_mode_with_no_symmetric_pivot_left(monkeypatch):
+    calls = []
+    det_int = minors._det_int
+
+    def counted(block):
+        calls.append(len(block))
+        return det_int(block)
+
+    monkeypatch.setattr(minors, "_det_int", counted)
+    # after step 0 both remaining diagonal entries are 0: no pivot is left
+    rows = [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
+    assert minors._bareiss_minor_sweep(rows, 3, symmetric=True) == [1, 0, -1]
+    assert calls == [3]
+    # a zero diagonal from the start: every minor is computed independently
+    rows = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    calls.clear()
+    assert minors._bareiss_minor_sweep(rows, 3, symmetric=True) == [0, -1, 12]
+    assert calls == [2, 3]
+
+
+def _spy_sweep(monkeypatch):
+    modes = []
+    sweep = minors._bareiss_minor_sweep
+
+    def spy(rows, count, symmetric=False):
+        modes.append(symmetric)
+        return sweep(rows, count, symmetric)
+
+    monkeypatch.setattr(minors, "_bareiss_minor_sweep", spy)
+    return modes
+
+
+def test_symmetrized_family_takes_the_symmetric_mode(monkeypatch):
+    modes = _spy_sweep(monkeypatch)
+    values = principal_minors(symmetrize(make_R(1, 20), 20), 20)
+    assert modes == [True]
+    assert list(values) == [robbins(n + 1) for n in range(20)]
+
+
+def test_non_symmetric_and_rational_inputs_take_the_general_mode(monkeypatch):
+    modes = _spy_sweep(monkeypatch)
+    principal_minors(twenty_vertex_matrix(20), 20)
+    assert list(principal_minors(classical_asm_matrix(8), 8))[:5] == [1, 2, 7, 42, 429]
+    assert modes == [False, False]
+    # a symmetric matrix with rational entries is scaled row by row, which
+    # breaks its symmetry
+    modes.clear()
+    rows = [[F(1, 2), F(1, 3), 1], [F(1, 3), 2, F(5, 6)], [1, F(5, 6), F(-1, 4)]]
+    got = principal_minors(CoeffMatrix(rows), 3)
+    assert modes == [False]
+    assert list(got) == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, 4)]
+
+
+def test_symmetric_mode_is_taken_only_for_a_symmetric_leading_block(monkeypatch):
+    modes = _spy_sweep(monkeypatch)
+    rows = [[2, 1, 5], [1, 3, 1], [7, 1, 4]]  # symmetric 2 x 2 block only
+    M = CoeffMatrix(rows)
+    assert list(principal_minors(M, 2)) == [2, 5]
+    assert list(principal_minors(M, 3)) == [2, 5, det_cofactor(rows)]
+    assert modes == [True, False]

@@ -1,6 +1,7 @@
 import errno
 import io
 import os
+import sys
 
 import pytest
 
@@ -43,6 +44,16 @@ def test_parse_bfile_errors():
         parse_bfile("0 1\n0 2\n", "A000001")  # indices must strictly increase
     with pytest.raises(ParseError):
         parse_bfile("2 1\n1 2\n", "A000001")
+
+
+def test_parse_bfile_value_past_the_digit_limit():
+    # CPython refuses int() of more than 4300 digits by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    bf = parse_bfile("0 1\n1 " + "9" * 5000 + "\n", "A000001")
+    assert bf.values == [1, 10**5000 - 1]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with pytest.raises(ParseError, match="non-integer field"):
+        parse_bfile("0 1\n1 " + "9" * 5000 + "x\n", "A000001")
 
 
 def test_fetch_reads_cache(tmp_path):
