@@ -138,25 +138,21 @@ def diagonal_sums(a: RiordanPair, N: int) -> Series:
     return series.div(a.g, 1 - x * a.f).truncate(N)
 
 
-def bivariate_gf(a: RiordanPair, N: int | None = None):
+def bivariate_gf(a: RiordanPair) -> BivariateRational:
     """Bivariate generating function g(x) / (1 - y f(x)).
 
-    When both g and f carry exact rational forms the result is a
-    :class:`BivariateRational`; its expansion equals the matrix of the pair.
-    Otherwise the truncated expansion itself (an N x N table built from the
-    column series g * f^k) is returned, and N must be supplied.
+    Requires rational forms for g and f; the expansion of the result equals
+    the matrix of the pair.
     """
-    if a.g_rational is not None and a.f_rational is not None:
-        pg, qg = a.g_rational
-        pf, qf = a.f_rational
-        num = from_univariate(pg) * from_univariate(qf)
-        den = from_univariate(qg) * (
-            from_univariate(qf) - BivarPoly({(0, 1): 1}) * from_univariate(pf)
-        )
-        return BivariateRational(num, den)
-    if N is None:
-        raise ValueError("N is required when no rational forms are stored")
-    return matrix(a, N)
+    if a.g_rational is None or a.f_rational is None:
+        raise ValueError("bivariate_gf needs a pair with rational g and f")
+    pg, qg = a.g_rational
+    pf, qf = a.f_rational
+    num = from_univariate(pg) * from_univariate(qf)
+    den = from_univariate(qg) * (
+        from_univariate(qf) - BivarPoly({(0, 1): 1}) * from_univariate(pf)
+    )
+    return BivariateRational(num, den)
 
 
 def conjugate(M: CoeffMatrix, a: RiordanPair) -> CoeffMatrix:

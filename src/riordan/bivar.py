@@ -190,7 +190,7 @@ class CoeffMatrix:
         return CoeffMatrix([list(col) for col in zip(*self.rows)])
 
     def leading(self, m: int) -> "CoeffMatrix":
-        if m > self.n:
+        if not 0 <= m <= self.n:
             raise DimensionError(f"leading {m}x{m} block of a {self.n}x{self.n} matrix")
         return CoeffMatrix([row[:m] for row in self.rows[:m]])
 
@@ -262,33 +262,10 @@ def expand(r: BivariateRational, N: int) -> CoeffMatrix:
     return CoeffMatrix(s)
 
 
-class IdentityCheck:
-    """Outcome of a generating function comparison; truthy iff equal."""
-
-    __slots__ = ("equal", "method")
-
-    def __init__(self, equal: bool, method: str):
-        self.equal = equal
-        self.method = method
-
-    def __bool__(self):
-        return self.equal
-
-    def __repr__(self):
-        return f"IdentityCheck(equal={self.equal}, method={self.method!r})"
-
-
-def gf_identity_check(
-    lhs: BivariateRational, rhs: BivariateRational, N: int, force_expansion: bool = False
-) -> IdentityCheck:
+def gf_identity_check(lhs: BivariateRational, rhs: BivariateRational) -> bool:
     """Decide whether two rational generating functions are equal.
 
-    Cross-multiplication of the numerators is exact and decidable, so it is
-    the preferred route; the truncated N x N expansion comparison remains
-    available as a fallback and for cross-checking the two methods.
+    P1/Q1 = P2/Q2 exactly when P1 * Q2 = P2 * Q1, so cross-multiplying the
+    numerators decides the identity for the whole infinite expansion.
     """
-    if not force_expansion:
-        equal = lhs.num * rhs.den == rhs.num * lhs.den
-        return IdentityCheck(equal, "cross-multiplication")
-    equal = expand(lhs, N) == expand(rhs, N)
-    return IdentityCheck(equal, "expansion")
+    return lhs.num * rhs.den == rhs.num * lhs.den

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: matrix, symmetrize, minors, verify, oeis.  Exit codes:
-0 pass, 1 verification failure, 2 usage, 3 precision, 4 network, 5 parse.
+0 pass, 1 verification failure, 2 usage, 4 network, 5 parse.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from collections import namedtuple
 from . import families, oeis, verify
 from .array import matrix as pair_matrix
 from .minors import principal_minors
-from .series import InsufficientOrder, unlimited_int_digits
-from .symmetry import NonIntegerEntries, require_integer_entries, symmetrize
+from .series import unlimited_int_digits
+from .symmetry import symmetrize
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_PRECISION = 3
 EXIT_NETWORK = 4
 EXIT_PARSE = 5
 
@@ -63,19 +62,25 @@ def _parse_family(spec):
     return name, None
 
 
-def _build_pair(name, r, order):
+def _build_pair(name, r, N):
+    """The pair for an N x N request, at order max(N, 2).
+
+    The matrix route (triangle, row-reversal symmetrization, minors) reads
+    only the first N coefficients; a Riordan pair needs order >= 2.
+    """
     family = FAMILIES.get(name)
     if family is None or family.full_matrix:
         raise UsageError(f"{name!r} is not a Riordan pair spec")
     build = getattr(families, family.constructor)
+    order = max(N, 2)
     return build(r, order) if family.takes_r else build(order)
 
 
-def _build_matrix(name, r, N, order):
+def _build_matrix(name, r, N):
     family = FAMILIES[name]
     if family.full_matrix:
         return getattr(families, family.constructor)(N)
-    return pair_matrix(_build_pair(name, r, order), N)
+    return pair_matrix(_build_pair(name, r, N), N)
 
 
 def _cells(values):
@@ -105,57 +110,42 @@ def _render_sequence(values, fmt):
     return " ".join(cells)
 
 
-def _order_for(args, N):
-    """Series order for an N x N request: ``--order``, else max(N, 2).
-
-    The matrix route (triangle, row-reversal symmetrization, minors) reads
-    only the first N coefficients; a Riordan pair needs order >= 2.
-    """
-    if args.order is not None:
-        return args.order
-    return max(N, 2)
-
-
 def _require_nonnegative(**sizes):
     for name, value in sizes.items():
-        if value is not None and value < 0:
+        if value < 0:
             raise UsageError(f"{name} must be nonnegative, got {value}")
 
 
 def cmd_matrix(args):
-    _require_nonnegative(N=args.N, order=args.order)
+    _require_nonnegative(N=args.N)
     name, r = _parse_family(args.family)
-    M = _build_matrix(name, r, args.N, _order_for(args, args.N))
+    M = _build_matrix(name, r, args.N)
     print(_render_matrix(M, args.format))
     return EXIT_PASS
 
 
 def cmd_symmetrize(args):
-    _require_nonnegative(N=args.N, order=args.order)
+    _require_nonnegative(N=args.N)
     name, r = _parse_family(args.family)
     if FAMILIES[name].full_matrix:
         raise UsageError(f"{name} is already a full matrix; it has no symmetrization")
-    pair = _build_pair(name, r, _order_for(args, args.N))
+    pair = _build_pair(name, r, args.N)
     S = symmetrize(pair, args.N)
     print(_render_matrix(S, args.format))
     return EXIT_PASS
 
 
 def cmd_minors(args):
-    _require_nonnegative(count=args.count, order=args.order)
+    _require_nonnegative(count=args.count)
     name, r = _parse_family(args.family)
     count = args.count
     if FAMILIES[name].full_matrix:
         if args.symmetrize:
             raise UsageError(f"{name} is already a full matrix; --symmetrize does not apply")
-        M = _build_matrix(name, r, count, None)
+        M = _build_matrix(name, r, count)
     else:
-        pair = _build_pair(name, r, _order_for(args, count))
-        if args.symmetrize:
-            M = symmetrize(pair, count)
-            require_integer_entries(M)
-        else:
-            M = pair_matrix(pair, count)
+        pair = _build_pair(name, r, count)
+        M = symmetrize(pair, count) if args.symmetrize else pair_matrix(pair, count)
     print(_render_sequence(principal_minors(M, count), args.format))
     return EXIT_PASS
 
@@ -205,7 +195,7 @@ def _check_values(name, length):
     if name == "vertex20":
         return families.reference_B20()
     if name in ("catalan", "A361654"):
-        M = _build_matrix(name, None, 12, 16)
+        M = _build_matrix(name, None, 12)
         return [M[n][k] for n in range(12) for k in range(n + 1)]
     raise UsageError(f"unknown check target {name!r}")
 
@@ -233,7 +223,6 @@ def cmd_oeis(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    common.add_argument("--order", type=int, default=None, help="series truncation override")
     common.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     common.add_argument("--offline", action="store_true")
     common.add_argument("--cache-dir", default=None)
@@ -284,9 +273,6 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InsufficientOrder, NonIntegerEntries) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
     except (oeis.NetworkError, oeis.CacheMiss) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NETWORK

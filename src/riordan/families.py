@@ -2,7 +2,7 @@
 
 Every constructor takes an explicit truncation order.  The matrix route to
 an N x N block (``array.matrix``, ``symmetry.symmetrize``, the minors) needs
-order N; the generating function route ``symmetry.symmetrize_gf`` needs 2N.
+order N, and so does the generating function route ``symmetry.symmetrize_gf``.
 The command line front end sizes orders as max(N, 2), since a Riordan pair
 needs order 2 or more.
 """
@@ -18,7 +18,7 @@ from .array import RiordanPair, inverse
 from .bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
 from .minors import principal_minors
 from .series import Series
-from .symmetry import require_integer_entries, symmetrize
+from .symmetry import symmetrize
 
 
 class TooLarge(ValueError):
@@ -212,7 +212,5 @@ def minor_polynomial_table() -> list[list[int]]:
     make_R(r), for r = 0..5."""
     table = []
     for r in range(6):
-        sym = symmetrize(make_R(r, 6), 6)
-        require_integer_entries(sym)
-        table.append([int(v) for v in principal_minors(sym, 6)])
+        table.append(list(principal_minors(symmetrize(make_R(r, 6), 6), 6)))
     return table

@@ -18,30 +18,25 @@ from math import comb
 
 from .array import RiordanPair, matrix
 from .bivar import CoeffMatrix
-from .series import InsufficientOrder, _all_int
+from .series import InsufficientOrder
 
 
 class NotLowerTriangular(ValueError):
     """symmetrize_matrix needs a lower triangular input."""
 
 
-class NonIntegerEntries(ValueError):
-    """Diagnostic: a symmetrization expected to be integral carried fractions."""
-
-
 class SymmetrizedMatrix(CoeffMatrix):
-    """Symmetric coefficient matrix tagged with a description of its source."""
+    """Coefficient matrix checked to be symmetric on construction."""
 
-    __slots__ = ("source",)
+    __slots__ = ()
 
-    def __init__(self, rows, source: str = ""):
+    def __init__(self, rows):
         super().__init__(rows)
-        self.source = source
         if not self.is_symmetric():
             raise ValueError("symmetrization produced an asymmetric matrix")
 
     def __repr__(self):
-        return f"SymmetrizedMatrix({self.n}x{self.n}, source={self.source!r})"
+        return f"SymmetrizedMatrix({self.n}x{self.n})"
 
 
 def _mul_trunc(a: dict, b: dict, N: int) -> dict:
@@ -63,12 +58,10 @@ def symmetrize_gf(a: RiordanPair, N: int) -> SymmetrizedMatrix:
     has positive x-degree in every monomial, so the geometric sum terminates
     within the truncation.  The mirror term is the x <-> y swap.
     """
-    if a.order < 2 * N:
-        raise InsufficientOrder(
-            f"symmetrization to {N}x{N} needs order >= {2 * N}, have {a.order}"
-        )
+    if a.order < N:
+        raise InsufficientOrder(f"symmetrization to {N}x{N} needs order >= {N}, have {a.order}")
     f, g = a.f, a.g
-    u = {(k, k - 1): f.coeffs[k] for k in range(1, min(f.order, N)) if f.coeffs[k]}
+    u = {(k, k - 1): f.coeffs[k] for k in range(1, N) if f.coeffs[k]}
     acc = {(0, 0): 1}
     term = {(0, 0): 1}
     for _ in range(1, N):
@@ -77,7 +70,7 @@ def symmetrize_gf(a: RiordanPair, N: int) -> SymmetrizedMatrix:
             break
         for k, c in term.items():
             acc[k] = acc.get(k, 0) + c
-    gxy = {(j, j): g.coeffs[j] for j in range(min(g.order, N)) if g.coeffs[j]}
+    gxy = {(j, j): g.coeffs[j] for j in range(N) if g.coeffs[j]}
     half = _mul_trunc(gxy, acc, N)
     rows = [[0] * N for _ in range(N)]
     for n in range(N):
@@ -86,7 +79,7 @@ def symmetrize_gf(a: RiordanPair, N: int) -> SymmetrizedMatrix:
             if n == k:
                 s -= g.coeffs[n]
             rows[n][k] = s
-    return SymmetrizedMatrix(rows, source=f"gf symmetrization of {a!r}")
+    return SymmetrizedMatrix(rows)
 
 
 def symmetrize_matrix(T: CoeffMatrix) -> SymmetrizedMatrix:
@@ -101,22 +94,12 @@ def symmetrize_matrix(T: CoeffMatrix) -> SymmetrizedMatrix:
         [T.rows[n][n - k] if k <= n else T.rows[k][k - n] for k in range(N)]
         for n in range(N)
     ]
-    return SymmetrizedMatrix(rows, source="row-reversal symmetrization")
+    return SymmetrizedMatrix(rows)
 
 
 def symmetrize(a: RiordanPair, N: int) -> SymmetrizedMatrix:
     """Production route: symmetrize the N x N matrix of the pair."""
-    out = symmetrize_matrix(matrix(a, N))
-    out.source = f"symmetrization of {a!r}"
-    return out
-
-
-def require_integer_entries(M: CoeffMatrix) -> None:
-    """Raise the integrality diagnostic if any entry is a proper fraction."""
-    if not _all_int(*M.rows):
-        raise NonIntegerEntries(
-            "symmetrized entries are not integral; truncation order is likely too low"
-        )
+    return symmetrize_matrix(matrix(a, N))
 
 
 def closed_form_entry(r: int, n: int, k: int) -> int:

@@ -11,6 +11,7 @@ from riordan.bivar import (
     BivarPoly,
     BivariateRational,
     CoeffMatrix,
+    DimensionError,
     ZeroConstant,
     expand,
     gf_identity_check,
@@ -88,24 +89,22 @@ def test_gf_identity_check_twenty_vertex():
     rhs = BivariateRational(
         (ONE - X) * (ONE + Y * Y), (ONE - Y) * (ONE - X * Y) * (ONE - X - Y - X * Y)
     )
-    res = gf_identity_check(lhs, rhs, 10)
-    assert res
-    assert res.method == "cross-multiplication"
-    assert gf_identity_check(lhs, rhs, 10, force_expansion=True)
+    assert gf_identity_check(lhs, rhs)
+    assert expand(lhs, 10) == expand(rhs, 10)
     # dropping the -y term from the last denominator factor breaks the identity
     wrong = BivariateRational(
         (ONE - X) * (ONE + Y * Y), (ONE - Y) * (ONE - X * Y) * (ONE - X - X * Y)
     )
-    assert not gf_identity_check(lhs, wrong, 10)
-    assert not gf_identity_check(lhs, wrong, 10, force_expansion=True)
+    assert not gf_identity_check(lhs, wrong)
+    assert expand(lhs, 10) != expand(wrong, 10)
 
 
 def test_gf_identity_check_reflexive_and_distinct():
     a = BivariateRational(ONE, ONE - X - Y) - BivariateRational(Y, ONE - X * Y)
-    assert gf_identity_check(a, a, 6)
+    assert gf_identity_check(a, a)
     b = BivariateRational(ONE, ONE - X - Y)
     c = BivariateRational(ONE, ONE - X - Y - X * Y)
-    assert not gf_identity_check(b, c, 6)
+    assert not gf_identity_check(b, c)
 
 
 def _random_poly(rng, dx, dy, nonzero_origin=False):
@@ -171,6 +170,13 @@ def test_coeff_matrix_operations():
     assert not A.is_symmetric()
     assert CoeffMatrix([[1, 2], [2, 5]]).is_symmetric()
     assert CoeffMatrix([[1, 0], [7, 2]]).is_lower_triangular()
+
+
+@pytest.mark.parametrize("m", [-1, -2, 3])
+def test_leading_block_out_of_range(m):
+    with pytest.raises(DimensionError):
+        CoeffMatrix([[1, 2], [3, 4]]).leading(m)
+    assert CoeffMatrix([[1, 2], [3, 4]]).leading(0).rows == []
 
 
 # The matrix product and the expansion run on int over common denominators;

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from riordan.cli import _render_sequence, main
+from riordan.cli import FAMILIES, _render_sequence, main
 from riordan.families import reference_B20, robbins, twenty_vertex_matrix
 from riordan.minors import principal_minors
 
@@ -101,11 +101,8 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _ = run(capsys, "nosuchcommand")
     assert rc == 2
-
-
-def test_precision_exit_code(capsys):
     rc, _ = run(capsys, "matrix", "R:1", "8", "--order", "4")
-    assert rc == 3
+    assert rc == 2
 
 
 def test_output_determinism(capsys):
@@ -217,7 +214,7 @@ def test_oeis_mismatch_fails(capsys, tmp_path):
         ("minors", "R:1", "-2", "--symmetrize"),
         ("symmetrize", "R:1", "-1"),
         ("matrix", "vertex20", "-2"),
-        ("matrix", "R:1", "4", "--order", "-1"),
+        ("minors", "R:2", "-1"),
         ("oeis", "A005130", "--limit", "-1", "--offline"),
     ],
 )
@@ -234,11 +231,36 @@ def test_symmetrized_minors_of_empty_and_unit_blocks(capsys):
     assert run(capsys, "minors", "R:1", "--symmetrize", "1") == (0, "1\n")
 
 
+PAIR_SPECS = [
+    f"{name}:{r}" if family.takes_r else name
+    for name, family in FAMILIES.items()
+    if not family.full_matrix
+    for r in ((-2, 0, 1, 3) if family.takes_r else (None,))
+]
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS)
+def test_every_pair_family_is_integral_at_the_order_it_is_built(capsys, spec):
+    # the CLI builds each pair at order max(N, 2); every entry must be an int
+    for N in ("0", "1", "2", "7"):
+        for argv in (
+            ("matrix", spec, N),
+            ("symmetrize", spec, N),
+            ("minors", spec, "--symmetrize", N),
+        ):
+            rc, out = run(capsys, *argv, "--format", "json")
+            assert rc == 0, argv
+            cells = json.loads(out)
+            if argv[0] != "minors":
+                assert len(cells) == int(N)
+                cells = [c for row in cells for c in row]
+            assert all(str(int(c)) == c for c in cells), argv
+
+
 def test_robbins_minors_at_default_order(capsys):
     rc, out = run(capsys, "minors", "R:1", "--symmetrize", "60")
     assert rc == 0
     assert [int(v) for v in out.split()] == [robbins(n + 1) for n in range(60)]
-    assert run(capsys, "minors", "R:1", "--symmetrize", "60", "--order", "124") == (0, out)
 
 
 def test_twenty_vertex_family_route_matches_gf_matrix(capsys):

@@ -286,13 +286,38 @@ def test_non_symmetric_and_rational_inputs_take_the_general_mode(monkeypatch):
     principal_minors(twenty_vertex_matrix(20), 20)
     assert list(principal_minors(classical_asm_matrix(8), 8))[:5] == [1, 2, 7, 42, 429]
     assert modes == [False, False]
-    # a symmetric matrix with rational entries is scaled row by row, which
-    # breaks its symmetry
     modes.clear()
-    rows = [[F(1, 2), F(1, 3), 1], [F(1, 3), 2, F(5, 6)], [1, F(5, 6), F(-1, 4)]]
+    rows = [[F(1, 2), F(1, 3), 1], [F(1, 5), 2, F(5, 6)], [1, F(5, 6), F(-1, 4)]]
     got = principal_minors(CoeffMatrix(rows), 3)
     assert modes == [False]
     assert list(got) == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, 4)]
+
+
+def test_rational_symmetric_blocks_take_the_symmetric_mode(monkeypatch):
+    # one common denominator keeps a symmetric rational block symmetric
+    modes = _spy_sweep(monkeypatch)
+    rows = [[F(1, 2), F(1, 3), 1], [F(1, 3), 2, F(5, 6)], [1, F(5, 6), F(-1, 4)]]
+    got = principal_minors(CoeffMatrix(rows), 3)
+    assert modes == [True]
+    assert list(got) == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, 4)]
+    rng = random.Random(227)
+    for trial in range(100):
+        n = rng.randint(1, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = F(rng.randint(-4, 4), rng.randint(1, 6))
+        if trial % 2:  # zeroed diagonals send the sweep through swap and fix-up
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                rows[i][i] = 0
+        modes.clear()
+        M = CoeffMatrix(rows)
+        got = principal_minors(M, n)
+        assert modes == [True]
+        assert list(got) == [
+            det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, n + 1)
+        ]
+        assert det(M) == got[-1] == det_cofactor(rows)
 
 
 def test_symmetric_mode_is_taken_only_for_a_symmetric_leading_block(monkeypatch):

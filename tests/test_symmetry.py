@@ -6,14 +6,20 @@ import pytest
 from riordan import series
 from riordan.array import RiordanPair, identity_pair, matrix
 from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
-from riordan.families import make_example1, make_R, make_tilde_R
+from riordan.families import (
+    catalan_pair,
+    make_A361654_embed,
+    make_example1,
+    make_R,
+    make_R_inverse_closed,
+    make_tilde_R,
+    pascal_pair,
+)
 from riordan.series import InsufficientOrder
 from riordan.symmetry import (
-    NonIntegerEntries,
     NotLowerTriangular,
     closed_form_entry,
     closed_form_sym_entry,
-    require_integer_entries,
     symmetrize,
     symmetrize_gf,
     symmetrize_matrix,
@@ -58,7 +64,33 @@ def test_symmetrize_gf_example1_display():
 
 def test_symmetrize_gf_order_guard():
     with pytest.raises(InsufficientOrder):
-        symmetrize_gf(make_R(1, 10), 6)
+        symmetrize_gf(make_R(1, 5), 6)
+
+
+def _random_rational_pair(rng, order):
+    g = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)]
+    f = [0] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order - 1)]
+    g[0] = g[0] or 1
+    f[1] = f[1] or 1
+    return RiordanPair(series.Series(g, order), series.Series(f, order))
+
+
+def test_symmetrize_gf_at_order_exactly_N():
+    # the gf route reads g_0..g_(N-1) and f_1..f_(N-1) only
+    rng = random.Random(47)
+    for N in range(2, 13):
+        pairs = [
+            build(r, N)
+            for build in (make_R, make_tilde_R, make_R_inverse_closed)
+            for r in (0, 1, 2)
+        ]
+        pairs += [
+            build(N) for build in (make_example1, catalan_pair, pascal_pair, make_A361654_embed)
+        ]
+        pairs += [_random_rational_pair(rng, N) for _ in range(5)]
+        for pair in pairs:
+            assert pair.order == N
+            assert symmetrize_gf(pair, N) == symmetrize(pair, N)
 
 
 def test_symmetrize_matrix_examples():
@@ -155,9 +187,3 @@ def test_closed_form_sym_entry():
     for n in range(15):
         for k in range(15):
             assert S[n][k] == closed_form_sym_entry(n, k)
-
-
-def test_require_integer_entries():
-    require_integer_entries(CoeffMatrix([[1, 2], [2, 3]]))
-    with pytest.raises(NonIntegerEntries):
-        require_integer_entries(CoeffMatrix([[1, F(1, 2)], [F(1, 2), 1]]))
