@@ -8,8 +8,6 @@ g * f^k.  The group product is (g, f) . (u, v) = (g * u(f), v(f)), inverse
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import series
 from .bivar import BivarPoly, BivariateRational, CoeffMatrix, from_univariate
 from .series import InsufficientOrder, Series
@@ -32,11 +30,11 @@ class RiordanPair:
             raise InsufficientOrder("a Riordan pair needs order >= 2")
         g = g.truncate(order)
         f = f.truncate(order)
-        if g.coeffs[0] == 0:
+        if g.nums[0] == 0:
             raise ValueError("g must have a nonzero constant term")
-        if f.coeffs[0] != 0:
+        if f.nums[0] != 0:
             raise ValueError("f must have zero constant term")
-        if f.coeffs[1] == 0:
+        if f.nums[1] == 0:
             raise ValueError("f must have a nonzero linear coefficient")
         self.g = g
         self.f = f
@@ -83,25 +81,22 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     """N x N truncation of the matrix with entries [x^n] g * f^k.
 
     Needs order N.  The columns are built over int: with g = G / dg and
-    f = F / df over the integers, column k is G * F^k / (dg * df^k).  When
-    the first N coefficients of g and f are integral the entries are ints;
-    otherwise each is one Fraction, stored as an int when it is integral.
+    f = F / df over the integers, column k is G * F^k / (dg * df^k), written
+    as G * F^k * df^(N-1-k) over the one denominator dg * df^(N-1).
     Column k starts at x^k (f(0) = 0), so only its rows n >= k are written.
     """
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
-    g, dg = series._scaled(a.g.coeffs[:N])
-    f, df = series._scaled(a.f.coeffs[:N])
-    integral = dg == df == 1
+    f, df = a.f.nums, a.f.den
     rows = [[0] * N for _ in range(N)]
-    col, d = g, dg
+    col = a.g.nums[:N]
     for k in range(N):
+        scale = df ** (N - 1 - k)
         for n in range(k, N):
-            rows[n][k] = col[n] if integral else Fraction(col[n], d)
+            rows[n][k] = col[n] * scale
         if k + 1 < N:
             col = series._mul_lists(col, f, N)
-            d *= df
-    return CoeffMatrix(rows)
+    return CoeffMatrix._of(rows, a.g.den * df ** max(N - 1, 0))
 
 
 def product(a: RiordanPair, b: RiordanPair) -> RiordanPair:

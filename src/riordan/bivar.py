@@ -4,14 +4,18 @@ The rational functions that appear in this package all have tiny polynomial
 numerators and denominators, so :class:`BivarPoly` is a sparse table keyed by
 ``(x_degree, y_degree)``.  :func:`expand` turns a ratio of two such
 polynomials into the dense matrix of its power series coefficients via the
-linear recurrence obtained from ``Q * S = P``.  Coefficients and entries
+linear recurrence obtained from ``Q * S = P``.  Polynomial coefficients
 follow the package rule (``series._exact``): an int when integral, else a
-Fraction, never a float.
+Fraction, never a float.  A :class:`CoeffMatrix` is stored as int rows over
+one positive denominator in lowest terms, like a ``Series``; its read-only
+``rows`` follow the same rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from operator import mul
 
 from .series import _all_int, _exact, _scaled
@@ -135,17 +139,48 @@ def from_univariate(coeff_list, var: str = "x") -> BivarPoly:
 
 
 class CoeffMatrix:
-    """Dense square matrix of exact numbers, each an int when integral and a
-    Fraction otherwise (an integer triangle goes to the minor sweep as is)."""
+    """Dense square matrix of exact numbers, stored as the int rows ``ints``
+    over one positive denominator ``den`` in lowest terms.  The read-only
+    ``rows`` holds each entry as an int when integral and a Fraction
+    otherwise (it is ``ints`` itself when ``den == 1``, so an integer
+    triangle goes to the minor sweep as is)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("ints", "den", "_rows")
 
     def __init__(self, rows):
         rows = [[_exact(c) for c in row] for row in rows]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionError("matrix must be square and fully populated")
-        self.rows = rows
+        flat, den = _scaled([c for row in rows for c in row])
+        self._set([flat[i * n : (i + 1) * n] for i in range(n)], den)
+
+    @classmethod
+    def _of(cls, ints, den):
+        """Kernel constructor: the matrix ints / den."""
+        M = cls.__new__(cls)
+        M._set(ints, den)
+        return M
+
+    def _set(self, ints, den):
+        """Store ints / den (den > 0), reduced by one gcd."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(ints))
+            if g != 1:
+                ints = [[v // g for v in row] for row in ints]
+                den //= g
+        self.ints, self.den, self._rows = ints, den, None
+
+    @property
+    def rows(self) -> list:
+        """The entries under the ``_exact`` rule, derived on first read;
+        read-only (it is ``ints`` itself when ``den == 1``)."""
+        if self._rows is None:
+            d = self.den
+            self._rows = (
+                self.ints if d == 1 else [[_exact(Fraction(v, d)) for v in row] for row in self.ints]
+            )
+        return self._rows
 
     @classmethod
     def identity(cls, n: int) -> "CoeffMatrix":
@@ -153,7 +188,7 @@ class CoeffMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     def __repr__(self):
         return f"CoeffMatrix({self.n}x{self.n})"
@@ -164,45 +199,35 @@ class CoeffMatrix:
     def __eq__(self, other):
         if not isinstance(other, CoeffMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.ints == other.ints
 
     __hash__ = None
 
     def __mul__(self, other):
-        """Matrix product.  All-int matrices multiply over int; otherwise each
-        row of the left factor and each column of the right one is scaled to
-        integers, and each entry is one Fraction over the two denominators."""
+        """Matrix product, over int: (A / da) (B / db) = A B / (da db)."""
         if not isinstance(other, CoeffMatrix):
             return NotImplemented
         if self.n != other.n:
             raise DimensionError("size mismatch in matrix product")
-        rows, cols = self.rows, list(zip(*other.rows))
-        rational = not _all_int(*rows, *cols)
-        if rational:
-            rows, drs = zip(*map(_scaled, rows))
-            cols, dcs = zip(*map(_scaled, cols))
-        out = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-        if rational:
-            out = [[Fraction(v, dr * dc) for v, dc in zip(vs, dcs)] for vs, dr in zip(out, drs)]
-        return CoeffMatrix(out)
+        cols = list(zip(*other.ints))
+        out = [[sum(map(mul, row, col)) for col in cols] for row in self.ints]
+        return CoeffMatrix._of(out, self.den * other.den)
 
     def transpose(self) -> "CoeffMatrix":
-        return CoeffMatrix([list(col) for col in zip(*self.rows)])
+        return CoeffMatrix._of([list(col) for col in zip(*self.ints)], self.den)
 
     def leading(self, m: int) -> "CoeffMatrix":
         if not 0 <= m <= self.n:
             raise DimensionError(f"leading {m}x{m} block of a {self.n}x{self.n} matrix")
-        return CoeffMatrix([row[:m] for row in self.rows[:m]])
+        return CoeffMatrix._of([row[:m] for row in self.ints[:m]], self.den)
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i] for i in range(self.n) for j in range(i)
-        )
+        a = self.ints
+        return all(a[i][j] == a[j][i] for i in range(self.n) for j in range(i))
 
     def is_lower_triangular(self) -> bool:
-        return all(
-            self.rows[i][j] == 0 for i in range(self.n) for j in range(i + 1, self.n)
-        )
+        a = self.ints
+        return all(a[i][j] == 0 for i in range(self.n) for j in range(i + 1, self.n))
 
 
 class BivariateRational:
@@ -259,7 +284,7 @@ def expand(r: BivariateRational, N: int) -> CoeffMatrix:
                 if i <= n and j <= k:
                     acc -= c * s[n - i][k - j]
             s[n][k] = acc * inv
-    return CoeffMatrix(s)
+    return CoeffMatrix._of(s, 1) if type(inv) is int else CoeffMatrix(s)
 
 
 def gf_identity_check(lhs: BivariateRational, rhs: BivariateRational) -> bool:

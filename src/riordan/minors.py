@@ -3,14 +3,14 @@
 values[n] is the determinant of the leading (n+1) x (n+1) submatrix.  The
 workhorse is a single fraction-free (Bareiss) elimination sweep over an
 integer copy of the matrix: after k steps the next pivot equals the (k+1)-st
-leading minor, so one O(N^3) pass yields the whole sequence.  Rational
-entries are handled by scaling the whole block by one common denominator d
-(the lcm of every entry's denominator; d = 1 for an all-integer block) and
-dividing the (m+1) x (m+1) minor by d^(m+1).
+leading minor, so one O(N^3) pass yields the whole sequence.  A matrix is
+stored as int rows over one denominator d (``CoeffMatrix.ints`` and
+``.den``; d = 1 for an integer matrix), so the sweep copies ``M.ints`` once
+and the (m+1) x (m+1) minor is its raw value divided by d^(m+1).
 
-The sweep has two modes, picked by `principal_minors` from the scaled
-block.  A symmetric block (every symmetrization is one, and one common scale
-keeps a symmetric rational block symmetric) takes the symmetric mode: a
+The sweep has two modes.  A `SymmetrizedMatrix`, checked symmetric when it
+was built, takes the symmetric mode without comparing entries again; any
+other matrix takes it when its leading block is symmetric.  In that mode a
 Bareiss step maps a symmetric state to a symmetric state, so each step
 updates only the entries on and above the diagonal and reads a[i][k] as
 a[k][i], about half the big-integer work (the fraction-free LDL^T view of
@@ -32,10 +32,10 @@ at all, every remaining minor is computed independently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .bivar import CoeffMatrix, DimensionError
 from .series import _exact
+from .symmetry import SymmetrizedMatrix
 
 
 class MinorSequence(list):
@@ -132,27 +132,18 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
     return minors
 
 
-def _cleared(rows):
-    """(int rows, d): the rows scaled to integers by one common denominator
-    d, the lcm of every entry's denominator (d = 1 and the rows as given when
-    every entry is an int)."""
-    d = lcm(*[c.denominator for row in rows for c in row])
-    if d == 1:
-        return rows, 1
-    return [[c.numerator * (d // c.denominator) for c in row] for row in rows], d
-
-
 def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
     """First `count` leading principal minors, exactly."""
     if count < 0 or count > M.n:
         raise DimensionError(f"requested {count} minors of a {M.n}x{M.n} matrix")
-    block, d = _cleared([row[:count] for row in M.rows[:count]])
-    symmetric = all(block[i][j] == block[j][i] for i in range(count) for j in range(i))
-    raw = _bareiss_minor_sweep(block, count, symmetric)
+    a, d = M.ints, M.den
+    symmetric = isinstance(M, SymmetrizedMatrix) or all(
+        a[i][j] == a[j][i] for i in range(count) for j in range(i)
+    )
+    raw = _bareiss_minor_sweep(a, count, symmetric)
     return MinorSequence(_exact(Fraction(v, d ** (m + 1))) for m, v in enumerate(raw))
 
 
 def det(M: CoeffMatrix):
     """Exact determinant of the whole matrix."""
-    rows, d = _cleared(M.rows)
-    return _exact(Fraction(_det_int(rows), d ** M.n))
+    return _exact(Fraction(_det_int(M.ints), M.den ** M.n))

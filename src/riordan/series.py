@@ -5,12 +5,15 @@ is exact modulo ``x**order``.  Binary operations truncate to the smaller of
 the two operand orders; nothing ever extends precision silently, so a zero
 tail coefficient is always a computed zero, never padding.
 
-Every stored value in the package follows one rule (:func:`_exact`): an
-``int`` when it is integral, a ``Fraction`` otherwise, and a float is
-refused.  The kernels do their inner loops on ``int``: integral inputs are
-ints already, rational inputs are scaled to integers over a common
-denominator (:func:`_scaled`), and a ``Fraction`` is built only for each
-result coefficient.
+A series is stored as integers over one denominator: ``nums`` (ints) and
+``den > 0`` in lowest terms, ``gcd(den, *nums) == 1``, with coefficient k
+equal to ``nums[k] / den``.  The public constructor scales its input once
+(:func:`_scaled`); every kernel reads ``nums`` and ``den``, runs its inner
+loops on ``int`` and returns through :func:`_series`, which divides out one
+gcd and makes ``den`` positive.  The read-only ``coeffs`` follows the
+package rule for every stored value (:func:`_exact`): an ``int`` when it is
+integral, a ``Fraction`` otherwise, and a float is refused.  It is derived
+on first read, and is ``nums`` itself when ``den == 1``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import operator
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 
 class ZeroConstantTerm(ValueError):
@@ -80,7 +83,7 @@ def _all_int(*lists) -> bool:
 
 def _scaled(c):
     """Integers over a common denominator: (ints, d) with c[i] == ints[i] / d,
-    d the lcm of the denominators."""
+    d the lcm of the denominators (in lowest terms for exact c)."""
     d = lcm(*[x.denominator for x in c])
     if d == 1:
         return [x.numerator for x in c], 1
@@ -88,16 +91,7 @@ def _scaled(c):
 
 
 def _mul_lists(a, b, n):
-    """First n coefficients of the Cauchy product of coefficient lists.
-
-    Int lists give ints.  Otherwise both operands are scaled to integers,
-    convolved as ints, and each result is one Fraction over the product of
-    the two denominators.
-    """
-    rational = not _all_int(a, b)
-    if rational:
-        a, da = _scaled(a)
-        b, db = _scaled(b)
+    """First n coefficients of the Cauchy product of int coefficient lists."""
     out = [0] * n
     for i, ai in enumerate(a):
         if i >= n:
@@ -110,17 +104,29 @@ def _mul_lists(a, b, n):
                 break
             if bj:
                 out[k] += ai * bj
-    if rational:
-        d = da * db
-        return [Fraction(v, d) for v in out]
     return out
 
 
-class Series:
-    """Power series truncated to ``order`` exact coefficients, each an int
-    when integral and a Fraction otherwise."""
+def _series(nums, den, order):
+    """Kernel constructor: the series nums / den (den != 0, len(nums) ==
+    order), reduced by one gcd and with den made positive."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+    s = Series.__new__(Series)
+    s.nums, s.den, s.order, s._coeffs = nums, den, order, None
+    return s
 
-    __slots__ = ("coeffs", "order")
+
+class Series:
+    """Power series truncated to ``order`` exact coefficients, stored as the
+    ints ``nums`` over one positive denominator ``den`` in lowest terms."""
+
+    __slots__ = ("nums", "den", "order", "_coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = [_exact(c) for c in coeffs]
@@ -132,8 +138,18 @@ class Series:
             coeffs = coeffs + [0] * (order - len(coeffs))
         else:
             coeffs = coeffs[:order]
-        self.coeffs = coeffs
+        self.nums, self.den = _scaled(coeffs)
         self.order = order
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> list:
+        """The coefficients under the :func:`_exact` rule, derived on first
+        read; read-only (it is ``nums`` itself when ``den == 1``)."""
+        if self._coeffs is None:
+            d = self.den
+            self._coeffs = self.nums if d == 1 else [_exact(Fraction(v, d)) for v in self.nums]
+        return self._coeffs
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
@@ -148,7 +164,7 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
@@ -158,12 +174,12 @@ class Series:
         return self.coeffs[0]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def truncate(self, n: int) -> "Series":
         if n > self.order:
             raise InsufficientOrder(f"cannot extend order {self.order} to {n}")
-        return Series(self.coeffs[:n], n)
+        return _series(self.nums[:n], self.den, n)
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -172,24 +188,28 @@ class Series:
             return Series([other], self.order)
         return None
 
+    def _plus(self, o, sign):
+        d = lcm(self.den, o.den)
+        sa, sb = d // self.den, sign * (d // o.den)
+        nums = [x * sa + y * sb for x, y in zip(self.nums, o.nums)]
+        return _series(nums, d, min(self.order, o.order))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        return Series([self.coeffs[k] + o.coeffs[k] for k in range(n)], n)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order)
+        return _series([-v for v in self.nums], self.den, self.order)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        return Series([self.coeffs[k] - o.coeffs[k] for k in range(n)], n)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -199,11 +219,12 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Series([c * other for c in self.coeffs], self.order)
+            p = other.numerator
+            return _series([v * p for v in self.nums], self.den * other.denominator, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        return Series(_mul_lists(self.coeffs, other.coeffs, n), n)
+        return _series(_mul_lists(self.nums, other.nums, n), self.den * other.den, n)
 
     __rmul__ = __mul__
 
@@ -211,7 +232,8 @@ class Series:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
-            return Series([Fraction(c, other) for c in self.coeffs], self.order)
+            q = other.denominator
+            return _series([v * q for v in self.nums], self.den * other.numerator, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         return div(self, other)
@@ -236,46 +258,42 @@ def poly(coeff_list, order: int) -> Series:
 
 
 def _div_lists(a, b, n):
-    """First n coefficients of a / b for coefficient lists of length >= n;
-    needs b[0] != 0.
+    """(nums, den) with nums / den the first n coefficients of a / b, for int
+    coefficient lists of length >= n; needs b[0] != 0.
 
-    Fraction-free: with a = A / da and b = B / db over the integers,
-    Q_k = [x^k](A / B) * B_0^(k+1) is an integer, and
+    Fraction-free: Q_k = [x^k](a / b) * b_0^(k+1) is an integer, and
 
-        Q_k = A_k B_0^k - sum over j >= 1 of B_j B_0^(j-1) Q_(k-j).
+        Q_k = a_k b_0^k - sum over j >= 1 of b_j b_0^(j-1) Q_(k-j),
 
-    Int lists with b[0] = +-1 give the ints Q_k * b[0]^(k+1); anything else
-    gives Fraction(Q_k * db, da * B_0^(k+1)).
+    so nums[k] = Q_k * b_0^(n-1-k) over den = b_0^n (not reduced, and
+    negative for b_0 < 0 and odd n).
     """
     if n == 0:
-        return []
-    a, b = a[:n], b[:n]
-    rational = not _all_int(a, b) or b[0] not in (1, -1)
-    a, da = _scaled(a)
-    b, db = _scaled(b)
+        return [], 1
     powers = [1]
     for _ in range(n):
         powers.append(powers[-1] * b[0])
-    b = [0] + [bj * p for bj, p in zip(b[1:], powers)]  # B_j B_0^(j-1)
+    bs = [0] + [bj * p for bj, p in zip(b[1:n], powers)]  # b_j b_0^(j-1)
     q = []
     for k in range(n):
         s = a[k] * powers[k]
         for j in range(1, k + 1):
-            bj = b[j]
+            bj = bs[j]
             if bj:
                 s -= bj * q[k - j]
         q.append(s)
-    if rational:
-        return [Fraction(v * db, da * p) for v, p in zip(q, powers[1:])]
-    return [v * p for v, p in zip(q, powers[1:])]
+    return [v * p for v, p in zip(q, reversed(powers[:n]))], powers[n]
 
 
 def div(a: Series, b: Series) -> Series:
-    """Quotient q with q*b = a to the shared truncation; needs b(0) != 0."""
-    if b.order == 0 or b.coeffs[0] == 0:
+    """Quotient q with q*b = a to the shared truncation; needs b(0) != 0.
+
+    With a = A / da and b = B / db, q = (A / B) * db / da."""
+    if b.order == 0 or b.nums[0] == 0:
         raise ZeroConstantTerm("divisor has zero constant term")
     n = min(a.order, b.order)
-    return Series(_div_lists(a.coeffs[:n], b.coeffs[:n], n), n)
+    nums, d = _div_lists(a.nums, b.nums, n)
+    return _series([v * b.den for v in nums], a.den * d, n)
 
 
 def compose(g: Series, f: Series) -> Series:
@@ -286,23 +304,21 @@ def compose(g: Series, f: Series) -> Series:
     x^1, so only its first n - k coefficients can reach the result: step k
     works at length n - k.  With g = G / dg and f = F / df over the
     integers, the steps run on G and F, g_k enters as G_k * df^(n-1-k), and
-    the sum is divided by dg * df^(n-1) once at the end.
+    the sum is over dg * df^(n-1).
     """
-    if f.order == 0 or f.coeffs[0] != 0:
+    if f.order == 0 or f.nums[0] != 0:
         raise NonzeroLowOrder("inner series must have zero constant term")
     n = min(g.order, f.order)
     if n == 0:
-        return Series([], 0)
-    gs, dg = _scaled(g.coeffs[:n])
-    fs, df = _scaled(f.coeffs[:n])
+        return _series([], 1, 0)
+    gs, fs, df = g.nums, f.nums, f.den
     acc = [gs[n - 1]]
     scale = 1
     for k in range(n - 2, -1, -1):
         acc = _mul_lists(acc, fs, n - k)
         scale *= df
         acc[0] += gs[k] * scale
-    d = dg * scale
-    return Series([Fraction(v, d) for v in acc] if d > 1 else acc, n)
+    return _series(acc, g.den * scale, n)
 
 
 def revert(f: Series) -> Series:
@@ -313,19 +329,23 @@ def revert(f: Series) -> Series:
     h^m = h^(s*i) * h^j with s = isqrt(n - 1) and j < s: about 2s series
     products to order n - 1, then one dot product per coefficient, so
     O(n^2.5) coefficient products in all.  The powers are taken of the
-    integers H = h * dh, dh the common denominator of h, and
-    v_m = [x^(m-1)] H^m / (m * dh^m).  When h is integral (dh = 1), so is
-    v, since v = x h(v); each division by m is then exact (checked).
+    integers H = h * dh, dh the denominator of h, and
+    v_m = [x^(m-1)] H^m / (m * dh^m), all over lcm(1..n-1) * dh^(n-1).  When
+    h is integral (dh = 1), so is v, since v = x h(v); each division by m is
+    then exact (checked).
     """
     n = f.order
-    if n < 2 or f.coeffs[0] != 0 or f.coeffs[1] == 0:
+    if n < 2 or f.nums[0] != 0 or f.nums[1] == 0:
         raise NotReversible("need f(0) = 0 and a nonzero linear coefficient")
     one = [1] + [0] * (n - 2)
-    h, dh = _scaled(_div_lists(one, f.coeffs[1:], n - 1))
+    q, d = _div_lists(one, f.nums[1:], n - 1)
+    h = _series([v * f.den for v in q], d, n - 1)
+    hs, dh = h.nums, h.den
+    den = 1 if dh == 1 else lcm(*range(1, n)) * dh ** (n - 1)
     s = isqrt(n - 1)
     baby = [one]
     for _ in range(s):
-        baby.append(_mul_lists(baby[-1], h, n - 1))
+        baby.append(_mul_lists(baby[-1], hs, n - 1))
     v = [0] * n
     giant = one
     for m in range(1, n):
@@ -339,8 +359,8 @@ def revert(f: Series) -> Series:
                 raise ArithmeticError(f"Lagrange coefficient {c} is not divisible by {m}")
             v[m] = vm
         else:
-            v[m] = Fraction(c, m * dh**m)
-    return Series(v, n)
+            v[m] = c * (den // (m * dh**m))
+    return _series(v, den, n)
 
 
 def sqrt(g: Series) -> Series:
@@ -348,38 +368,40 @@ def sqrt(g: Series) -> Series:
 
     s_m = (g_m - sum over 0 < k < m of s_k s_(m-k)) / 2, with each product
     pair taken once.  The recurrence runs for t(x) = s(c x), the root of
-    g(c x): c = 1 for integral g, and c = 4d for g with common denominator
-    d > 1, which makes g(c x) = 1 + 4u with u integral, so t is integral.
-    Coefficients stay int while each halving is exact; an odd numerator (1 + x
-    has the root 1 + x/2 - ...) moves the rest of the recurrence to Fraction.
+    g(c x), on int.  With g = G / d, c = 4d makes g(c x) = 1 + 4u with u
+    integral, so t is integral.  For integral g it starts at c = 1 and
+    stays there while each halving is exact; an odd numerator (1 + x has the
+    root 1 + x/2 - ...) rescales t_k by 4^k and goes on at c = 4.
     """
     n = g.order
-    if n == 0 or g.coeffs[0] != 1:
+    if n == 0 or g.nums[0] != g.den:
         raise BadConstantTerm("sqrt needs constant term 1")
-    gs, d = _scaled(g.coeffs)
+    gs, d = g.nums, g.den
     c = 1 if d == 1 else 4 * d
     t = [1] + [0] * (n - 1)
-    cm = 1
-    for m in range(1, n):
-        cm *= c
+    m = 1
+    while m < n:
         acc = 0
         for k in range(1, (m + 1) // 2):
             acc += t[k] * t[m - k]
         acc *= 2
         if m % 2 == 0:
             acc += t[m // 2] ** 2
-        r = gs[m] * cm // d - acc
-        t[m] = r // 2 if type(r) is int and r % 2 == 0 else Fraction(r, 2)
-    if c == 1:
-        return Series(t, n)
-    return Series([Fraction(tm, c**m) for m, tm in enumerate(t)], n)
+        r = gs[m] * c**m // d - acc
+        if r % 2:
+            c = 4
+            t = [tk << 2 * k for k, tk in enumerate(t)]
+            continue
+        t[m] = r // 2
+        m += 1
+    return _series([tm * c ** (n - 1 - m) for m, tm in enumerate(t)], c ** (n - 1), n)
 
 
 def derivative(g: Series) -> Series:
     """Termwise derivative; the order drops by one."""
     if g.order == 0:
-        return Series([], 0)
-    return Series([k * g.coeffs[k] for k in range(1, g.order)], g.order - 1)
+        return _series([], 1, 0)
+    return _series([k * g.nums[k] for k in range(1, g.order)], g.den, g.order - 1)
 
 
 def rational(p, q, order: int) -> Series:

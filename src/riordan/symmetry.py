@@ -30,8 +30,8 @@ class SymmetrizedMatrix(CoeffMatrix):
 
     __slots__ = ()
 
-    def __init__(self, rows):
-        super().__init__(rows)
+    def _set(self, ints, den):
+        super()._set(ints, den)
         if not self.is_symmetric():
             raise ValueError("symmetrization produced an asymmetric matrix")
 
@@ -89,12 +89,9 @@ def symmetrize_matrix(T: CoeffMatrix) -> SymmetrizedMatrix:
     """
     if not T.is_lower_triangular():
         raise NotLowerTriangular("matrix route needs a lower triangular input")
-    N = T.n
-    rows = [
-        [T.rows[n][n - k] if k <= n else T.rows[k][k - n] for k in range(N)]
-        for n in range(N)
-    ]
-    return SymmetrizedMatrix(rows)
+    N, t = T.n, T.ints
+    rows = [[t[n][n - k] if k <= n else t[k][k - n] for k in range(N)] for n in range(N)]
+    return SymmetrizedMatrix._of(rows, T.den)
 
 
 def symmetrize(a: RiordanPair, N: int) -> SymmetrizedMatrix:

@@ -332,16 +332,16 @@ def suite_gf_identities():
 def _random_series(rng, order, nonzero_const=False, zero_const=False, unit_linear=False):
     coeffs = []
     for k in range(order):
-        c = Fraction(rng.randint(-4, 4))
+        c = rng.randint(-4, 4)
         if rng.random() < 0.2:
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         coeffs.append(c)
     if nonzero_const and coeffs[0] == 0:
-        coeffs[0] = Fraction(rng.choice([1, -1, 2, 3]))
+        coeffs[0] = rng.choice([1, -1, 2, 3])
     if zero_const:
-        coeffs[0] = Fraction(0)
+        coeffs[0] = 0
         if unit_linear or coeffs[1] == 0:
-            coeffs[1] = Fraction(1) if unit_linear else Fraction(rng.choice([1, -1, 2]))
+            coeffs[1] = 1 if unit_linear else rng.choice([1, -1, 2])
     return series.Series(coeffs, order)
 
 

@@ -322,9 +322,9 @@ def test_kernels_on_short_operands_match_reference():
     ],
 )
 def test_div_kernel_stays_on_int_only_for_unit_integral_divisors(a, b, exact_type):
-    q = series._div_lists(a, b, 4)
-    assert all(type(c) is exact_type for c in q)
-    assert Series(q, 4) == _oracle_div(Series(a, 4), Series(b, 4))
+    q = series.div(Series(a, 4), Series(b, 4))
+    assert (q.den == 1) is (exact_type is int)
+    assert q == _oracle_div(Series(a, 4), Series(b, 4))
 
 
 def test_revert_large_order_catalan():
@@ -365,21 +365,16 @@ def _operand(rng, length, kind, lead=None):
     return c
 
 
-def _proper(c):
-    return any(type(v) is F and v.denominator != 1 for v in c)
-
-
 def _all_int(*operands):
     return all(type(v) is int for c in operands for v in c)
 
 
-def _check_types(out, operands, int_out):
-    """int results exactly when int_out; a proper fraction in gives Fractions."""
-    assert not any(isinstance(v, float) for v in out)
+def _check_types(out, int_out):
+    """Every value an int when integral and a Fraction otherwise; all ints
+    when int_out."""
+    assert all(type(v) is (int if v.denominator == 1 else F) for v in out)
     if int_out:
         assert all(type(v) is int for v in out)
-    else:
-        assert all(type(v) is F for v in out) or not any(_proper(c) for c in operands)
 
 
 def test_mul_kernel_matches_naive_convolution():
@@ -389,9 +384,12 @@ def test_mul_kernel_matches_naive_convolution():
             for kb in KINDS:
                 a = _operand(rng, rng.randint(0, n + 2), ka)
                 b = _operand(rng, rng.randint(0, n + 2), kb)
-                out = series._mul_lists(a, b, n)
+                if _all_int(a, b):
+                    out = series._mul_lists(a, b, n)
+                else:
+                    out = (Series(a, n) * Series(b, n)).coeffs
                 assert out == _oracle_mul(a, b, n)
-                _check_types(out, (a, b), _all_int(a, b))
+                _check_types(out, _all_int(a, b))
 
 
 @pytest.mark.parametrize("lead", LEADS)
@@ -402,11 +400,13 @@ def test_div_kernel_matches_oracle_on_every_lead(lead, kind):
         for ka in KINDS:
             a = _operand(rng, n, ka)
             b = _operand(rng, n, "integral" if kind == "int" and type(lead) is F else kind, lead)
-            q = series._div_lists(a, b, n)
-            assert Series(q, n) == _oracle_div(Series(a, n), Series(b, n))
-            _check_types(q, (a, b), _all_int(a, b) and lead in (1, -1))
-            if _all_int(a, b) and lead not in (1, -1):
-                assert all(type(v) is F for v in q)
+            q = series.div(Series(a, n), Series(b, n))
+            assert q == _oracle_div(Series(a, n), Series(b, n))
+            _check_types(q.coeffs, _all_int(a, b) and lead in (1, -1))
+            if _all_int(a, b):
+                nums, d = series._div_lists(a, b, n)
+                assert _all_int(nums) and d == b[0] ** n
+                assert Series([F(v, d) for v in nums], n) == q
 
 
 def test_sqrt_matches_recurrence_randomized():
@@ -444,4 +444,4 @@ def test_sqrt_families_at_large_order():
 
 def test_div_of_order_zero_numerator():
     assert series.div(Series([], 0), series.poly([1, 1], 2)) == Series([], 0)
-    assert series._div_lists([], [2], 0) == []
+    assert series._div_lists([], [2], 0) == ([], 1)
