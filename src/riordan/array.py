@@ -87,7 +87,7 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     """
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
-    f, df = a.f.nums, a.f.den
+    f, df = series._trim(a.f.nums), a.f.den
     rows = [[0] * N for _ in range(N)]
     col = a.g.nums[:N]
     for k in range(N):

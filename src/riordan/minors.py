@@ -47,6 +47,10 @@ class MinorSequence(list):
 
 def det_cofactor(rows) -> int | Fraction:
     """Determinant by cofactor expansion along the first row (test oracle)."""
+    return _exact(_cofactor(rows))
+
+
+def _cofactor(rows):
     n = len(rows)
     if n == 0:
         return 1
@@ -56,8 +60,8 @@ def det_cofactor(rows) -> int | Fraction:
         if not c:
             continue
         sub = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        total += (-1) ** j * c * det_cofactor(sub)
-    return _exact(total)
+        total += (-1) ** j * c * _cofactor(sub)
+    return total
 
 
 def _det_int(rows) -> int:

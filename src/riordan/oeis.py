@@ -5,6 +5,8 @@ LF endings.  Fetched files are written to the cache directory once,
 atomically, and never rewritten; offline mode reads the cache only.  The
 text is ASCII: a byte outside it (say an accented name in a comment) is
 replaced on download, on the cache write and on the cache read alike.
+The network stack and ``tempfile`` are imported only by a fetch and a cache
+write, so every other command starts without them.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-import tempfile
-import urllib.error
-import urllib.request
 
 from .series import unlimited_int_digits
 
@@ -116,10 +115,11 @@ def oeis_fetch(
             return parse_bfile(fh.read(), seq_id)
     if offline:
         raise CacheMiss(f"{seq_id} is not cached and offline mode is set")
+    import urllib.request
     try:
         with urllib.request.urlopen(bfile_url(seq_id), timeout=timeout) as resp:
             text = resp.read().decode("ascii", errors="replace")
-    except (urllib.error.URLError, OSError) as exc:
+    except OSError as exc:  # urllib.error.URLError is an OSError
         raise NetworkError(f"could not fetch {seq_id}: {exc}") from exc
     bfile = parse_bfile(text, seq_id)
     _cache_once(path, text)
@@ -138,6 +138,7 @@ def _cache_once(path: str, text: str) -> None:
         os.makedirs(directory, exist_ok=True)
         if os.path.exists(path):
             return
+        import tempfile
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".b", suffix=".part")
         try:
             with open(fd, "w", encoding="ascii", errors="replace") as fh:

@@ -107,6 +107,14 @@ def _mul_lists(a, b, n):
     return out
 
 
+def _trim(nums):
+    """nums without its trailing zeros."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    return nums[:end]
+
+
 def _series(nums, den, order):
     """Kernel constructor: the series nums / den (den != 0, len(nums) ==
     order), reduced by one gcd and with den made positive."""
@@ -304,14 +312,15 @@ def compose(g: Series, f: Series) -> Series:
     x^1, so only its first n - k coefficients can reach the result: step k
     works at length n - k.  With g = G / dg and f = F / df over the
     integers, the steps run on G and F, g_k enters as G_k * df^(n-1-k), and
-    the sum is over dg * df^(n-1).
+    the sum is over dg * df^(n-1).  F loses its trailing zeros first, so a
+    polynomial f costs O(deg f) a coefficient.
     """
     if f.order == 0 or f.nums[0] != 0:
         raise NonzeroLowOrder("inner series must have zero constant term")
     n = min(g.order, f.order)
     if n == 0:
         return _series([], 1, 0)
-    gs, fs, df = g.nums, f.nums, f.den
+    gs, fs, df = g.nums, _trim(f.nums), f.den
     acc = [gs[n - 1]]
     scale = 1
     for k in range(n - 2, -1, -1):

@@ -1,7 +1,12 @@
 import errno
 import io
+import json
 import os
+import subprocess
 import sys
+import urllib.error
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -103,7 +108,7 @@ def _serve(monkeypatch, payload: bytes):
         urls.append(url)
         return io.BytesIO(payload)
 
-    monkeypatch.setattr(oeis.urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     return urls
 
 
@@ -170,3 +175,56 @@ def test_non_ascii_comment_is_fetched_cached_and_reread(tmp_path, monkeypatch, c
     assert cli.main(argv + ["--offline"]) == 0
     assert capsys.readouterr().out == fetched
     assert len(urls) == 1
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [urllib.error.URLError("down"), TimeoutError("timed out"), ConnectionResetError("reset")],
+    ids=["url-error", "timeout", "connection-reset"],
+)
+def test_network_failure_is_a_network_error(tmp_path, monkeypatch, capsys, failure):
+    def failing_urlopen(url, timeout):
+        raise failure
+
+    monkeypatch.setattr(urllib.request, "urlopen", failing_urlopen)
+    cache = str(tmp_path)
+    with pytest.raises(NetworkError, match="could not fetch A005130"):
+        oeis_fetch("A005130", cache_dir=cache)
+    assert os.listdir(cache) == []
+    assert cli.main(["oeis", "A005130", "--cache-dir", cache]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not fetch A005130")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(cache) == []
+
+
+# Run in a fresh interpreter: print the sorted names in sys.modules as JSON
+# after `argv[1]` (Python source) has run.  Site is off (-S) so that the
+# baseline does not depend on the .pth files of the host's site-packages.
+_MODULES_AFTER = "import json, sys; exec(sys.argv[1]); print(json.dumps(sorted(sys.modules)))"
+_NETWORK_AND_TEMPFILE = {
+    "urllib.request", "urllib.error", "http.client", "ssl", "email.parser", "socket",
+    "tempfile",
+}
+
+
+def _modules_after(code):
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", _MODULES_AFTER, code],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_commands_that_do_not_fetch_load_no_network_stack(tmp_path):
+    (tmp_path / "b005130.txt").write_text("".join(f"{n} {robbins(n)}\n" for n in range(12)))
+    src = str(Path(oeis.__file__).resolve().parents[1])
+    code = (
+        f"sys.path.insert(0, {src!r}); from riordan.cli import main; "
+        "assert main(['minors', 'R:1', '--symmetrize', '5']) == 0; "
+        f"assert main(['oeis', 'A005130', '--offline', '--cache-dir', {str(tmp_path)!r}]) == 0"
+    )
+    baseline = _modules_after("")
+    loaded = _modules_after(code)
+    assert "riordan.oeis" in loaded
+    assert (loaded - baseline) & _NETWORK_AND_TEMPFILE == set()

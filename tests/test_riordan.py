@@ -82,6 +82,15 @@ def test_matrix_identity_and_order_guard():
         matrix(identity_pair(4), 6)
 
 
+def test_matrix_with_polynomial_f_matches_powers():
+    # f = x - x^2 is stored with trailing zeros, which the column loop skips
+    n = 9
+    g = series.Series([1, Fraction(1, 3), -2, 0, 7], n)
+    f = series.poly([0, 1, -1], n)
+    want = [[(g * f**k).coeffs[i] if k <= i else 0 for k in range(n)] for i in range(n)]
+    assert matrix(RiordanPair(g, f), n).rows == want
+
+
 def test_pascal_matrix():
     assert ints(matrix(pascal_pair(6), 5)) == [
         [comb(n, k) if k <= n else 0 for k in range(5)] for n in range(5)

@@ -312,6 +312,27 @@ def test_kernels_on_short_operands_match_reference():
 
 
 @pytest.mark.parametrize(
+    "inner",
+    [
+        [0],  # an all-zero inner series
+        [0, 1, -1],  # x - x^2, the inverse of the Catalan f
+        [0, F(1, 2)],
+        [0, 2, 0, -3],
+        [0, 0, 5],
+    ],
+)
+def test_compose_with_zero_padded_inner_series_matches_reference(inner):
+    rng = random.Random(131)
+    for n, m in ((1, 1), (4, 4), (9, 9), (5, 12), (12, 5)):
+        f = series.poly(inner, m)
+        for integral in (True, False):
+            g = Series(_kernel_case(rng, n, rng.choice(LEADS), integral), n)
+            got = series.compose(g, f)
+            assert got == _oracle_compose(g, f)
+            assert _exact(got)
+
+
+@pytest.mark.parametrize(
     "a, b, exact_type",
     [
         ([1, 0, 0, 0], [1, -1, 0, 0], int),
