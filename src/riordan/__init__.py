@@ -6,7 +6,7 @@ from .array import RiordanPair, identity_pair
 from .bivar import BivarPoly, BivariateRational, CoeffMatrix, expand
 from .minors import MinorSequence, principal_minors
 from .series import Series
-from .symmetry import SymmetrizedMatrix, symmetrize, symmetrize_gf, symmetrize_matrix
+from .symmetry import symmetrize, symmetrize_gf, symmetrize_matrix
 
 __all__ = [
     "BivarPoly",
@@ -15,7 +15,6 @@ __all__ = [
     "MinorSequence",
     "RiordanPair",
     "Series",
-    "SymmetrizedMatrix",
     "expand",
     "identity_pair",
     "principal_minors",

@@ -68,9 +68,7 @@ def _build_pair(name, r, N):
     The matrix route (triangle, row-reversal symmetrization, minors) reads
     only the first N coefficients; a Riordan pair needs order >= 2.
     """
-    family = FAMILIES.get(name)
-    if family is None or family.full_matrix:
-        raise UsageError(f"{name!r} is not a Riordan pair spec")
+    family = FAMILIES[name]
     build = getattr(families, family.constructor)
     order = max(N, 2)
     return build(r, order) if family.takes_r else build(order)

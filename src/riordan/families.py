@@ -9,7 +9,6 @@ needs order 2 or more.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
@@ -25,21 +24,23 @@ class TooLarge(ValueError):
     """Brute force enumeration guard."""
 
 
+def catalan_shift(order: int) -> Series:
+    """x times the Catalan generating function, (1 - sqrt(1 - 4x)) / 2; fixed
+    point of reversion tests.  The root is taken one order up, since sqrt
+    needs a stored constant term, so order 0 works too."""
+    root = series.sqrt(series.poly([1, -4], order + 1))
+    return ((1 - root) / 2).truncate(order)
+
+
 def catalan_gf(order: int) -> Series:
     """Catalan number generating function (1 - sqrt(1 - 4x)) / (2x)."""
-    s = series.sqrt(series.poly([1, -4], order + 1))
-    return Series([Fraction(-c, 2) for c in s.coeffs[1:]], order)
-
-
-def catalan_shift(order: int) -> Series:
-    """x times the Catalan generating function; fixed point of reversion tests."""
-    c = catalan_gf(order)
-    return Series([0] + c.coeffs[: order - 1], order)
+    return Series(catalan_shift(order + 1).coeffs[1:], order)
 
 
 def catalan_pair(order: int) -> RiordanPair:
-    """The Catalan matrix pair (c(x), x c(x))."""
-    return RiordanPair(catalan_gf(order), catalan_shift(order))
+    """The Catalan matrix pair (c(x), x c(x)), from one square root."""
+    xc = catalan_shift(order + 1)
+    return RiordanPair(Series(xc.coeffs[1:], order), xc)
 
 
 def pascal_pair(order: int) -> RiordanPair:
@@ -53,10 +54,11 @@ def pascal_pair(order: int) -> RiordanPair:
 
 
 def make_R(r: int, order: int) -> RiordanPair:
-    """The one-parameter family (1/((1-rx) sqrt(1-4x)), x c(x))."""
+    """The one-parameter family (1/((1-rx) sqrt(1-4x)), x c(x)), with
+    x c(x) = (1 - sqrt(1-4x)) / 2 built from the same root as g."""
     root = series.sqrt(series.poly([1, -4], order))
     g = 1 / (series.poly([1, -r], order) * root)
-    return RiordanPair(g, catalan_shift(order))
+    return RiordanPair(g, (1 - root) / 2)
 
 
 def make_R_inverse_closed(r: int, order: int) -> RiordanPair:
@@ -139,12 +141,14 @@ def robbins(n: int) -> int:
     """Robbins number: product over k < n of (3k+1)! / (n+k)!."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    value = Fraction(1)
+    num = den = 1
     for k in range(n):
-        value *= Fraction(factorial(3 * k + 1), factorial(n + k))
-    if value.denominator != 1:
+        num *= factorial(3 * k + 1)
+        den *= factorial(n + k)
+    value, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError(f"Robbins product for n={n} is not integral")
-    return int(value)
+    return value
 
 
 def reference_B20() -> list[int]:

@@ -8,14 +8,14 @@ stored as int rows over one denominator d (``CoeffMatrix.ints`` and
 ``.den``; d = 1 for an integer matrix), so the sweep copies ``M.ints`` once
 and the (m+1) x (m+1) minor is its raw value divided by d^(m+1).
 
-The sweep has two modes.  A `SymmetrizedMatrix`, checked symmetric when it
-was built, takes the symmetric mode without comparing entries again; any
-other matrix takes it when its leading block is symmetric.  In that mode a
-Bareiss step maps a symmetric state to a symmetric state, so each step
-updates only the entries on and above the diagonal and reads a[i][k] as
-a[k][i], about half the big-integer work (the fraction-free LDL^T view of
-the same elimination).  A non-symmetric block takes the general mode, which
-updates the whole active block.
+The sweep has two modes, chosen from the entries by one comparison of the
+leading block with its transpose, whatever built the matrix (the
+symmetrizations return a plain `CoeffMatrix`).  A symmetric block takes the
+symmetric mode: a Bareiss step maps a symmetric state to a symmetric state,
+so each step updates only the entries on and above the diagonal and reads
+a[i][k] as a[k][i], about half the big-integer work (the fraction-free
+LDL^T view of the same elimination).  A non-symmetric block takes the
+general mode, which updates the whole active block.
 
 A zero pivot means that leading minor is genuinely zero.  The sweep then
 swaps row and column k symmetrically with a later index whose diagonal entry
@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from .bivar import CoeffMatrix, DimensionError
 from .series import _exact
-from .symmetry import SymmetrizedMatrix
 
 
 class MinorSequence(list):
@@ -141,9 +140,7 @@ def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
     if count < 0 or count > M.n:
         raise DimensionError(f"requested {count} minors of a {M.n}x{M.n} matrix")
     a, d = M.ints, M.den
-    symmetric = isinstance(M, SymmetrizedMatrix) or all(
-        a[i][j] == a[j][i] for i in range(count) for j in range(i)
-    )
+    symmetric = all(a[i][j] == a[j][i] for i in range(count) for j in range(i))
     raw = _bareiss_minor_sweep(a, count, symmetric)
     return MinorSequence(_exact(Fraction(v, d ** (m + 1))) for m, v in enumerate(raw))
 

@@ -23,7 +23,7 @@ DEFAULT_TIMEOUT = 15.0
 
 
 class NetworkError(RuntimeError):
-    """The b-file could not be retrieved, or not written to the cache."""
+    """The b-file could not be retrieved, or the cache not read or written."""
 
 
 class ParseError(ValueError):
@@ -111,8 +111,12 @@ def oeis_fetch(
     check_seq_id(seq_id)
     path = cache_path(seq_id, cache_dir)
     if os.path.exists(path):
-        with open(path, encoding="ascii", errors="replace") as fh:
-            return parse_bfile(fh.read(), seq_id)
+        try:
+            with open(path, encoding="ascii", errors="replace") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise NetworkError(f"could not read the cache file {path}: {exc}") from exc
+        return parse_bfile(text, seq_id)
     if offline:
         raise CacheMiss(f"{seq_id} is not cached and offline mode is set")
     import urllib.request

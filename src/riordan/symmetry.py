@@ -9,7 +9,9 @@ Two routes produce the same symmetric matrix:
   diagonal.
 
 The matrix route is the production path; the gf route is the definitional
-oracle the tests hold it against.
+oracle the tests hold it against.  Both return a plain ``CoeffMatrix``,
+symmetric by construction: the matrix route writes s[n][k] and s[k][n] from
+one triangle entry, the gf route adds a table to its own transpose.
 """
 
 from __future__ import annotations
@@ -25,20 +27,6 @@ class NotLowerTriangular(ValueError):
     """symmetrize_matrix needs a lower triangular input."""
 
 
-class SymmetrizedMatrix(CoeffMatrix):
-    """Coefficient matrix checked to be symmetric on construction."""
-
-    __slots__ = ()
-
-    def _set(self, ints, den):
-        super()._set(ints, den)
-        if not self.is_symmetric():
-            raise ValueError("symmetrization produced an asymmetric matrix")
-
-    def __repr__(self):
-        return f"SymmetrizedMatrix({self.n}x{self.n})"
-
-
 def _mul_trunc(a: dict, b: dict, N: int) -> dict:
     """Product of sparse bivariate tables, truncated to degrees < N in x and y."""
     out: dict = {}
@@ -51,7 +39,7 @@ def _mul_trunc(a: dict, b: dict, N: int) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def symmetrize_gf(a: RiordanPair, N: int) -> SymmetrizedMatrix:
+def symmetrize_gf(a: RiordanPair, N: int) -> CoeffMatrix:
     """N x N matrix of B(xy, 1/y) + B(xy, 1/x) - g(xy), where B = g/(1 - yf).
 
     B(xy, 1/y) = g(xy) / (1 - f(xy)/y), and f(xy)/y = sum f_k x^k y^(k-1)
@@ -79,10 +67,10 @@ def symmetrize_gf(a: RiordanPair, N: int) -> SymmetrizedMatrix:
             if n == k:
                 s -= g.coeffs[n]
             rows[n][k] = s
-    return SymmetrizedMatrix(rows)
+    return CoeffMatrix(rows)
 
 
-def symmetrize_matrix(T: CoeffMatrix) -> SymmetrizedMatrix:
+def symmetrize_matrix(T: CoeffMatrix) -> CoeffMatrix:
     """Mirror the reversed rows of a lower triangular matrix across the diagonal.
 
     s[n][k] = T[n][n-k] for k <= n, and T[k][k-n] above the diagonal.
@@ -91,10 +79,10 @@ def symmetrize_matrix(T: CoeffMatrix) -> SymmetrizedMatrix:
         raise NotLowerTriangular("matrix route needs a lower triangular input")
     N, t = T.n, T.ints
     rows = [[t[n][n - k] if k <= n else t[k][k - n] for k in range(N)] for n in range(N)]
-    return SymmetrizedMatrix._of(rows, T.den)
+    return CoeffMatrix._of(rows, T.den)
 
 
-def symmetrize(a: RiordanPair, N: int) -> SymmetrizedMatrix:
+def symmetrize(a: RiordanPair, N: int) -> CoeffMatrix:
     """Production route: symmetrize the N x N matrix of the pair."""
     return symmetrize_matrix(matrix(a, N))
 

@@ -20,7 +20,7 @@ from riordan import series
 from riordan.array import RiordanPair, matrix
 from riordan.bivar import BivarPoly, BivariateRational, CoeffMatrix, expand
 from riordan.series import Series
-from riordan.symmetry import SymmetrizedMatrix, symmetrize_matrix
+from riordan.symmetry import symmetrize_matrix
 
 LEADS = (1, -1, 2, -3, F(3, 2))
 KINDS = ("int", "integral", "rational")
@@ -89,7 +89,7 @@ def test_matrix_kernels_return_canonical_form(kind, lead):
         _, b, f, _ = _operands(rng, N + 1, kind, lead)
         T = matrix(RiordanPair(b, f), N)
         S = symmetrize_matrix(T)
-        assert type(S) is SymmetrizedMatrix
+        assert type(S) is CoeffMatrix
         products = (T * T.transpose(), S * T)
         for M in (T, S, *products, T.transpose(), T.leading(N - 1), S.leading(N // 2)):
             _check_matrix(M)

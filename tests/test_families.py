@@ -27,6 +27,7 @@ from riordan.families import (
     twenty_vertex_matrix,
 )
 from riordan.minors import principal_minors
+from riordan.series import InsufficientOrder
 from riordan.symmetry import symmetrize
 
 F = Fraction
@@ -43,6 +44,40 @@ def test_catalan_gf():
     x = series.poly([0, 1], 8)
     assert c == 1 + x * c * c
     assert catalan_shift(8) == series.revert(series.poly([0, 1, -1], 8))
+
+
+def test_catalan_series_match_the_binomial_formula():
+    for n in range(41):
+        cat = [comb(2 * k, k) // (k + 1) for k in range(n)]
+        assert catalan_gf(n) == series.Series(cat, n)
+        assert catalan_shift(n) == series.Series([0] + cat, n)
+    assert catalan_gf(0).order == catalan_shift(0).order == 0
+    assert seq(catalan_gf(1)) == [1] and seq(catalan_shift(1)) == [0]
+    for n in (0, 1):
+        with pytest.raises(InsufficientOrder):
+            catalan_pair(n)
+
+
+@pytest.mark.parametrize("r", range(-2, 6))
+def test_make_R_f_is_the_catalan_shift(r):
+    for n in (2, 9, 30):
+        assert make_R(r, n).f == catalan_shift(n)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda n: make_R(2, n), catalan_pair], ids=["make_R", "catalan_pair"]
+)
+def test_one_square_root_per_pair(monkeypatch, build):
+    orders = []
+    sqrt = series.sqrt
+
+    def counting_sqrt(g):
+        orders.append(g.order)
+        return sqrt(g)
+
+    monkeypatch.setattr(series, "sqrt", counting_sqrt)
+    build(12)
+    assert len(orders) == 1
 
 
 def test_make_R():
@@ -146,7 +181,7 @@ def test_robbins():
     assert [robbins(n) for n in range(12)] == known
     assert robbins(0) == 1
     assert robbins(4) == 42
-    assert robbins(11) == 31095744852375
+    assert robbins(11) == 31095744852375 and type(robbins(11)) is int
 
 
 def test_reference_B20():

@@ -198,6 +198,26 @@ def test_network_failure_is_a_network_error(tmp_path, monkeypatch, capsys, failu
     assert os.listdir(cache) == []
 
 
+@pytest.mark.parametrize("kind", ["directory", "permission"])
+def test_unreadable_cache_entry_is_a_network_error(tmp_path, monkeypatch, capsys, kind):
+    cache = str(tmp_path)
+    path = cache_path("A000002", cache)
+    if kind == "directory":
+        os.mkdir(path)
+    else:
+        with open(path, "w") as fh:
+            fh.write(ROBBINS_BFILE)
+
+        def refusing_open(file, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", file)
+
+        monkeypatch.setattr(oeis, "open", refusing_open, raising=False)
+    assert cli.main(["oeis", "A000002", "--offline", "--cache-dir", cache]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: could not read the cache file {path}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # Run in a fresh interpreter: print the sorted names in sys.modules as JSON
 # after `argv[1]` (Python source) has run.  Site is off (-S) so that the
 # baseline does not depend on the .pth files of the host's site-packages.
