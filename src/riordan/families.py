@@ -34,12 +34,13 @@ def catalan_shift(order: int) -> Series:
 
 def catalan_gf(order: int) -> Series:
     """Catalan number generating function (1 - sqrt(1 - 4x)) / (2x)."""
-    return Series(catalan_shift(order + 1).coeffs[1:], order)
+    xc = (1 - series.sqrt(series.poly([1, -4], order + 1))) / 2
+    return Series(xc.coeffs[1:], order)
 
 
 def catalan_pair(order: int) -> RiordanPair:
     """The Catalan matrix pair (c(x), x c(x)), from one square root."""
-    xc = catalan_shift(order + 1)
+    xc = (1 - series.sqrt(series.poly([1, -4], order + 1))) / 2
     return RiordanPair(Series(xc.coeffs[1:], order), xc)
 
 
