@@ -8,6 +8,8 @@ g * f^k.  The group product is (g, f) . (u, v) = (g * u(f), v(f)), inverse
 
 from __future__ import annotations
 
+from itertools import accumulate, islice
+
 from . import series
 from .bivar import BivarPoly, BivariateRational, CoeffMatrix, from_univariate
 from .series import InsufficientOrder, Series
@@ -20,11 +22,19 @@ class RiordanPair:
     as (numerator, denominator) coefficient lists; they are only used to
     produce exact bivariate generating functions and are checked against the
     stored series on construction.
+
+    ``f_inverse = (p, q)`` optionally declares the compositional inverse of
+    f as the rational function fbar = p/q, i.e. the relation p(f) = x q(f).
+    It costs nothing here: :func:`matrix` checks it to the order it builds
+    (``ValueError`` if it is false) and, for an integral f and a relation
+    quadratic in f with leading coefficient +-1, fills the triangle's
+    columns from it (see there).  Results of :func:`product` and
+    :func:`inverse` carry no declaration.
     """
 
-    __slots__ = ("g", "f", "order", "g_rational", "f_rational")
+    __slots__ = ("g", "f", "order", "g_rational", "f_rational", "f_inverse")
 
-    def __init__(self, g: Series, f: Series, g_rational=None, f_rational=None):
+    def __init__(self, g: Series, f: Series, g_rational=None, f_rational=None, f_inverse=None):
         order = min(g.order, f.order)
         if order < 2:
             raise InsufficientOrder("a Riordan pair needs order >= 2")
@@ -46,6 +56,7 @@ class RiordanPair:
                     raise ValueError("declared rational form disagrees with the series")
         self.g_rational = g_rational
         self.f_rational = f_rational
+        self.f_inverse = f_inverse
 
     def __repr__(self):
         return f"RiordanPair(g={self.g!r}, f={self.f!r})"
@@ -80,15 +91,36 @@ def require_unipotent(a: RiordanPair) -> None:
 def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     """N x N truncation of the matrix with entries [x^n] g * f^k.
 
-    Needs order N.  The columns are built over int: with g = G / dg and
-    f = F / df over the integers, column k is G * F^k / (dg * df^k), written
-    as G * F^k * df^(N-1-k) over the one denominator dg * df^(N-1).
-    Column k starts at x^k (f(0) = 0), so only its rows n >= k are written.
+    Needs order N.  Column k is C_k = g * f^k; it starts at x^k (f(0) = 0),
+    so only its rows n >= k are written.  There are two routes.
+
+    * Relation route, for a pair that declares ``f_inverse = (p, q)`` with
+      integral f, p = p0 + p1 x + p2 x^2, p2 = +-1 and q = q0 + q1 x.  The
+      relation p(f) = x q(f), times g f^k, gives
+      p2 C_(k+2) = (q1 x - p1) C_(k+1) + q0 x C_k, so after C_0 = g and
+      C_1 = g * f each entry is a few int steps from the entries to its
+      left and above: O(N^2) in all.  R_r, the Catalan triangle and
+      A361654 have fbar = x(1-x), the tilde family x(1-x)/(1+rx).
+    * Product route, for every other pair: one series product per column,
+      O(N^3).  With g = G / dg and f = F / df over the integers, column k is
+      G * F^k / (dg * df^k), written as G * F^k * df^(N-1-k) over the one
+      denominator dg * df^(N-1).
+
+    A declared ``f_inverse`` of any degree is first checked to order N with
+    one series product (two for a cubic relation, and so on); a false one
+    raises ``ValueError``.
     """
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
     f, df = series._trim(a.f.nums), a.f.den
     rows = [[0] * N for _ in range(N)]
+    if a.f_inverse is not None:
+        if not _relation_holds(f, df, *a.f_inverse, N):
+            raise ValueError("declared f_inverse is not the compositional inverse of f")
+        steps = _relation_steps(df, *a.f_inverse)
+        if steps is not None:
+            _fill_from_relation(rows, a.g.nums, series._mul_lists(a.g.nums, f, N), *steps)
+            return CoeffMatrix._of(rows, a.g.den)
     col = a.g.nums[:N]
     for k in range(N):
         scale = df ** (N - 1 - k)
@@ -97,6 +129,55 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
         if k + 1 < N:
             col = series._mul_lists(col, f, N)
     return CoeffMatrix._of(rows, a.g.den * df ** max(N - 1, 0))
+
+
+def _relation_holds(f, df, p, q, n) -> bool:
+    """Whether sum_i (p_i - x q_i) (f/df)^i = 0 mod x^n, by Horner over int
+    after scaling by df^d, d the degree of the relation."""
+    if n == 0:
+        return True
+    d = max(len(p), len(q)) - 1
+    acc = [0] * n
+    for i in range(d, -1, -1):
+        if i < d:
+            acc = series._mul_lists(acc, f, n)
+        scale = df ** (d - i)
+        if i < len(p):
+            acc[0] += p[i] * scale
+        if i < len(q) and n > 1:
+            acc[1] -= q[i] * scale
+    return not any(acc)
+
+
+def _relation_steps(df, p, q):
+    """(alpha, b1, b0) with C_(k+2) = alpha C_(k+1) + x (b1 C_(k+1) + b0 C_k),
+    when a relation that holds allows the relation route; else None.  The
+    constant term p0 is 0 once the relation holds, since f(0) = 0."""
+    if df != 1 or len(p) != 3 or len(q) > 2 or p[2] not in (1, -1):
+        return None
+    if not series._all_int(p, q):
+        return None
+    q0, q1 = (*q, 0, 0)[:2]
+    return -p[2] * p[1], p[2] * q1, p[2] * q0
+
+
+def _fill_from_relation(rows, g, c1, alpha, b1, b0):
+    """Write C_0 = g and C_1 = c1 into rows, then every later entry from
+    rows[n][k] = alpha rows[n][k-1] + b1 rows[n-1][k-1] + b0 rows[n-1][k-2]:
+    the terms from row n-1 in one pass, the chain along row n by accumulate."""
+    step = None if alpha == 1 else (lambda s, t: alpha * s + t)
+    prev = None
+    for n, row in enumerate(rows):
+        row[0] = g[n]
+        if n:
+            row[1] = c1[n]
+        if n > 1:
+            if b1:
+                above = [b1 * u + b0 * v for u, v in zip(prev[1:n], prev[: n - 1])]
+            else:
+                above = [b0 * v for v in prev[: n - 1]]
+            row[2 : n + 1] = islice(accumulate(above, step, initial=row[1]), 1, None)
+        prev = row
 
 
 def product(a: RiordanPair, b: RiordanPair) -> RiordanPair:
@@ -116,21 +197,6 @@ def apply(a: RiordanPair, h: Series) -> Series:
     Equals the matrix of the pair times the coefficient column of h.
     """
     return a.g * series.compose(h, a.f)
-
-
-def row_sums(a: RiordanPair, N: int) -> Series:
-    """Row sums of the matrix, via the generating function g / (1 - f)."""
-    if N > a.order:
-        raise InsufficientOrder(f"order {a.order} < requested length {N}")
-    return series.div(a.g, 1 - a.f).truncate(N)
-
-
-def diagonal_sums(a: RiordanPair, N: int) -> Series:
-    """Anti-diagonal sums, via the generating function g / (1 - x*f)."""
-    if N > a.order:
-        raise InsufficientOrder(f"order {a.order} < requested length {N}")
-    x = series.poly([0, 1], a.order)
-    return series.div(a.g, 1 - x * a.f).truncate(N)
 
 
 def bivariate_gf(a: RiordanPair) -> BivariateRational:

@@ -221,9 +221,11 @@ class CoeffMatrix:
             raise DimensionError(f"leading {m}x{m} block of a {self.n}x{self.n} matrix")
         return CoeffMatrix._of([row[:m] for row in self.ints[:m]], self.den)
 
-    def is_symmetric(self) -> bool:
+    def is_symmetric(self, m: int | None = None) -> bool:
+        """Whether the leading m x m block (the whole matrix by default) is symmetric."""
         a = self.ints
-        return all(a[i][j] == a[j][i] for i in range(self.n) for j in range(i))
+        m = self.n if m is None else m
+        return all(a[i][j] == a[j][i] for i in range(m) for j in range(i))
 
     def is_lower_triangular(self) -> bool:
         a = self.ints

@@ -24,6 +24,10 @@ class TooLarge(ValueError):
     """Brute force enumeration guard."""
 
 
+# x(1-x), as (numerator, denominator): the compositional inverse of x c(x).
+CATALAN_F_INVERSE = ((0, 1, -1), (1,))
+
+
 def catalan_shift(order: int) -> Series:
     """x times the Catalan generating function, (1 - sqrt(1 - 4x)) / 2; fixed
     point of reversion tests.  The root is taken one order up, since sqrt
@@ -39,9 +43,12 @@ def catalan_gf(order: int) -> Series:
 
 
 def catalan_pair(order: int) -> RiordanPair:
-    """The Catalan matrix pair (c(x), x c(x)), from one square root."""
+    """The Catalan matrix pair (c(x), x c(x)), from one square root.
+
+    Declares f_inverse = x(1-x), so ``array.matrix`` fills its columns from
+    C_(k+2) = C_(k+1) - x C_k."""
     xc = (1 - series.sqrt(series.poly([1, -4], order + 1))) / 2
-    return RiordanPair(Series(xc.coeffs[1:], order), xc)
+    return RiordanPair(Series(xc.coeffs[1:], order), xc, f_inverse=CATALAN_F_INVERSE)
 
 
 def pascal_pair(order: int) -> RiordanPair:
@@ -56,10 +63,13 @@ def pascal_pair(order: int) -> RiordanPair:
 
 def make_R(r: int, order: int) -> RiordanPair:
     """The one-parameter family (1/((1-rx) sqrt(1-4x)), x c(x)), with
-    x c(x) = (1 - sqrt(1-4x)) / 2 built from the same root as g."""
+    x c(x) = (1 - sqrt(1-4x)) / 2 built from the same root as g.
+
+    Declares f_inverse = x(1-x) (the inverse closed form below), so
+    ``array.matrix`` fills its columns from C_(k+2) = C_(k+1) - x C_k."""
     root = series.sqrt(series.poly([1, -4], order))
     g = 1 / (series.poly([1, -r], order) * root)
-    return RiordanPair(g, (1 - root) / 2)
+    return RiordanPair(g, (1 - root) / 2, f_inverse=CATALAN_F_INVERSE)
 
 
 def make_R_inverse_closed(r: int, order: int) -> RiordanPair:
@@ -75,11 +85,14 @@ def make_R_inverse_closed(r: int, order: int) -> RiordanPair:
 
 def make_tilde_R(r: int, order: int) -> RiordanPair:
     """The companion family with g = 1/((1-x) sqrt(1-2(r+2)x+r^2 x^2))
-    and f = (1 - rx - sqrt(1-2(r+2)x+r^2 x^2)) / 2."""
+    and f = (1 - rx - sqrt(1-2(r+2)x+r^2 x^2)) / 2.
+
+    Declares f_inverse = x(1-x)/(1+rx) (the inverse closed form below), so
+    ``array.matrix`` fills its columns from C_(k+2) = (1-rx) C_(k+1) - x C_k."""
     root = series.sqrt(series.poly([1, -2 * (r + 2), r * r], order))
     g = 1 / (series.poly([1, -1], order) * root)
     f = (series.poly([1, -r], order) - root) / 2
-    return RiordanPair(g, f)
+    return RiordanPair(g, f, f_inverse=((0, 1, -1), (1, r)))
 
 
 def tilde_inverse_closed(r: int, order: int) -> RiordanPair:
@@ -132,10 +145,14 @@ def twenty_vertex_matrix(N: int) -> CoeffMatrix:
 
 def make_A361654_embed(order: int) -> RiordanPair:
     """Inverse of (((1-x)^3 - x^3)/(1-x), x(1-x)), the triangle the r=1
-    array embeds into (OEIS A361654)."""
+    array embeds into (OEIS A361654).
+
+    Its f is x c(x), the inverse of x(1-x), which the pair declares as
+    f_inverse, so ``array.matrix`` fills its columns from
+    C_(k+2) = C_(k+1) - x C_k."""
     g = series.rational([1, -3, 3, -2], [1, -1], order)
-    pre = RiordanPair(g, series.poly([0, 1, -1], order))
-    return inverse(pre)
+    inv = inverse(RiordanPair(g, series.poly([0, 1, -1], order)))
+    return RiordanPair(inv.g, inv.f, f_inverse=CATALAN_F_INVERSE)
 
 
 def robbins(n: int) -> int:

@@ -139,12 +139,14 @@ def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
     """First `count` leading principal minors, exactly."""
     if count < 0 or count > M.n:
         raise DimensionError(f"requested {count} minors of a {M.n}x{M.n} matrix")
-    a, d = M.ints, M.den
-    symmetric = all(a[i][j] == a[j][i] for i in range(count) for j in range(i))
-    raw = _bareiss_minor_sweep(a, count, symmetric)
+    raw = _bareiss_minor_sweep(M.ints, count, M.is_symmetric(count))
+    d = M.den
+    if d == 1:
+        return MinorSequence(raw)
     return MinorSequence(_exact(Fraction(v, d ** (m + 1))) for m, v in enumerate(raw))
 
 
 def det(M: CoeffMatrix):
     """Exact determinant of the whole matrix."""
-    return _exact(Fraction(_det_int(M.ints), M.den ** M.n))
+    value = _det_int(M.ints)
+    return value if M.den == 1 else _exact(Fraction(value, M.den**M.n))

@@ -176,11 +176,6 @@ class Series:
 
     __hash__ = None
 
-    def constant_term(self) -> int | Fraction:
-        if self.order == 0:
-            raise InsufficientOrder("series of order 0 has no stored coefficients")
-        return self.coeffs[0]
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 

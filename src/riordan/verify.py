@@ -82,8 +82,6 @@ TABLE6 = [
 INVERSE6_R0 = [1, -3, -13, 81, 144, -2017, -1757, 79513, 22704]
 INVERSE6_R1 = [1, -4, -33, 427, 5046, -56241, -316626, 7178034, 26671624]
 
-TILDE2_MINORS = [1, 4, 55, 2494, 365953, 171944344]
-
 
 class Check:
     __slots__ = ("id", "status", "expected", "actual", "note")
@@ -212,8 +210,9 @@ def suite_tilde():
         S = symmetrize(make_tilde_R(r, 10), 10)
         gf = expand(BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y - r * X * Y)), 10)
         checks.append(_true(f"tilde/sym-gf-r{r}", S == gf))
+    # by the transfer identity, tilde-R_2 has the minors of R_3
     got = principal_minors(symmetrize(make_tilde_R(2, 6), 6), 6)
-    checks.append(_eq("tilde/tilde2-minors", TILDE2_MINORS, list(got)))
+    checks.append(_eq("tilde/tilde2-minors", TABLE6[3], list(got)))
     for r in range(1, 5):
         a = principal_minors(symmetrize(make_R(r, 7), 7), 7)
         b = principal_minors(symmetrize(make_tilde_R(r - 1, 7), 7), 7)

@@ -169,6 +169,8 @@ def test_coeff_matrix_operations():
     assert A.leading(1).rows == [[1]]
     assert not A.is_symmetric()
     assert CoeffMatrix([[1, 2], [2, 5]]).is_symmetric()
+    C = CoeffMatrix([[1, 2, 3], [2, 5, 0], [9, 9, 9]])
+    assert C.is_symmetric(2) and C.is_symmetric(0) and not C.is_symmetric()
     assert CoeffMatrix([[1, 0], [7, 2]]).is_lower_triangular()
 
 

@@ -314,6 +314,12 @@ OUTPUT_SHA256 = {
     "matrix vertex20 8 --format json": "3561a862b48c38ecdd065f23bc1b6b045c0d9cae72ad78b0b3c7da6783ef2914",
     "symmetrize example1 8": "26a23c936600d6ee46ba619c4d0bebb2660d9ac1c3cbc2d45d3bed4932d03a5f",
     "minors R:1 --symmetrize 120": "00e6d4378990849480f0d46c73a94a7c994a99e2a04a258bcf509608836fc8c8",
+    # triangles built from the declared relation fbar(f) = x, pinned from the product route
+    "matrix R:3 40 --format csv": "0dca086aa3b2d8d406e9b05b32fbaf35813a1d282df0940ce9fcaec404a5f562",
+    "symmetrize tildeR:2 30 --format csv": "3bc552c2a0734644ca43d4ca2107c137649d3ac2afc7c897666b1eaf4fc5dbb6",
+    "matrix catalan 30": "fc39c539ce7e5358805bef37eb7a42f310b6684777016fdf1a3e16fc8d8fedb3",
+    "matrix A361654 20": "af9a2e61f2f496fb9f4e0288b79a55a868d5d5a7cff6d048079c67757276f7d6",
+    "minors tildeR:1 --symmetrize 60": "5b791f48654df8e2a67e549ae7b6144b0be7ac04ad8dbf1f3482257ec769b234",
 }
 
 

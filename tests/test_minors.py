@@ -44,6 +44,16 @@ def test_det_examples():
     assert det(CoeffMatrix([[1, 1], [1, -1]])) == -2
 
 
+def test_minors_and_det_keep_the_exact_rule():
+    M = CoeffMatrix([[2, 1], [1, 3]])
+    assert [type(v) for v in principal_minors(M, 2)] == [int, int]
+    assert type(det(M)) is int
+    # over a denominator, an integral minor is still an int
+    H = CoeffMatrix([[F(1, 2), F(1, 2)], [F(3, 2), F(-1, 2)]])
+    assert list(principal_minors(H, 2)) == [F(1, 2), -1]
+    assert type(principal_minors(H, 2)[1]) is int and type(det(H)) is int
+
+
 def test_count_guard():
     with pytest.raises(DimensionError):
         principal_minors(CoeffMatrix([[1]]), 2)

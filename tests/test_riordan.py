@@ -10,13 +10,11 @@ from riordan.array import (
     apply,
     bivariate_gf,
     conjugate,
-    diagonal_sums,
     gf_right_transform,
     identity_pair,
     inverse,
     matrix,
     product,
-    row_sums,
 )
 from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand, gf_identity_check
 from riordan.families import catalan_pair, make_example1, make_R, pascal_pair
@@ -141,26 +139,6 @@ def test_apply_matches_matrix_vector_product():
     out = apply(a, h)
     for n in range(8):
         assert out.coeffs[n] == sum(M[n][k] * h.coeffs[k] for k in range(8))
-
-
-def test_row_sums():
-    assert seq(row_sums(pascal_pair(8), 8)) == [2**n for n in range(8)]
-    assert seq(row_sums(identity_pair(6), 6)) == [1] * 6
-    assert seq(row_sums(make_R(1, 8), 6)) == [1, 4, 14, 49, 175, 637]
-    M = matrix(make_R(1, 8), 6)
-    assert [sum(row) for row in M.rows] == [1, 4, 14, 49, 175, 637]
-
-
-def test_diagonal_sums():
-    assert seq(diagonal_sums(identity_pair(6), 6)) == [1, 0, 1, 0, 1, 0]
-    fib = [1, 1]
-    while len(fib) < 8:
-        fib.append(fib[-1] + fib[-2])
-    assert seq(diagonal_sums(pascal_pair(8), 8)) == fib
-    a = make_example1(10)
-    M = matrix(a, 10)
-    direct = [sum(M[n - k][k] for k in range(n + 1) if n - k < 10) for n in range(5)]
-    assert seq(diagonal_sums(a, 5)) == direct
 
 
 def test_bivariate_gf_rational_route():
@@ -303,18 +281,6 @@ def test_unit_diagonal_lower_triangular():
         assert all(M[i][i] == 1 for i in range(9))
 
 
-def test_sum_formulas_match_matrix_randomized():
-    rng = random.Random(31)
-    for _ in range(50):
-        a = _random_pair(rng, 9)
-        M = matrix(a, 9)
-        rs = row_sums(a, 9)
-        ds = diagonal_sums(a, 9)
-        for n in range(9):
-            assert rs.coeffs[n] == sum(M[n][k] for k in range(9))
-            assert ds.coeffs[n] == sum(M[n - k][k] for k in range(n + 1))
-
-
 def _fraction_triangle(a, N):
     """Reference triangle: [x^n] g * f^k by explicit Fraction convolutions."""
     g = [F(c) for c in a.g.coeffs[:N]]
@@ -356,3 +322,69 @@ def test_rational_pair_matrix_keeps_fractions():
             rational += 1
             assert all(type(c) is (int if c.denominator == 1 else F) for row in M.rows for c in row)
     assert rational
+
+
+RELATION_SPECS = [
+    *(f"R:{r}" for r in range(-3, 7)),
+    *(f"tildeR:{r}" for r in range(-3, 7)),
+    "catalan",
+    "A361654",
+]
+
+
+@pytest.mark.parametrize("spec", RELATION_SPECS)
+def test_relation_route_matches_product_route_and_fraction_reference(spec):
+    # the same pair without its declaration takes the product route
+    a = cli._build_pair(*cli._parse_family(spec), 200)
+    assert a.f_inverse is not None
+    undeclared = RiordanPair(a.g, a.f)
+    assert matrix(a, 200) == matrix(undeclared, 200)
+    ref = _fraction_triangle(a, 40)
+    for N in range(41):
+        M = matrix(a, N)
+        assert all(type(c) is int for row in M.rows for c in row)
+        assert M == matrix(undeclared, N)
+        assert M.rows == [row[:N] for row in ref[:N]]
+
+
+def test_false_f_inverse_raises_from_matrix():
+    a = make_R(1, 12)
+    # x(1-x)/(1+x) is the inverse of tilde-R_1's f, not of x c(x)
+    wrong = RiordanPair(a.g, a.f, f_inverse=((0, 1, -1), (1, 1)))
+    with pytest.raises(ValueError):
+        matrix(wrong, 12)
+    # a wrong constant term shows at order 1
+    with pytest.raises(ValueError):
+        matrix(RiordanPair(a.g, a.f, f_inverse=((1, 1, -1), (1,))), 1)
+    assert matrix(RiordanPair(a.g, a.f, f_inverse=((0, 1, -1), (1,))), 12) == matrix(a, 12)
+
+
+def test_f_inverse_of_other_shapes_is_checked_and_takes_the_product_route():
+    # pascal: fbar = x/(1+x) is linear in f with top coefficient 1 - x
+    a = pascal_pair(10)
+    declared = RiordanPair(a.g, a.f, f_inverse=((0, 1), (1, 1)))
+    assert matrix(declared, 10) == matrix(a, 10)
+    with pytest.raises(ValueError):
+        matrix(RiordanPair(a.g, a.f, f_inverse=((0, 1), (1, -1))), 10)
+    # a rational f: fbar = 2x - 4x^2 for f = x c(x) / 2, checked after scaling
+    f = catalan_pair(12).f / 2
+    half = RiordanPair(series.poly([1], 12), f, f_inverse=((0, 2, -4), (1,)))
+    assert matrix(half, 12) == matrix(RiordanPair(half.g, f), 12)
+    with pytest.raises(ValueError):
+        matrix(RiordanPair(half.g, f, f_inverse=((0, 2, 2), (1,))), 12)
+
+
+def test_group_operations_drop_the_declaration():
+    a = make_R(2, 10)
+    assert inverse(a).f_inverse is None
+    assert product(a, a).f_inverse is None
+
+
+def test_relation_route_with_negative_linear_coefficient():
+    # f = -x c(x) has fbar = -x - x^2, so C_(k+2) = -C_(k+1) - x C_k
+    g = series.rational([1, 2], [1, -3], 30)
+    f = -catalan_pair(30).f
+    a = RiordanPair(g, f, f_inverse=((0, -1, -1), (1,)))
+    M = matrix(a, 30)
+    assert M == matrix(RiordanPair(g, f), 30)
+    assert M.rows == _fraction_triangle(a, 30)

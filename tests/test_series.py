@@ -220,10 +220,22 @@ def test_sqrt_roundtrip_randomized():
         assert s.coeffs[0] == 1
 
 
-# Reference kernels: the coefficient-by-coefficient reversion, full-length
-# Horner composition and long division, all over Fraction.  The production
+# Reference kernels: the schoolbook product, the coefficient-by-coefficient
+# reversion, full-length Horner composition and long division, all over
+# Fraction.  The production
 # kernels (Lagrange inversion, trimmed Horner, int fast paths) must match
 # them exactly.
+
+
+def _oracle_mul(a, b, n):
+    """First n coefficients of the Cauchy product, by the schoolbook double
+    loop over Fraction; it shares no code with ``series._mul_lists``."""
+    out = [F(0)] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[: n - i]):
+                out[i + j] += ai * bj
+    return out
 
 
 def _oracle_div(a, b):
@@ -242,7 +254,7 @@ def _oracle_compose(g, f):
     n = min(g.order, f.order)
     acc = [F(0)] * n
     for gk in reversed(g.coeffs[:n]):
-        acc = series._mul_lists(acc, f.coeffs, n)
+        acc = _oracle_mul(acc, f.coeffs, n)
         acc[0] += gk
     return Series(acc, n)
 
@@ -257,7 +269,7 @@ def _oracle_revert(f):
     for m in range(2, n):
         acc = [F(0)] * (m + 1)
         for fk in reversed(f.coeffs[: m + 1]):
-            acc = series._mul_lists(acc, v, m + 1)
+            acc = _oracle_mul(acc, v, m + 1)
             acc[0] += fk
         v[m] = -acc[m] * f1inv
     return Series(v, n)
@@ -354,13 +366,6 @@ def test_revert_large_order_catalan():
 
 # The kernels clear denominators and run on int.  Plain Fraction oracles:
 # the naive convolution, the square-root recurrence and _oracle_div above.
-
-
-def _oracle_mul(a, b, n):
-    return [
-        sum((F(a[i]) * F(b[k - i]) for i in range(k + 1) if i < len(a) and k - i < len(b)), F(0))
-        for k in range(n)
-    ]
 
 
 def _oracle_sqrt(g):
