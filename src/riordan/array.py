@@ -8,10 +8,11 @@ g * f^k.  The group product is (g, f) . (u, v) = (g * u(f), v(f)), inverse
 
 from __future__ import annotations
 
+import operator
 from itertools import accumulate, islice
 
 from . import series
-from .bivar import BivarPoly, BivariateRational, CoeffMatrix, from_univariate
+from .bivar import ONE, BivarPoly, BivariateRational, CoeffMatrix, from_univariate
 from .series import InsufficientOrder, Series
 
 
@@ -24,11 +25,12 @@ class RiordanPair:
     stored series on construction.
 
     ``f_inverse = (p, q)`` optionally declares the compositional inverse of
-    f as the rational function fbar = p/q, i.e. the relation p(f) = x q(f).
-    It costs nothing here: :func:`matrix` checks it to the order it builds
-    (``ValueError`` if it is false) and, for an integral f and a relation
-    quadratic in f with leading coefficient +-1, fills the triangle's
-    columns from it (see there).  Results of :func:`product` and
+    f as the rational function fbar = p/q.  One shape is accepted, the one
+    every algebraic family under study has: fbar = x(1-x)/(1+sx), given as
+    p = (0, 1, -1) and q = (1,) or (1, s) with an int s, for an integral f.
+    The shape is checked here in O(1) (``ValueError`` otherwise); whether
+    fbar really inverts f is checked by :func:`matrix`, which fills the
+    triangle from it (see there).  Results of :func:`product` and
     :func:`inverse` carry no declaration.
     """
 
@@ -54,6 +56,14 @@ class RiordanPair:
                 p, q = rat
                 if series.rational(p, q, order) != s:
                     raise ValueError("declared rational form disagrees with the series")
+        if f_inverse is not None:
+            p, q = f_inverse
+            shape = tuple(p) == (0, 1, -1) and len(q) in (1, 2) and q[0] == 1
+            if not (shape and type(q[-1]) is int and f.den == 1):
+                raise ValueError(
+                    "f_inverse must be ((0, 1, -1), (1,)) or ((0, 1, -1), (1, s)) "
+                    "with an int s, for an integral f"
+                )
         self.g_rational = g_rational
         self.f_rational = f_rational
         self.f_inverse = f_inverse
@@ -94,33 +104,29 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     Needs order N.  Column k is C_k = g * f^k; it starts at x^k (f(0) = 0),
     so only its rows n >= k are written.  There are two routes.
 
-    * Relation route, for a pair that declares ``f_inverse = (p, q)`` with
-      integral f, p = p0 + p1 x + p2 x^2, p2 = +-1 and q = q0 + q1 x.  The
-      relation p(f) = x q(f), times g f^k, gives
-      p2 C_(k+2) = (q1 x - p1) C_(k+1) + q0 x C_k, so after C_0 = g and
-      C_1 = g * f each entry is a few int steps from the entries to its
-      left and above: O(N^2) in all.  R_r, the Catalan triangle and
-      A361654 have fbar = x(1-x), the tilde family x(1-x)/(1+rx).
+    * Relation route, for a pair that declares ``f_inverse``, i.e.
+      fbar = x(1-x)/(1+sx): R_r, the Catalan triangle and A361654 have
+      s = 0, the tilde family s = r.  Then f - f^2 = x(1 + s f), which is
+      checked to order N with one product f * f (``ValueError`` if it is
+      false).  Times g f^k it gives C_(k+2) = C_(k+1) - x (s C_(k+1) + C_k),
+      so after C_0 = g and C_1 = g * f each entry is a few int steps from
+      the entries to its left and above: O(N^2) in all.
     * Product route, for every other pair: one series product per column,
       O(N^3).  With g = G / dg and f = F / df over the integers, column k is
       G * F^k / (dg * df^k), written as G * F^k * df^(N-1-k) over the one
       denominator dg * df^(N-1).
-
-    A declared ``f_inverse`` of any degree is first checked to order N with
-    one series product (two for a cubic relation, and so on); a false one
-    raises ``ValueError``.
     """
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
-    f, df = series._trim(a.f.nums), a.f.den
     rows = [[0] * N for _ in range(N)]
     if a.f_inverse is not None:
-        if not _relation_holds(f, df, *a.f_inverse, N):
+        f, q = a.f.nums, a.f_inverse[1]
+        s = q[1] if len(q) == 2 else 0
+        if not _relation_holds(f, s, N):
             raise ValueError("declared f_inverse is not the compositional inverse of f")
-        steps = _relation_steps(df, *a.f_inverse)
-        if steps is not None:
-            _fill_from_relation(rows, a.g.nums, series._mul_lists(a.g.nums, f, N), *steps)
-            return CoeffMatrix._of(rows, a.g.den)
+        _fill_from_relation(rows, a.g.nums, series._mul_lists(a.g.nums, f, N), s)
+        return CoeffMatrix._of(rows, a.g.den)
+    f, df = series._trim(a.f.nums), a.f.den
     col = a.g.nums[:N]
     for k in range(N):
         scale = df ** (N - 1 - k)
@@ -131,52 +137,25 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     return CoeffMatrix._of(rows, a.g.den * df ** max(N - 1, 0))
 
 
-def _relation_holds(f, df, p, q, n) -> bool:
-    """Whether sum_i (p_i - x q_i) (f/df)^i = 0 mod x^n, by Horner over int
-    after scaling by df^d, d the degree of the relation."""
-    if n == 0:
-        return True
-    d = max(len(p), len(q)) - 1
-    acc = [0] * n
-    for i in range(d, -1, -1):
-        if i < d:
-            acc = series._mul_lists(acc, f, n)
-        scale = df ** (d - i)
-        if i < len(p):
-            acc[0] += p[i] * scale
-        if i < len(q) and n > 1:
-            acc[1] -= q[i] * scale
-    return not any(acc)
+def _relation_holds(f, s, n) -> bool:
+    """Whether f - f^2 = x (1 + s f) mod x^n, for the int coefficients f of
+    a series with f(0) = 0."""
+    ff = series._mul_lists(f, f, n)
+    return not any(f[i] - ff[i] - (i == 1) - s * f[i - 1] for i in range(1, n))
 
 
-def _relation_steps(df, p, q):
-    """(alpha, b1, b0) with C_(k+2) = alpha C_(k+1) + x (b1 C_(k+1) + b0 C_k),
-    when a relation that holds allows the relation route; else None.  The
-    constant term p0 is 0 once the relation holds, since f(0) = 0."""
-    if df != 1 or len(p) != 3 or len(q) > 2 or p[2] not in (1, -1):
-        return None
-    if not series._all_int(p, q):
-        return None
-    q0, q1 = (*q, 0, 0)[:2]
-    return -p[2] * p[1], p[2] * q1, p[2] * q0
-
-
-def _fill_from_relation(rows, g, c1, alpha, b1, b0):
+def _fill_from_relation(rows, g, c1, s):
     """Write C_0 = g and C_1 = c1 into rows, then every later entry from
-    rows[n][k] = alpha rows[n][k-1] + b1 rows[n-1][k-1] + b0 rows[n-1][k-2]:
-    the terms from row n-1 in one pass, the chain along row n by accumulate."""
-    step = None if alpha == 1 else (lambda s, t: alpha * s + t)
+    rows[n][k] = rows[n][k-1] - (s rows[n-1][k-1] + rows[n-1][k-2]): the
+    terms from row n-1 in one pass, the chain along row n by accumulate."""
     prev = None
     for n, row in enumerate(rows):
         row[0] = g[n]
         if n:
             row[1] = c1[n]
         if n > 1:
-            if b1:
-                above = [b1 * u + b0 * v for u, v in zip(prev[1:n], prev[: n - 1])]
-            else:
-                above = [b0 * v for v in prev[: n - 1]]
-            row[2 : n + 1] = islice(accumulate(above, step, initial=row[1]), 1, None)
+            above = prev if s == 0 else [s * u + v for u, v in zip(prev[1:n], prev)]
+            row[2 : n + 1] = islice(accumulate(above, operator.sub, initial=row[1]), 1, n)
         prev = row
 
 
@@ -227,28 +206,25 @@ def gf_right_transform(m: BivariateRational, a: RiordanPair) -> BivariateRationa
 
     On generating functions, for a = (p, q): m(x, y) goes to p(y) * m(x, q(y)).
     Requires rational forms for p and q.  Substituting y -> q(y) into P/Q is
-    done by clearing q's denominator to the larger of the two y-degrees.
+    done by clearing q's denominator to the larger of the two y-degrees d:
+    each monomial c x^i y^j goes to c x^i pq^j qq^(d-j).
     """
     if a.g_rational is None or a.f_rational is None:
         raise ValueError("gf_right_transform needs a pair with rational g and f")
     pp, qp = (from_univariate(c, "y") for c in a.g_rational)
     pq, qq = (from_univariate(c, "y") for c in a.f_rational)
     d = max(m.num.dy, m.den.dy)
+    pq_pow, qq_pow = [ONE], [ONE]
+    for _ in range(d):
+        pq_pow.append(pq_pow[-1] * pq)
+        qq_pow.append(qq_pow[-1] * qq)
+    # y^j -> pq^j qq^(d-j)
+    y_pow = [p * q for p, q in zip(pq_pow, reversed(qq_pow))]
 
     def substitute(poly: BivarPoly) -> BivarPoly:
-        # rows of poly by y-degree: sum_j P_j(x) y^j -> sum_j P_j(x) pq^j qq^(d-j)
         out = BivarPoly()
-        by_deg: dict[int, BivarPoly] = {}
         for (i, j), c in poly.coeffs.items():
-            by_deg.setdefault(j, BivarPoly())
-            by_deg[j] = by_deg[j] + BivarPoly({(i, 0): c})
-        pq_pow = {0: BivarPoly({(0, 0): 1})}
-        qq_pow = {0: BivarPoly({(0, 0): 1})}
-        for t in range(1, d + 1):
-            pq_pow[t] = pq_pow[t - 1] * pq
-            qq_pow[t] = qq_pow[t - 1] * qq
-        for j, pj in by_deg.items():
-            out = out + pj * pq_pow[j] * qq_pow[d - j]
+            out = out + BivarPoly({(i, 0): c}) * y_pow[j]
         return out
 
     return BivariateRational(pp * substitute(m.num), qp * substitute(m.den))

@@ -148,6 +148,13 @@ def cmd_minors(args):
     return EXIT_PASS
 
 
+def _suite_summary(suite, counts):
+    return (
+        f"suite {suite}: {counts['pass']} passed, {counts['fail']} failed, "
+        f"{counts['reported']} reported"
+    )
+
+
 def cmd_verify(args):
     if args.suite == "all":
         results = verify.run_all(seed=args.seed)
@@ -155,18 +162,10 @@ def cmd_verify(args):
         results = [verify.run_suite(args.suite, seed=args.seed)]
     exit_status = max(r.exit_status for r in results)
     if args.json:
-        report = {
-            "suites": [r.as_dict() for r in results],
-            "exit_status": exit_status,
-        }
-        print(json.dumps(report, indent=2))
-        for r in results:
-            counts = r.as_dict()["counts"]
-            print(
-                f"suite {r.suite}: {counts['pass']} passed, {counts['fail']} failed, "
-                f"{counts['reported']} reported",
-                file=sys.stderr,
-            )
+        suites = [r.as_dict() for r in results]
+        print(json.dumps({"suites": suites, "exit_status": exit_status}, indent=2))
+        for d in suites:
+            print(_suite_summary(d["suite"], d["counts"]), file=sys.stderr)
     else:
         for r in results:
             for c in r.checks:
@@ -176,11 +175,7 @@ def cmd_verify(args):
                 elif c.status == "reported":
                     line += f"  outcome={c.actual}"
                 print(line)
-            counts = r.as_dict()["counts"]
-            print(
-                f"suite {r.suite}: {counts['pass']} passed, {counts['fail']} failed, "
-                f"{counts['reported']} reported"
-            )
+            print(_suite_summary(r.suite, r.counts()))
     return EXIT_FAIL if exit_status else EXIT_PASS
 
 
@@ -192,10 +187,9 @@ def _check_values(name, length):
         return [families.robbins(n) for n in range(length)]
     if name == "vertex20":
         return families.reference_B20()
-    if name in ("catalan", "A361654"):
-        M = _build_matrix(name, None, 12)
-        return [M[n][k] for n in range(12) for k in range(n + 1)]
-    raise UsageError(f"unknown check target {name!r}")
+    # catalan or A361654 (argparse rejects other names): the first 12 rows
+    M = _build_matrix(name, None, 12)
+    return [M[n][k] for n in range(12) for k in range(n + 1)]
 
 
 def cmd_oeis(args):

@@ -13,7 +13,7 @@ from functools import cache
 from math import comb, factorial
 
 from . import series
-from .array import RiordanPair, inverse
+from .array import RiordanPair
 from .bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
 from .minors import principal_minors
 from .series import Series
@@ -145,14 +145,17 @@ def twenty_vertex_matrix(N: int) -> CoeffMatrix:
 
 def make_A361654_embed(order: int) -> RiordanPair:
     """Inverse of (((1-x)^3 - x^3)/(1-x), x(1-x)), the triangle the r=1
-    array embeds into (OEIS A361654).
+    array embeds into (OEIS A361654), from one Catalan root.
 
-    Its f is x c(x), the inverse of x(1-x), which the pair declares as
-    f_inverse, so ``array.matrix`` fills its columns from
+    The inverse is (1/h(u), u) with h = (1-3x+3x^2-2x^3)/(1-x) and
+    u = x c(x) = (1 - sqrt(1-4x))/2.  Since 1-3u+3u^2-2u^3 = (1-x)(1-2u)
+    and 1-2u = sqrt(1-4x), g = (1-u)/((1-x) sqrt(1-4x)).  The pair declares
+    f_inverse = x(1-x), so ``array.matrix`` fills its columns from
     C_(k+2) = C_(k+1) - x C_k."""
-    g = series.rational([1, -3, 3, -2], [1, -1], order)
-    inv = inverse(RiordanPair(g, series.poly([0, 1, -1], order)))
-    return RiordanPair(inv.g, inv.f, f_inverse=CATALAN_F_INVERSE)
+    root = series.sqrt(series.poly([1, -4], order))
+    xc = (1 - root) / 2
+    g = (1 - xc) / (series.poly([1, -1], order) * root)
+    return RiordanPair(g, xc, f_inverse=CATALAN_F_INVERSE)
 
 
 def robbins(n: int) -> int:

@@ -118,14 +118,17 @@ class SuiteResult:
     def exit_status(self):
         return 1 if self.failed else 0
 
-    def as_dict(self):
+    def counts(self):
         counts = {"pass": 0, "fail": 0, "reported": 0}
         for c in self.checks:
             counts[c.status] += 1
+        return counts
+
+    def as_dict(self):
         return {
             "suite": self.suite,
             "checks": [c.as_dict() for c in self.checks],
-            "counts": counts,
+            "counts": self.counts(),
             "exit_status": self.exit_status,
         }
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from riordan import series
+from riordan import cli, series
 from riordan.array import RiordanPair, inverse, matrix, product
 from riordan.bivar import expand
 from riordan.families import (
@@ -168,6 +168,22 @@ def test_make_A361654_embed():
     for n in range(1, 8):
         for k in range(1, n + 1):
             assert M[n][k] == R1[n - 1][k - 1]
+
+
+@pytest.mark.parametrize("n", [*range(2, 61), 200])
+def test_make_A361654_embed_inverts_its_preimage(n):
+    pre = RiordanPair(series.rational([1, -3, 3, -2], [1, -1], n), series.poly([0, 1, -1], n))
+    assert make_A361654_embed(n) == inverse(pre)
+
+
+def test_no_family_is_built_by_reversion(monkeypatch):
+    calls = []
+    revert = series.revert
+    monkeypatch.setattr(series, "revert", lambda f: calls.append(f) or revert(f))
+    for name, family in cli.FAMILIES.items():
+        cli._build_matrix(name, 1 if family.takes_r else None, 40)
+    tilde_inverse_closed(1, 40)
+    assert calls == []
 
 
 def test_robbins():

@@ -17,7 +17,7 @@ from riordan.array import (
     product,
 )
 from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand, gf_identity_check
-from riordan.families import catalan_pair, make_example1, make_R, pascal_pair
+from riordan.families import catalan_pair, make_example1, make_R, make_tilde_R, pascal_pair
 from riordan.series import InsufficientOrder
 from riordan.symmetry import closed_form_entry
 
@@ -210,6 +210,14 @@ def test_gf_right_transform_example():
     assert expand(out, 8) == expand(m, 8) * matrix(mult, 8).transpose()
 
 
+@pytest.mark.parametrize("build", [pascal_pair, make_example1])
+def test_gf_right_transform_clears_the_denominator_of_f(build):
+    # f = x/(1 -+ x): y -> q(y) multiplies y^j by pq^j qq^(d-j)
+    m = BivariateRational(ONE, ONE - X - Y) - BivariateRational(Y, ONE - X * Y)
+    a = build(12)
+    assert expand(gf_right_transform(m, a), 8) == expand(m, 8) * matrix(a, 8).transpose()
+
+
 def test_gf_right_transform_identity_multiplier():
     m = BivariateRational(ONE, ONE - X - Y)
     out = gf_right_transform(m, identity_pair(8))
@@ -353,38 +361,44 @@ def test_false_f_inverse_raises_from_matrix():
     wrong = RiordanPair(a.g, a.f, f_inverse=((0, 1, -1), (1, 1)))
     with pytest.raises(ValueError):
         matrix(wrong, 12)
-    # a wrong constant term shows at order 1
-    with pytest.raises(ValueError):
-        matrix(RiordanPair(a.g, a.f, f_inverse=((1, 1, -1), (1,))), 1)
     assert matrix(RiordanPair(a.g, a.f, f_inverse=((0, 1, -1), (1,))), 12) == matrix(a, 12)
 
 
-def test_f_inverse_of_other_shapes_is_checked_and_takes_the_product_route():
-    # pascal: fbar = x/(1+x) is linear in f with top coefficient 1 - x
-    a = pascal_pair(10)
-    declared = RiordanPair(a.g, a.f, f_inverse=((0, 1), (1, 1)))
-    assert matrix(declared, 10) == matrix(a, 10)
+def test_f_inverse_is_checked_to_the_order_built():
+    # f + x^20 satisfies f - f^2 = x mod x^20 and not mod x^21
+    a = make_R(1, 30)
+    bent = RiordanPair(a.g, a.f + series.poly([0] * 20 + [1], 30), f_inverse=a.f_inverse)
+    assert matrix(bent, 20) == matrix(a, 20)
     with pytest.raises(ValueError):
-        matrix(RiordanPair(a.g, a.f, f_inverse=((0, 1), (1, -1))), 10)
-    # a rational f: fbar = 2x - 4x^2 for f = x c(x) / 2, checked after scaling
-    f = catalan_pair(12).f / 2
-    half = RiordanPair(series.poly([1], 12), f, f_inverse=((0, 2, -4), (1,)))
-    assert matrix(half, 12) == matrix(RiordanPair(half.g, f), 12)
-    with pytest.raises(ValueError):
-        matrix(RiordanPair(half.g, f, f_inverse=((0, 2, 2), (1,))), 12)
+        matrix(bent, 21)
+
+
+_R1 = make_R(1, 12)
+
+# Declarations of any shape but fbar = x(1-x)/(1+sx) with an int s, for an
+# integral f, whether or not fbar inverts f.
+OTHER_SHAPES = {
+    # pascal: fbar = x/(1+x) is linear in f
+    "pascal-linear": (pascal_pair(12), ((0, 1), (1, 1))),
+    "nonzero-p0": (_R1, ((1, 1, -1), (1,))),
+    # f = -x c(x) has fbar = -x - x^2, so C_(k+2) = -C_(k+1) - x C_k
+    "alpha-minus-one": (RiordanPair(_R1.g, -_R1.f), ((0, -1, -1), (1,))),
+    # tilde-R_1's fbar, with s = 1 as a Fraction
+    "non-int-s": (make_tilde_R(1, 12), ((0, 1, -1), (1, F(1)))),
+    "quadratic-q": (_R1, ((0, 1, -1), (1, 0, 1))),
+    # the accepted p and q, but f = x c(x) / 2 is not integral
+    "rational-f": (RiordanPair(_R1.g, _R1.f / 2), ((0, 1, -1), (1,))),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_SHAPES)
+def test_f_inverse_of_any_other_shape_is_rejected_at_construction(case):
+    a, f_inverse = OTHER_SHAPES[case]
+    with pytest.raises(ValueError, match="f_inverse"):
+        RiordanPair(a.g, a.f, f_inverse=f_inverse)
 
 
 def test_group_operations_drop_the_declaration():
     a = make_R(2, 10)
     assert inverse(a).f_inverse is None
     assert product(a, a).f_inverse is None
-
-
-def test_relation_route_with_negative_linear_coefficient():
-    # f = -x c(x) has fbar = -x - x^2, so C_(k+2) = -C_(k+1) - x C_k
-    g = series.rational([1, 2], [1, -3], 30)
-    f = -catalan_pair(30).f
-    a = RiordanPair(g, f, f_inverse=((0, -1, -1), (1,)))
-    M = matrix(a, 30)
-    assert M == matrix(RiordanPair(g, f), 30)
-    assert M.rows == _fraction_triangle(a, 30)
