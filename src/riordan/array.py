@@ -23,20 +23,11 @@ class RiordanPair:
     as (numerator, denominator) coefficient lists; they are only used to
     produce exact bivariate generating functions and are checked against the
     stored series on construction.
-
-    ``f_inverse = (p, q)`` optionally declares the compositional inverse of
-    f as the rational function fbar = p/q.  One shape is accepted, the one
-    every algebraic family under study has: fbar = x(1-x)/(1+sx), given as
-    p = (0, 1, -1) and q = (1,) or (1, s) with an int s, for an integral f.
-    The shape is checked here in O(1) (``ValueError`` otherwise); whether
-    fbar really inverts f is checked by :func:`matrix`, which fills the
-    triangle from it (see there).  Results of :func:`product` and
-    :func:`inverse` carry no declaration.
     """
 
-    __slots__ = ("g", "f", "order", "g_rational", "f_rational", "f_inverse")
+    __slots__ = ("g", "f", "order", "g_rational", "f_rational")
 
-    def __init__(self, g: Series, f: Series, g_rational=None, f_rational=None, f_inverse=None):
+    def __init__(self, g: Series, f: Series, g_rational=None, f_rational=None):
         order = min(g.order, f.order)
         if order < 2:
             raise InsufficientOrder("a Riordan pair needs order >= 2")
@@ -56,17 +47,8 @@ class RiordanPair:
                 p, q = rat
                 if series.rational(p, q, order) != s:
                     raise ValueError("declared rational form disagrees with the series")
-        if f_inverse is not None:
-            p, q = f_inverse
-            shape = tuple(p) == (0, 1, -1) and len(q) in (1, 2) and q[0] == 1
-            if not (shape and type(q[-1]) is int and f.den == 1):
-                raise ValueError(
-                    "f_inverse must be ((0, 1, -1), (1,)) or ((0, 1, -1), (1, s)) "
-                    "with an int s, for an integral f"
-                )
         self.g_rational = g_rational
         self.f_rational = f_rational
-        self.f_inverse = f_inverse
 
     def __repr__(self):
         return f"RiordanPair(g={self.g!r}, f={self.f!r})"
@@ -102,15 +84,18 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     """N x N truncation of the matrix with entries [x^n] g * f^k.
 
     Needs order N.  Column k is C_k = g * f^k; it starts at x^k (f(0) = 0),
-    so only its rows n >= k are written.  There are two routes.
+    so only its rows n >= k are written.  The route is read from f.
 
-    * Relation route, for a pair that declares ``f_inverse``, i.e.
-      fbar = x(1-x)/(1+sx): R_r, the Catalan triangle and A361654 have
-      s = 0, the tilde family s = r.  Then f - f^2 = x(1 + s f), which is
-      checked to order N with one product f * f (``ValueError`` if it is
-      false).  Times g f^k it gives C_(k+2) = C_(k+1) - x (s C_(k+1) + C_k),
-      so after C_0 = g and C_1 = g * f each entry is a few int steps from
-      the entries to its left and above: O(N^2) in all.
+    * Relation route, for an integral f with f - f^2 = x(1 + s f) mod x^N,
+      i.e. fbar = x(1-x)/(1+sx): R_r, the Catalan triangle and A361654 have
+      s = 0, the tilde family s = r.  Its x and x^2 terms give f_1 = 1 and
+      s = f_2 - 1; the higher terms are checked in turn, stopping at the
+      first that fails.  Times g f^k it gives
+      C_(k+2) = C_(k+1) - x (s C_(k+1) + C_k), so after C_0 = g and
+      C_1 = g * f each entry is a few int steps from the entries to its left
+      and above: O(N^2) in all.  Only the first N coefficients are read, so
+      at small N a pair such as (g, x - x^2) may take this route; the
+      entries are the same on either route.
     * Product route, for every other pair: one series product per column,
       O(N^3).  With g = G / dg and f = F / df over the integers, column k is
       G * F^k / (dg * df^k), written as G * F^k * df^(N-1-k) over the one
@@ -119,14 +104,11 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
     rows = [[0] * N for _ in range(N)]
-    if a.f_inverse is not None:
-        f, q = a.f.nums, a.f_inverse[1]
-        s = q[1] if len(q) == 2 else 0
-        if not _relation_holds(f, s, N):
-            raise ValueError("declared f_inverse is not the compositional inverse of f")
-        _fill_from_relation(rows, a.g.nums, series._mul_lists(a.g.nums, f, N), s)
+    f, df = a.f.nums, a.f.den
+    if df == 1 and N > 2 and _relation_holds(f, N):
+        _fill_from_relation(rows, a.g.nums, series._mul_lists(a.g.nums, f, N), f[2] - 1)
         return CoeffMatrix._of(rows, a.g.den)
-    f, df = series._trim(a.f.nums), a.f.den
+    f = series._trim(f)
     col = a.g.nums[:N]
     for k in range(N):
         scale = df ** (N - 1 - k)
@@ -137,11 +119,15 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     return CoeffMatrix._of(rows, a.g.den * df ** max(N - 1, 0))
 
 
-def _relation_holds(f, s, n) -> bool:
-    """Whether f - f^2 = x (1 + s f) mod x^n, for the int coefficients f of
-    a series with f(0) = 0."""
-    ff = series._mul_lists(f, f, n)
-    return not any(f[i] - ff[i] - (i == 1) - s * f[i - 1] for i in range(1, n))
+def _relation_holds(f, n) -> bool:
+    """Whether f - f^2 = x (1 + s f) mod x^n with s = f[2] - 1, for the int
+    coefficients f of a series with f(0) = 0 (the x^2 term holds by the
+    choice of s); stops at the first coefficient that fails."""
+    s = f[2] - 1
+    return f[1] == 1 and not any(
+        f[i] - s * f[i - 1] - sum(map(operator.mul, f[1:i], f[i - 1 : 0 : -1]))
+        for i in range(3, n)
+    )
 
 
 def _fill_from_relation(rows, g, c1, s):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import namedtuple
 
@@ -53,10 +54,10 @@ def _parse_family(spec):
     if colon:
         if family is None or not family.takes_r:
             raise UsageError(f"family {name!r} does not take a parameter")
-        try:
-            return name, int(arg)
-        except ValueError:
-            raise UsageError(f"bad family parameter {arg!r}") from None
+        # ASCII digits only: int() would also take "1_0", " 2" and other scripts' digits
+        if not re.fullmatch(r"[-+]?[0-9]+", arg):
+            raise UsageError(f"bad family parameter {arg!r}")
+        return name, int(arg)
     if family is None or family.takes_r:
         raise UsageError(f"unknown family spec {spec!r}")
     return name, None

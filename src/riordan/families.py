@@ -24,10 +24,6 @@ class TooLarge(ValueError):
     """Brute force enumeration guard."""
 
 
-# x(1-x), as (numerator, denominator): the compositional inverse of x c(x).
-CATALAN_F_INVERSE = ((0, 1, -1), (1,))
-
-
 def catalan_shift(order: int) -> Series:
     """x times the Catalan generating function, (1 - sqrt(1 - 4x)) / 2; fixed
     point of reversion tests.  The root is taken one order up, since sqrt
@@ -45,10 +41,10 @@ def catalan_gf(order: int) -> Series:
 def catalan_pair(order: int) -> RiordanPair:
     """The Catalan matrix pair (c(x), x c(x)), from one square root.
 
-    Declares f_inverse = x(1-x), so ``array.matrix`` fills its columns from
+    f = x c(x) inverts x(1-x), so ``array.matrix`` fills its columns from
     C_(k+2) = C_(k+1) - x C_k."""
     xc = (1 - series.sqrt(series.poly([1, -4], order + 1))) / 2
-    return RiordanPair(Series(xc.coeffs[1:], order), xc, f_inverse=CATALAN_F_INVERSE)
+    return RiordanPair(Series(xc.coeffs[1:], order), xc)
 
 
 def pascal_pair(order: int) -> RiordanPair:
@@ -65,11 +61,11 @@ def make_R(r: int, order: int) -> RiordanPair:
     """The one-parameter family (1/((1-rx) sqrt(1-4x)), x c(x)), with
     x c(x) = (1 - sqrt(1-4x)) / 2 built from the same root as g.
 
-    Declares f_inverse = x(1-x) (the inverse closed form below), so
-    ``array.matrix`` fills its columns from C_(k+2) = C_(k+1) - x C_k."""
+    f inverts x(1-x) (the inverse closed form below), so ``array.matrix``
+    fills its columns from C_(k+2) = C_(k+1) - x C_k."""
     root = series.sqrt(series.poly([1, -4], order))
     g = 1 / (series.poly([1, -r], order) * root)
-    return RiordanPair(g, (1 - root) / 2, f_inverse=CATALAN_F_INVERSE)
+    return RiordanPair(g, (1 - root) / 2)
 
 
 def make_R_inverse_closed(r: int, order: int) -> RiordanPair:
@@ -87,12 +83,12 @@ def make_tilde_R(r: int, order: int) -> RiordanPair:
     """The companion family with g = 1/((1-x) sqrt(1-2(r+2)x+r^2 x^2))
     and f = (1 - rx - sqrt(1-2(r+2)x+r^2 x^2)) / 2.
 
-    Declares f_inverse = x(1-x)/(1+rx) (the inverse closed form below), so
+    f inverts x(1-x)/(1+rx) (the inverse closed form below), so
     ``array.matrix`` fills its columns from C_(k+2) = (1-rx) C_(k+1) - x C_k."""
     root = series.sqrt(series.poly([1, -2 * (r + 2), r * r], order))
     g = 1 / (series.poly([1, -1], order) * root)
     f = (series.poly([1, -r], order) - root) / 2
-    return RiordanPair(g, f, f_inverse=((0, 1, -1), (1, r)))
+    return RiordanPair(g, f)
 
 
 def tilde_inverse_closed(r: int, order: int) -> RiordanPair:
@@ -149,13 +145,12 @@ def make_A361654_embed(order: int) -> RiordanPair:
 
     The inverse is (1/h(u), u) with h = (1-3x+3x^2-2x^3)/(1-x) and
     u = x c(x) = (1 - sqrt(1-4x))/2.  Since 1-3u+3u^2-2u^3 = (1-x)(1-2u)
-    and 1-2u = sqrt(1-4x), g = (1-u)/((1-x) sqrt(1-4x)).  The pair declares
-    f_inverse = x(1-x), so ``array.matrix`` fills its columns from
-    C_(k+2) = C_(k+1) - x C_k."""
+    and 1-2u = sqrt(1-4x), g = (1-u)/((1-x) sqrt(1-4x)).  Since u inverts
+    x(1-x), ``array.matrix`` fills its columns from C_(k+2) = C_(k+1) - x C_k."""
     root = series.sqrt(series.poly([1, -4], order))
     xc = (1 - root) / 2
     g = (1 - xc) / (series.poly([1, -1], order) * root)
-    return RiordanPair(g, xc, f_inverse=CATALAN_F_INVERSE)
+    return RiordanPair(g, xc)
 
 
 def robbins(n: int) -> int:

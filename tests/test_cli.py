@@ -103,6 +103,10 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _ = run(capsys, "matrix", "R:1", "8", "--order", "4")
     assert rc == 2
+    # int() takes each of these; the parameter is ASCII digits with an optional sign
+    for spec in ("R:1_0", "R: 2", "R:\u0663", "R:2 ", "R:"):
+        assert main(["matrix", spec, "4"]) == 2
+        assert "bad family parameter" in capsys.readouterr().err
 
 
 def test_output_determinism(capsys):
@@ -314,12 +318,18 @@ OUTPUT_SHA256 = {
     "matrix vertex20 8 --format json": "3561a862b48c38ecdd065f23bc1b6b045c0d9cae72ad78b0b3c7da6783ef2914",
     "symmetrize example1 8": "26a23c936600d6ee46ba619c4d0bebb2660d9ac1c3cbc2d45d3bed4932d03a5f",
     "minors R:1 --symmetrize 120": "00e6d4378990849480f0d46c73a94a7c994a99e2a04a258bcf509608836fc8c8",
-    # triangles built from the declared relation fbar(f) = x, pinned from the product route
+    # triangles whose f satisfies fbar(f) = x for fbar = x(1-x)/(1+sx), filled
+    # from that relation and pinned from the product route
     "matrix R:3 40 --format csv": "0dca086aa3b2d8d406e9b05b32fbaf35813a1d282df0940ce9fcaec404a5f562",
     "symmetrize tildeR:2 30 --format csv": "3bc552c2a0734644ca43d4ca2107c137649d3ac2afc7c897666b1eaf4fc5dbb6",
     "matrix catalan 30": "fc39c539ce7e5358805bef37eb7a42f310b6684777016fdf1a3e16fc8d8fedb3",
     "matrix A361654 20": "af9a2e61f2f496fb9f4e0288b79a55a868d5d5a7cff6d048079c67757276f7d6",
     "minors tildeR:1 --symmetrize 60": "5b791f48654df8e2a67e549ae7b6144b0be7ac04ad8dbf1f3482257ec769b234",
+    # f = x - x^2 meets the relation only mod x^4: relation route at N = 4,
+    # product route above; pascal's f never meets it past x^3; s = -3 < 0
+    "matrix Rinv:2 4": "fdbb635963540607213bb0fa113eccc5ddede9952307786c70221dcc14e3b0ee",
+    "matrix pascal 40 --format csv": "94abb5bffb8be03b1a74f88ce2c0a099b6f31d96d1df5cc1c8f3cd55270fdcf5",
+    "matrix tildeR:-3 60": "8193da60f3e63ce6f8c4779962e279befff8fcedf2fe6c1e205d063119af80d6",
 }
 
 

@@ -17,7 +17,13 @@ from riordan.array import (
     product,
 )
 from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand, gf_identity_check
-from riordan.families import catalan_pair, make_example1, make_R, make_tilde_R, pascal_pair
+from riordan.families import (
+    catalan_pair,
+    make_example1,
+    make_R,
+    make_R_inverse_closed,
+    pascal_pair,
+)
 from riordan.series import InsufficientOrder
 from riordan.symmetry import closed_form_entry
 
@@ -340,65 +346,94 @@ RELATION_SPECS = [
 ]
 
 
+def _column_product(a, N):
+    """Reference triangle: column k is g * f^k by Series products."""
+    g, f = a.g.truncate(N), a.f.truncate(N)
+    cols = [g]
+    for _ in range(1, N):
+        cols.append(cols[-1] * f)
+    return [[cols[k].coeffs[n] for k in range(N)] for n in range(N)]
+
+
+def _built(a, N):
+    """matrix(a, N) and the number of series._mul_lists calls it made: one
+    on the relation route (C_1 = g * f), N - 1 on the product route."""
+    calls = 0
+    kernel = series._mul_lists
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_mul_lists", counted)
+        M = matrix(a, N)
+    return M, calls
+
+
 @pytest.mark.parametrize("spec", RELATION_SPECS)
 def test_relation_route_matches_product_route_and_fraction_reference(spec):
-    # the same pair without its declaration takes the product route
+    # f inverts x(1-x)/(1+sx), so every N > 2 takes the relation route
     a = cli._build_pair(*cli._parse_family(spec), 200)
-    assert a.f_inverse is not None
-    undeclared = RiordanPair(a.g, a.f)
-    assert matrix(a, 200) == matrix(undeclared, 200)
+    M, calls = _built(a, 200)
+    assert calls == 1
+    assert M.rows == _column_product(a, 200)
     ref = _fraction_triangle(a, 40)
     for N in range(41):
-        M = matrix(a, N)
+        M, calls = _built(a, N)
+        # N = 2 takes the product route, which is one product too
+        assert calls == (1 if N > 1 else 0)
         assert all(type(c) is int for row in M.rows for c in row)
-        assert M == matrix(undeclared, N)
         assert M.rows == [row[:N] for row in ref[:N]]
 
 
-def test_false_f_inverse_raises_from_matrix():
-    a = make_R(1, 12)
-    # x(1-x)/(1+x) is the inverse of tilde-R_1's f, not of x c(x)
-    wrong = RiordanPair(a.g, a.f, f_inverse=((0, 1, -1), (1, 1)))
-    with pytest.raises(ValueError):
-        matrix(wrong, 12)
-    assert matrix(RiordanPair(a.g, a.f, f_inverse=((0, 1, -1), (1,))), 12) == matrix(a, 12)
-
-
-def test_f_inverse_is_checked_to_the_order_built():
+def test_relation_is_checked_to_the_order_built():
     # f + x^20 satisfies f - f^2 = x mod x^20 and not mod x^21
     a = make_R(1, 30)
-    bent = RiordanPair(a.g, a.f + series.poly([0] * 20 + [1], 30), f_inverse=a.f_inverse)
+    bent = RiordanPair(a.g, a.f + series.poly([0] * 20 + [1], 30))
+    for N, expected in ((20, 1), (21, 20)):
+        M, calls = _built(bent, N)
+        assert calls == expected
+        assert M.rows == _column_product(bent, N)
     assert matrix(bent, 20) == matrix(a, 20)
-    with pytest.raises(ValueError):
-        matrix(bent, 21)
 
 
-_R1 = make_R(1, 12)
+_R1 = make_R(1, 40)
 
-# Declarations of any shape but fbar = x(1-x)/(1+sx) with an int s, for an
-# integral f, whether or not fbar inverts f.
-OTHER_SHAPES = {
-    # pascal: fbar = x/(1+x) is linear in f
-    "pascal-linear": (pascal_pair(12), ((0, 1), (1, 1))),
-    "nonzero-p0": (_R1, ((1, 1, -1), (1,))),
-    # f = -x c(x) has fbar = -x - x^2, so C_(k+2) = -C_(k+1) - x C_k
-    "alpha-minus-one": (RiordanPair(_R1.g, -_R1.f), ((0, -1, -1), (1,))),
-    # tilde-R_1's fbar, with s = 1 as a Fraction
-    "non-int-s": (make_tilde_R(1, 12), ((0, 1, -1), (1, F(1)))),
-    "quadratic-q": (_R1, ((0, 1, -1), (1, 0, 1))),
-    # the accepted p and q, but f = x c(x) / 2 is not integral
-    "rational-f": (RiordanPair(_R1.g, _R1.f / 2), ((0, 1, -1), (1,))),
+# Pairs off the relation, each with the least N > 2 at which it takes the
+# product route.  Every integral f with f_1 = 1 satisfies the relation mod
+# x^3, so pascal and example1 take the relation route at N = 3.
+PRODUCT_ROUTE = {
+    "pascal": (pascal_pair(40), 4),
+    "example1": (make_example1(40), 4),
+    # f = x - x^2: s = -2, and f - f^2 - x(1 - 2f) = -x^4
+    "Rinv:2": (make_R_inverse_closed(2, 40), 5),
+    # f = -x c(x) has f_1 = -1
+    "minus-xc": (RiordanPair(_R1.g, -_R1.f), 3),
+    # f = x c(x) / 2 is not integral
+    "half-xc": (RiordanPair(_R1.g, _R1.f / 2), 3),
 }
 
 
-@pytest.mark.parametrize("case", OTHER_SHAPES)
-def test_f_inverse_of_any_other_shape_is_rejected_at_construction(case):
-    a, f_inverse = OTHER_SHAPES[case]
-    with pytest.raises(ValueError, match="f_inverse"):
-        RiordanPair(a.g, a.f, f_inverse=f_inverse)
+@pytest.mark.parametrize("case", PRODUCT_ROUTE)
+def test_other_pairs_take_the_product_route(case):
+    a, first = PRODUCT_ROUTE[case]
+    ref = _column_product(a, 40)
+    for N in (3, 4, 5, 6, 40):
+        M, calls = _built(a, N)
+        assert calls == (1 if N < first else N - 1)
+        assert M.rows == [row[:N] for row in ref[:N]]
 
 
-def test_group_operations_drop_the_declaration():
-    a = make_R(2, 10)
-    assert inverse(a).f_inverse is None
-    assert product(a, a).f_inverse is None
+def test_group_operations_take_the_relation_route():
+    # the factorization suite's product (c, x c) . (u, x) has f = x c(x),
+    # and so has the inverse of (g, x - x^2)
+    cat = catalan_pair(30)
+    for r in range(6):
+        right = RiordanPair(
+            series.rational([1, -1], [1, -r - 2, 3 * r, -2 * r], 30), series.poly([0, 1], 30)
+        )
+        R = matrix(make_R(r, 30), 30)
+        assert _built(product(cat, right), 30) == (R, 1)
+        assert _built(inverse(make_R_inverse_closed(r, 30)), 30) == (R, 1)
