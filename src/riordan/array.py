@@ -19,15 +19,15 @@ from .series import InsufficientOrder, Series
 class RiordanPair:
     """Element (g, f) of the Riordan group, stored as truncated series.
 
-    ``g_rational`` / ``f_rational`` optionally record closed rational forms
-    as (numerator, denominator) coefficient lists; they are only used to
-    produce exact bivariate generating functions and are checked against the
-    stored series on construction.
+    ``g_rational`` / ``f_rational`` hold the (numerator, denominator)
+    coefficient lists of a pair built by :func:`rational_pair`, and are None
+    on every other pair; only ``bivariate_gf`` and ``gf_right_transform``
+    read them.
     """
 
     __slots__ = ("g", "f", "order", "g_rational", "f_rational")
 
-    def __init__(self, g: Series, f: Series, g_rational=None, f_rational=None):
+    def __init__(self, g: Series, f: Series):
         order = min(g.order, f.order)
         if order < 2:
             raise InsufficientOrder("a Riordan pair needs order >= 2")
@@ -42,13 +42,7 @@ class RiordanPair:
         self.g = g
         self.f = f
         self.order = order
-        for rat, s in ((g_rational, g), (f_rational, f)):
-            if rat is not None:
-                p, q = rat
-                if series.rational(p, q, order) != s:
-                    raise ValueError("declared rational form disagrees with the series")
-        self.g_rational = g_rational
-        self.f_rational = f_rational
+        self.g_rational = self.f_rational = None
 
     def __repr__(self):
         return f"RiordanPair(g={self.g!r}, f={self.f!r})"
@@ -64,14 +58,19 @@ class RiordanPair:
         return self.g.coeffs[0] == 1 and self.f.coeffs[1] == 1
 
 
+def rational_pair(g_form, f_form, order: int) -> RiordanPair:
+    """The pair (p/q, u/v) from its forms g_form = (p, q) and f_form = (u, v),
+    each a (numerator, denominator) pair of coefficient lists, expanded to
+    order by ``series.rational``.  The pair keeps the forms for
+    ``bivariate_gf`` and ``gf_right_transform``."""
+    a = RiordanPair(series.rational(*g_form, order), series.rational(*f_form, order))
+    a.g_rational, a.f_rational = g_form, f_form
+    return a
+
+
 def identity_pair(order: int) -> RiordanPair:
     """The group identity (1, x)."""
-    return RiordanPair(
-        series.poly([1], order),
-        series.poly([0, 1], order),
-        g_rational=([1], [1]),
-        f_rational=([0, 1], [1]),
-    )
+    return rational_pair(([1], [1]), ([0, 1], [1]), order)
 
 
 def require_unipotent(a: RiordanPair) -> None:
@@ -167,11 +166,11 @@ def apply(a: RiordanPair, h: Series) -> Series:
 def bivariate_gf(a: RiordanPair) -> BivariateRational:
     """Bivariate generating function g(x) / (1 - y f(x)).
 
-    Requires rational forms for g and f; the expansion of the result equals
-    the matrix of the pair.
+    Requires a pair built by :func:`rational_pair`; the expansion of the
+    result equals the matrix of the pair.
     """
     if a.g_rational is None or a.f_rational is None:
-        raise ValueError("bivariate_gf needs a pair with rational g and f")
+        raise ValueError("bivariate_gf needs a pair built by rational_pair")
     pg, qg = a.g_rational
     pf, qf = a.f_rational
     num = from_univariate(pg) * from_univariate(qf)
@@ -191,15 +190,15 @@ def gf_right_transform(m: BivariateRational, a: RiordanPair) -> BivariateRationa
     """Right-multiply the matrix of m by the transpose of the pair's matrix.
 
     On generating functions, for a = (p, q): m(x, y) goes to p(y) * m(x, q(y)).
-    Requires rational forms for p and q.  Substituting y -> q(y) into P/Q is
-    done by clearing q's denominator to the larger of the two y-degrees d:
-    each monomial c x^i y^j goes to c x^i pq^j qq^(d-j).
+    Requires a pair built by :func:`rational_pair`.  Substituting y -> q(y)
+    into P/Q is done by clearing q's denominator to the largest y-degree d
+    of P and Q: each monomial c x^i y^j goes to c x^i pq^j qq^(d-j).
     """
     if a.g_rational is None or a.f_rational is None:
-        raise ValueError("gf_right_transform needs a pair with rational g and f")
+        raise ValueError("gf_right_transform needs a pair built by rational_pair")
     pp, qp = (from_univariate(c, "y") for c in a.g_rational)
     pq, qq = (from_univariate(c, "y") for c in a.f_rational)
-    d = max(m.num.dy, m.den.dy)
+    d = max((j for poly in (m.num, m.den) for _, j in poly.coeffs), default=0)
     pq_pow, qq_pow = [ONE], [ONE]
     for _ in range(d):
         pq_pow.append(pq_pow[-1] * pq)

@@ -33,7 +33,7 @@ class BivarPoly:
     """Sparse bivariate polynomial with exact coefficients, each an int when
     integral and a Fraction otherwise."""
 
-    __slots__ = ("coeffs", "dx", "dy")
+    __slots__ = ("coeffs",)
 
     def __init__(self, table=None):
         coeffs = {}
@@ -43,8 +43,6 @@ class BivarPoly:
                 if c:
                     coeffs[(i, j)] = c
         self.coeffs = coeffs
-        self.dx = max((i for i, _ in coeffs), default=0)
-        self.dy = max((j for _, j in coeffs), default=0)
 
     def __repr__(self):
         if not self.coeffs:

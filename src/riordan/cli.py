@@ -1,13 +1,15 @@
 """Command line front end.
 
 Subcommands: matrix, symmetrize, minors, verify, oeis.  Exit codes:
-0 pass, 1 verification failure, 2 usage, 4 network, 5 parse.
+0 pass, 1 verification failure, 2 usage, 4 network, 5 parse, and 141
+(128 + SIGPIPE) from the console script when stdout closes early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -23,6 +25,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NETWORK = 4
 EXIT_PARSE = 5
+EXIT_BROKEN_PIPE = 141
 
 
 # Spec name -> Family.  A full-matrix constructor takes N, a pair constructor
@@ -275,7 +278,17 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    """Console script: exit with main's status, or quietly with 141 when the
+    reader of stdout has gone (``riordan matrix R:3 200 | head``)."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's signal docs: send the rest of stdout to devnull, so the
+        # flush at interpreter exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
 """Constructors for the specific arrays under study, plus reference oracles.
 
+Each family is built once from its defining forms: a rational pair from its
+(numerator, denominator) coefficient lists by ``array.rational_pair``, R_r
+and tilde-R_r from one quadratic shape with one square root
+(``_quadratic_pair``), the Catalan pairs from one Catalan root.
+
 Every constructor takes an explicit truncation order.  The matrix route to
 an N x N block (``array.matrix``, ``symmetry.symmetrize``, the minors) needs
 order N, and so does the generating function route ``symmetry.symmetrize_gf``.
@@ -13,7 +18,7 @@ from functools import cache
 from math import comb, factorial
 
 from . import series
-from .array import RiordanPair
+from .array import RiordanPair, rational_pair
 from .bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
 from .minors import principal_minors
 from .series import Series
@@ -49,65 +54,55 @@ def catalan_pair(order: int) -> RiordanPair:
 
 def pascal_pair(order: int) -> RiordanPair:
     """Pascal's triangle as the pair (1/(1-x), x/(1-x))."""
-    return RiordanPair(
-        series.rational([1], [1, -1], order),
-        series.rational([0, 1], [1, -1], order),
-        g_rational=([1], [1, -1]),
-        f_rational=([0, 1], [1, -1]),
-    )
+    return rational_pair(([1], [1, -1]), ([0, 1], [1, -1]), order)
+
+
+def _quadratic_pair(a: int, b: int, c: int, order: int) -> RiordanPair:
+    """The pair (1/((1-ax) sqrt(1-bx+cx^2)), (1 - (b/2-2)x - sqrt(1-bx+cx^2))/2)
+    for even b, with g and f built from one square root: the shape of both
+    make_R and make_tilde_R."""
+    root = series.sqrt(series.poly([1, -b, c], order))
+    g = 1 / (series.poly([1, -a], order) * root)
+    return RiordanPair(g, (series.poly([1, 2 - b // 2], order) - root) / 2)
 
 
 def make_R(r: int, order: int) -> RiordanPair:
     """The one-parameter family (1/((1-rx) sqrt(1-4x)), x c(x)), with
-    x c(x) = (1 - sqrt(1-4x)) / 2 built from the same root as g.
+    x c(x) = (1 - sqrt(1-4x)) / 2: the quadratic shape at (a, b, c) = (r, 4, 0).
 
     f inverts x(1-x) (the inverse closed form below), so ``array.matrix``
     fills its columns from C_(k+2) = C_(k+1) - x C_k."""
-    root = series.sqrt(series.poly([1, -4], order))
-    g = 1 / (series.poly([1, -r], order) * root)
-    return RiordanPair(g, (1 - root) / 2)
+    return _quadratic_pair(r, 4, 0, order)
 
 
 def make_R_inverse_closed(r: int, order: int) -> RiordanPair:
-    """Closed form of the inverse of make_R(r): ((1-2x)(1-rx+rx^2), x(1-x))."""
-    g = series.poly([1, -2], order) * series.poly([1, -r, r], order)
-    return RiordanPair(
-        g,
-        series.poly([0, 1, -1], order),
-        g_rational=([1, -r - 2, 3 * r, -2 * r], [1]),
-        f_rational=([0, 1, -1], [1]),
-    )
+    """Closed form of the inverse of make_R(r): ((1-2x)(1-rx+rx^2), x(1-x)),
+    a polynomial pair built from its forms."""
+    return rational_pair(([1, -r - 2, 3 * r, -2 * r], [1]), ([0, 1, -1], [1]), order)
 
 
 def make_tilde_R(r: int, order: int) -> RiordanPair:
     """The companion family with g = 1/((1-x) sqrt(1-2(r+2)x+r^2 x^2))
-    and f = (1 - rx - sqrt(1-2(r+2)x+r^2 x^2)) / 2.
+    and f = (1 - rx - sqrt(1-2(r+2)x+r^2 x^2)) / 2: the quadratic shape at
+    (a, b, c) = (1, 2(r+2), r^2).
 
     f inverts x(1-x)/(1+rx) (the inverse closed form below), so
     ``array.matrix`` fills its columns from C_(k+2) = (1-rx) C_(k+1) - x C_k."""
-    root = series.sqrt(series.poly([1, -2 * (r + 2), r * r], order))
-    g = 1 / (series.poly([1, -1], order) * root)
-    f = (series.poly([1, -r], order) - root) / 2
-    return RiordanPair(g, f)
+    return _quadratic_pair(1, 2 * (r + 2), r * r, order)
 
 
 def tilde_inverse_closed(r: int, order: int) -> RiordanPair:
-    """Inverse of make_tilde_R in closed form:
-    ((1-x+rx+x^2) * d/dx(x(1-x)/(1+rx)), x(1-x)/(1+rx))."""
-    inner = series.rational([0, 1, -1], [1, r], order + 1)
-    g = series.poly([1, r - 1, 1], order) * series.derivative(inner)
-    f = series.rational([0, 1, -1], [1, r], order)
-    return RiordanPair(g, f)
+    """Inverse of make_tilde_R in closed form, built from its rational forms:
+    f = x(1-x)/(1+rx) and g = (1-x+rx+x^2) f' with
+    f' = (1-2x-rx^2)/(1+rx)^2, so
+    g = (1 + (r-3)x + (3-3r)x^2 - (r^2-r+2)x^3 - rx^4)/(1+rx)^2."""
+    g_num = [1, r - 3, 3 - 3 * r, -(r * r - r + 2), -r]
+    return rational_pair((g_num, [1, 2 * r, r * r]), ([0, 1, -1], [1, r]), order)
 
 
 def make_example1(order: int) -> RiordanPair:
     """The first worked array: (1/(1+x+x^2), x/(1+x))."""
-    return RiordanPair(
-        series.rational([1], [1, 1, 1], order),
-        series.rational([0, 1], [1, 1], order),
-        g_rational=([1], [1, 1, 1]),
-        f_rational=([0, 1], [1, 1]),
-    )
+    return rational_pair(([1], [1, 1, 1]), ([0, 1], [1, 1]), order)
 
 
 def classical_asm_gf() -> BivariateRational:

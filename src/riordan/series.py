@@ -401,13 +401,6 @@ def sqrt(g: Series) -> Series:
     return _series([tm * c ** (n - 1 - m) for m, tm in enumerate(t)], c ** (n - 1), n)
 
 
-def derivative(g: Series) -> Series:
-    """Termwise derivative; the order drops by one."""
-    if g.order == 0:
-        return _series([], 1, 0)
-    return _series([k * g.nums[k] for k in range(1, g.order)], g.den, g.order - 1)
-
-
 def rational(p, q, order: int) -> Series:
     """Expansion of the rational function p(x)/q(x); needs q(0) != 0."""
     return div(poly(p, order), poly(q, order))

@@ -22,6 +22,7 @@ from .array import (
     inverse,
     matrix,
     product,
+    rational_pair,
     require_unipotent,
 )
 from .bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand, gf_identity_check
@@ -248,10 +249,7 @@ def suite_factorization():
     checks = []
     cat = catalan_pair(20)
     for r in range(6):
-        right = RiordanPair(
-            series.rational([1, -1], [1, -r - 2, 3 * r, -2 * r], 20),
-            series.poly([0, 1], 20),
-        )
+        right = rational_pair(([1, -1], [1, -r - 2, 3 * r, -2 * r]), ([0, 1], [1]), 20)
         checks.append(_true(f"factorization/r{r}", product(cat, right) == make_R(r, 20)))
     return SuiteResult("factorization", checks)
 
@@ -272,12 +270,7 @@ def suite_gf_identities():
             list(principal_minors(classical_asm_matrix(5), 5)),
         )
     )
-    mult = RiordanPair(
-        series.rational([1], [1, -1, 1], 12),
-        series.poly([0, 1], 12),
-        g_rational=([1], [1, -1, 1]),
-        f_rational=([0, 1], [1]),
-    )
+    mult = rational_pair(([1], [1, -1, 1]), ([0, 1], [1]), 12)
     out = gf_right_transform(classical_asm_gf(), mult)
     target = BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y))
     checks.append(_true("gf-identities/right-transform", gf_identity_check(out, target)))
@@ -291,7 +284,7 @@ def suite_gf_identities():
     g0 = expand(
         BivariateRational((ONE - X) * (ONE - Y), (ONE - X * Y) * (ONE - X - Y - X * Y)), 10
     )
-    a1 = RiordanPair(series.rational([1], [1, 1], 12), series.rational([0, 1], [1, 1], 12))
+    a1 = rational_pair(([1], [1, 1]), ([0, 1], [1, 1]), 12)
     step1 = conjugate(g0, a1)
     checks.append(
         _true(
@@ -299,7 +292,7 @@ def suite_gf_identities():
             step1 == expand(BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE + X + Y)), 10),
         )
     )
-    a2 = RiordanPair(series.poly([1], 12), series.poly([0, -1], 12))
+    a2 = rational_pair(([1], [1]), ([0, -1], [1]), 12)
     step2 = conjugate(step1, a2)
     checks.append(
         _true(
@@ -403,9 +396,7 @@ def _gf_coefficients(rng):
         pg[0] = 1
     if pf[1] == 0:
         pf[1] = 1
-    pair = RiordanPair(
-        series.poly(pg, 8), series.poly(pf, 8), g_rational=(pg, [1]), f_rational=(pf, [1])
-    )
+    pair = rational_pair((pg, [1]), (pf, [1]), 8)
     return expand(bivariate_gf(pair), 8) == matrix(pair, 8)
 
 

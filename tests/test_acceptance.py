@@ -6,7 +6,15 @@ checklist.
 """
 
 from riordan import series, verify
-from riordan.array import RiordanPair, conjugate, gf_right_transform, inverse, matrix, product
+from riordan.array import (
+    RiordanPair,
+    conjugate,
+    gf_right_transform,
+    inverse,
+    matrix,
+    product,
+    rational_pair,
+)
 from riordan.bivar import ONE, X, Y, BivariateRational, expand, gf_identity_check
 from riordan.families import (
     asm_count_bruteforce,
@@ -99,12 +107,7 @@ def test_criterion_6_robbins_identities():
     S1 = symmetrize(make_R(1, 28), 12)
     ok = S1 == expand(BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y)), 12)
     ok = ok and list(principal_minors(classical_asm_matrix(5), 5)) == [1, 2, 7, 42, 429]
-    mult = RiordanPair(
-        series.rational([1], [1, -1, 1], 12),
-        series.poly([0, 1], 12),
-        g_rational=([1], [1, -1, 1]),
-        f_rational=([0, 1], [1]),
-    )
+    mult = rational_pair(([1], [1, -1, 1]), ([0, 1], [1]), 12)
     out = gf_right_transform(classical_asm_gf(), mult)
     target = BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y))
     ok = ok and gf_identity_check(out, target)

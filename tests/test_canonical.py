@@ -75,7 +75,7 @@ def test_series_kernels_return_canonical_form(kind, lead):
             a * 2, a * lead, 2 * a, a / 2, a / lead, a / -3,
             a * b, b ** 2, series.div(a, b), 1 / b,
             series.compose(a, f), series.revert(f), series.sqrt(h),
-            series.derivative(a), a.truncate(order - 1), b.truncate(1),
+            a.truncate(order - 1), b.truncate(1),
         ]
         for s in results:
             _check_series(s)

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import riordan
 from riordan.cli import FAMILIES, _render_sequence, main
 from riordan.families import reference_B20, robbins, twenty_vertex_matrix
 from riordan.minors import principal_minors
@@ -279,6 +283,25 @@ def test_twenty_vertex_family_route_matches_gf_matrix_at_60(capsys):
     rc, out = run(capsys, "minors", "R:2", "--symmetrize", "60")
     assert rc == 0
     assert [int(v) for v in out.split()] == list(principal_minors(twenty_vertex_matrix(60), 60))
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the csv of R:3 at N = 200 is larger than a pipe buffer, so the write
+    # after the reader has gone always fails
+    src = str(Path(riordan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "riordan.cli", "matrix", "R:3", "200", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(600)) == 600
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_render_sequence_past_the_digit_limit():

@@ -1,10 +1,19 @@
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
 
 from riordan import cli, series
-from riordan.array import RiordanPair, inverse, matrix, product
+from riordan.array import (
+    RiordanPair,
+    bivariate_gf,
+    identity_pair,
+    inverse,
+    matrix,
+    product,
+    rational_pair,
+)
 from riordan.bivar import expand
 from riordan.families import (
     TooLarge,
@@ -20,6 +29,7 @@ from riordan.families import (
     make_R_inverse_closed,
     make_tilde_R,
     minor_polynomial_table,
+    pascal_pair,
     reference_B20,
     robbins,
     tilde_inverse_closed,
@@ -119,16 +129,56 @@ def test_tilde_inverse_closed_form():
 
 
 def test_tilde_inverse_variant_denominator_only_matches_at_r1():
-    # a variant keeping (1+x) instead of (1+rx) inside the derivative factor
-    # only reproduces the inverse at r = 1, where the two coincide
+    # a variant keeping (1+x) instead of (1+rx) inside the derivative factor,
+    # g = (1 + (r-1)x + x^2)(1 - 2x - x^2)/(1+x)^2, only reproduces the
+    # inverse at r = 1, where the two coincide
     def variant(r, order):
-        inner = series.rational([0, 1, -1], [1, 1], order + 1)
-        g = series.poly([1, r - 1, 1], order) * series.derivative(inner)
-        f = series.rational([0, 1, -1], [1, r], order)
-        return RiordanPair(g, f)
+        g_num = [1, r - 3, 2 - 2 * r, -r - 1, -1]
+        return rational_pair((g_num, [1, 2, 1]), ([0, 1, -1], [1, r]), order)
 
     assert inverse(make_tilde_R(1, 12)) == variant(1, 12)
     assert inverse(make_tilde_R(0, 12)) != variant(0, 12)
+
+
+RATIONAL_FAMILIES = {
+    "identity": identity_pair,
+    "pascal": pascal_pair,
+    "example1": make_example1,
+    **{f"Rinv:{r}": partial(make_R_inverse_closed, r) for r in range(-2, 6)},
+    **{f"tildeInv:{r}": partial(tilde_inverse_closed, r) for r in range(-3, 7)},
+}
+
+
+@pytest.mark.parametrize("name", RATIONAL_FAMILIES)
+def test_rational_families_expand_from_their_forms(name):
+    a = RATIONAL_FAMILIES[name](30)
+    assert expand(bivariate_gf(a), 30) == matrix(a, 30)
+
+
+def _R_written_out(r, order):
+    root = series.sqrt(series.poly([1, -4], order))
+    return RiordanPair(1 / (series.poly([1, -r], order) * root), (1 - root) / 2)
+
+
+def _tilde_R_written_out(r, order):
+    root = series.sqrt(series.poly([1, -2 * (r + 2), r * r], order))
+    g = 1 / (series.poly([1, -1], order) * root)
+    return RiordanPair(g, (series.poly([1, -r], order) - root) / 2)
+
+
+def _tilde_inverse_written_out(r, order):
+    # (1 - x + rx + x^2) * d/dx(x(1-x)/(1+rx)), the derivative termwise
+    inner = series.rational([0, 1, -1], [1, r], order + 1)
+    derivative = series.Series([k * c for k, c in enumerate(inner.coeffs)][1:], order)
+    g = series.poly([1, r - 1, 1], order) * derivative
+    return RiordanPair(g, series.rational([0, 1, -1], [1, r], order))
+
+
+@pytest.mark.parametrize("r", range(-3, 7))
+def test_constructors_match_their_formulas_written_out(r):
+    assert make_R(r, 200) == _R_written_out(r, 200)
+    assert make_tilde_R(r, 200) == _tilde_R_written_out(r, 200)
+    assert tilde_inverse_closed(r, 200) == _tilde_inverse_written_out(r, 200)
 
 
 def test_make_example1():

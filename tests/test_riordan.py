@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from riordan.array import (
     inverse,
     matrix,
     product,
+    rational_pair,
 )
 from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand, gf_identity_check
 from riordan.families import (
@@ -203,12 +205,7 @@ def test_conjugate_gf_relation_randomized():
 
 def test_gf_right_transform_example():
     m = BivariateRational(ONE, ONE - X - Y) - BivariateRational(Y, ONE - X * Y)
-    mult = RiordanPair(
-        series.rational([1], [1, -1, 1], 12),
-        series.poly([0, 1], 12),
-        g_rational=([1], [1, -1, 1]),
-        f_rational=([0, 1], [1]),
-    )
+    mult = rational_pair(([1], [1, -1, 1]), ([0, 1], [1]), 12)
     out = gf_right_transform(m, mult)
     target = BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y))
     assert gf_identity_check(out, target)
@@ -277,12 +274,7 @@ def test_gf_coefficient_identity_randomized():
             pg[0] = 1
         if pf[1] == 0:
             pf[1] = 1
-        pair = RiordanPair(
-            series.poly(pg, 9),
-            series.poly(pf, 9),
-            g_rational=(pg, [1]),
-            f_rational=(pf, [1]),
-        )
+        pair = rational_pair((pg, [1]), (pf, [1]), 9)
         assert expand(bivariate_gf(pair), 9) == matrix(pair, 9)
 
 
@@ -355,6 +347,25 @@ def _column_product(a, N):
     return [[cols[k].coeffs[n] for k in range(N)] for n in range(N)]
 
 
+@cache
+def _R0_product():
+    return _column_product(make_R(0, 200), 200)
+
+
+def _reference_200(spec):
+    """The N = 200 column-product triangle of spec.  R_r = (1/(1-rx), x) R_0
+    in the Riordan group, so the triangle of R:r is built from the one of R_0
+    as T_r[n][k] = r T_r[n-1][k] + T_0[n][k]."""
+    name, r = cli._parse_family(spec)
+    if name != "R":
+        return _column_product(cli._build_pair(name, r, 200), 200)
+    rows, prev = [], [0] * 200
+    for row in _R0_product():
+        prev = [r * u + v for u, v in zip(prev, row)]
+        rows.append(prev)
+    return rows
+
+
 def _built(a, N):
     """matrix(a, N) and the number of series._mul_lists calls it made: one
     on the relation route (C_1 = g * f), N - 1 on the product route."""
@@ -378,7 +389,7 @@ def test_relation_route_matches_product_route_and_fraction_reference(spec):
     a = cli._build_pair(*cli._parse_family(spec), 200)
     M, calls = _built(a, 200)
     assert calls == 1
-    assert M.rows == _column_product(a, 200)
+    assert M.rows == _reference_200(spec)
     ref = _fraction_triangle(a, 40)
     for N in range(41):
         M, calls = _built(a, N)

@@ -135,21 +135,6 @@ def test_inverse_sqrt_central_binomials():
     assert coeffs(s) == [comb(2 * n, n) for n in range(31)]
 
 
-def test_derivative():
-    d = series.derivative(series.poly([0, 1, -1], 4))
-    assert coeffs(d) == [1, -2, 0]
-    assert d.order == 3
-    assert coeffs(series.derivative(series.poly([7], 3))) == [0, 0]
-
-
-def test_derivative_quotient_rule_oracle():
-    # d/dx of x(1-x)/(1+x) equals (1-2x-x^2)/(1+x)^2
-    inner = series.rational([0, 1, -1], [1, 1], 7)
-    direct = series.derivative(inner)
-    closed = series.rational([1, -2, -1], [1, 2, 1], 6)
-    assert direct == closed
-
-
 def test_rational_examples():
     assert coeffs(series.rational([1], [1, -1], 4)) == [1, 1, 1, 1]
     assert coeffs(series.rational([1], [1, -1, 1], 7)) == [1, 1, 0, -1, -1, 0, 1]
