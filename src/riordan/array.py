@@ -9,7 +9,7 @@ g * f^k.  The group product is (g, f) . (u, v) = (g * u(f), v(f)), inverse
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from . import series
 from .bivar import ONE, BivarPoly, BivariateRational, CoeffMatrix, from_univariate
@@ -89,12 +89,14 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
       i.e. fbar = x(1-x)/(1+sx): R_r, the Catalan triangle and A361654 have
       s = 0, the tilde family s = r.  Its x and x^2 terms give f_1 = 1 and
       s = f_2 - 1; the higher terms are checked in turn, stopping at the
-      first that fails.  Times g f^k it gives
-      C_(k+2) = C_(k+1) - x (s C_(k+1) + C_k), so after C_0 = g and
-      C_1 = g * f each entry is a few int steps from the entries to its left
-      and above: O(N^2) in all.  Only the first N coefficients are read, so
-      at small N a pair such as (g, x - x^2) may take this route; the
-      entries are the same on either route.
+      first that fails.  Times g f^(k-1) the relation gives
+      C_k - C_(k+1) = x (C_(k-1) + s C_k), i.e. for k >= 1
+      T[n][k] = T[n-1][k-1] + s T[n-1][k] + T[n][k+1].  T[n][n+1] = 0 above
+      the diagonal, so row n is g_n followed by running sums, right to
+      left, of terms from row n-1: O(N^2) int steps and no series product.
+      Only the first N coefficients are read, so at small N a pair such as
+      (g, x - x^2) may take this route; the entries are the same on either
+      route.
     * Product route, for every other pair: one series product per column,
       O(N^3).  With g = G / dg and f = F / df over the integers, column k is
       G * F^k / (dg * df^k), written as G * F^k * df^(N-1-k) over the one
@@ -105,7 +107,7 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     rows = [[0] * N for _ in range(N)]
     f, df = a.f.nums, a.f.den
     if df == 1 and N > 2 and _relation_holds(f, N):
-        _fill_from_relation(rows, a.g.nums, series._mul_lists(a.g.nums, f, N), f[2] - 1)
+        _fill_from_relation(rows, a.g.nums, f[2] - 1)
         return CoeffMatrix._of(rows, a.g.den)
     f = series._trim(f)
     col = a.g.nums[:N]
@@ -129,19 +131,19 @@ def _relation_holds(f, n) -> bool:
     )
 
 
-def _fill_from_relation(rows, g, c1, s):
-    """Write C_0 = g and C_1 = c1 into rows, then every later entry from
-    rows[n][k] = rows[n][k-1] - (s rows[n-1][k-1] + rows[n-1][k-2]): the
-    terms from row n-1 in one pass, the chain along row n by accumulate."""
-    prev = None
-    for n, row in enumerate(rows):
+def _fill_from_relation(rows, g, s):
+    """Write row n as g[n] followed by
+    rows[n][k] = rows[n-1][k-1] + s rows[n-1][k] + rows[n][k+1] for k = n..1,
+    starting from rows[n][n+1] = 0: the terms from row n-1 in one pass, the
+    running sum along row n by accumulate."""
+    rows[0][0] = g[0]
+    for n in range(1, len(rows)):
+        prev, row = rows[n - 1], rows[n]
         row[0] = g[n]
-        if n:
-            row[1] = c1[n]
-        if n > 1:
-            above = prev if s == 0 else [s * u + v for u, v in zip(prev[1:n], prev)]
-            row[2 : n + 1] = islice(accumulate(above, operator.sub, initial=row[1]), 1, n)
-        prev = row
+        above = prev[n - 1 :: -1]
+        if s:
+            above = [u + s * v for u, v in zip(above, prev[n:0:-1])]
+        row[n:0:-1] = accumulate(above)
 
 
 def product(a: RiordanPair, b: RiordanPair) -> RiordanPair:

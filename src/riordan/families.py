@@ -38,17 +38,14 @@ def catalan_shift(order: int) -> Series:
 
 
 def catalan_gf(order: int) -> Series:
-    """Catalan number generating function (1 - sqrt(1 - 4x)) / (2x)."""
-    xc = (1 - series.sqrt(series.poly([1, -4], order + 1))) / 2
-    return Series(xc.coeffs[1:], order)
+    """Catalan number generating function c(x) = (1 - sqrt(1 - 4x)) / (2x),
+    read off x c(x) one order up."""
+    return Series(catalan_shift(order + 1).coeffs[1:], order)
 
 
 def catalan_pair(order: int) -> RiordanPair:
-    """The Catalan matrix pair (c(x), x c(x)), from one square root.
-
-    f = x c(x) inverts x(1-x), so ``array.matrix`` fills its columns from
-    C_(k+2) = C_(k+1) - x C_k."""
-    xc = (1 - series.sqrt(series.poly([1, -4], order + 1))) / 2
+    """The Catalan matrix pair (c(x), x c(x)), from one square root."""
+    xc = catalan_shift(order + 1)
     return RiordanPair(Series(xc.coeffs[1:], order), xc)
 
 
@@ -68,10 +65,7 @@ def _quadratic_pair(a: int, b: int, c: int, order: int) -> RiordanPair:
 
 def make_R(r: int, order: int) -> RiordanPair:
     """The one-parameter family (1/((1-rx) sqrt(1-4x)), x c(x)), with
-    x c(x) = (1 - sqrt(1-4x)) / 2: the quadratic shape at (a, b, c) = (r, 4, 0).
-
-    f inverts x(1-x) (the inverse closed form below), so ``array.matrix``
-    fills its columns from C_(k+2) = C_(k+1) - x C_k."""
+    x c(x) = (1 - sqrt(1-4x)) / 2: the quadratic shape at (a, b, c) = (r, 4, 0)."""
     return _quadratic_pair(r, 4, 0, order)
 
 
@@ -84,10 +78,7 @@ def make_R_inverse_closed(r: int, order: int) -> RiordanPair:
 def make_tilde_R(r: int, order: int) -> RiordanPair:
     """The companion family with g = 1/((1-x) sqrt(1-2(r+2)x+r^2 x^2))
     and f = (1 - rx - sqrt(1-2(r+2)x+r^2 x^2)) / 2: the quadratic shape at
-    (a, b, c) = (1, 2(r+2), r^2).
-
-    f inverts x(1-x)/(1+rx) (the inverse closed form below), so
-    ``array.matrix`` fills its columns from C_(k+2) = (1-rx) C_(k+1) - x C_k."""
+    (a, b, c) = (1, 2(r+2), r^2)."""
     return _quadratic_pair(1, 2 * (r + 2), r * r, order)
 
 
@@ -140,11 +131,9 @@ def make_A361654_embed(order: int) -> RiordanPair:
 
     The inverse is (1/h(u), u) with h = (1-3x+3x^2-2x^3)/(1-x) and
     u = x c(x) = (1 - sqrt(1-4x))/2.  Since 1-3u+3u^2-2u^3 = (1-x)(1-2u)
-    and 1-2u = sqrt(1-4x), g = (1-u)/((1-x) sqrt(1-4x)).  Since u inverts
-    x(1-x), ``array.matrix`` fills its columns from C_(k+2) = C_(k+1) - x C_k."""
-    root = series.sqrt(series.poly([1, -4], order))
-    xc = (1 - root) / 2
-    g = (1 - xc) / (series.poly([1, -1], order) * root)
+    and 1-2u = sqrt(1-4x), g = (1-u)/((1-x)(1-2u))."""
+    xc = catalan_shift(order)
+    g = (1 - xc) / (series.poly([1, -1], order) * (1 - 2 * xc))
     return RiordanPair(g, xc)
 
 

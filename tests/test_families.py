@@ -66,7 +66,9 @@ def test_catalan_gf():
 
 
 @pytest.mark.parametrize(
-    "build", [lambda n: make_R(2, n), catalan_pair], ids=["make_R", "catalan_pair"]
+    "build",
+    [lambda n: make_R(2, n), catalan_pair, catalan_gf, make_A361654_embed],
+    ids=["make_R", "catalan_pair", "catalan_gf", "make_A361654_embed"],
 )
 def test_one_square_root_per_pair(monkeypatch, build):
     calls = 0
