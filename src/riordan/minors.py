@@ -17,16 +17,20 @@ a[i][k] as a[k][i], about half the big-integer work (the fraction-free
 LDL^T view of the same elimination).  A non-symmetric block takes the
 general mode, which updates the whole active block.
 
-A zero pivot means that leading minor is genuinely zero.  The sweep then
-swaps row and column k symmetrically with a later index whose diagonal entry
-is nonzero; such a swap maps bordered minors to bordered minors, so the
-elimination state stays a valid Bareiss state and the sweep continues.  In
-the symmetric mode the stale lower half of the active block is first
-mirrored from the upper half, so the swapped rows and columns are current.
-Only the block sizes strictly between the swapped indices see a different
-"leading" submatrix afterwards, and those few minors are recomputed
-independently by row-pivoted elimination.  When no symmetric pivot exists
-at all, every remaining minor is computed independently.
+A zero pivot takes one rule in both modes.  After k steps the active entry
+a[i][j] is the bordered minor det A[K+i, K+j], K = {0..k-1}, and by
+Sylvester's identity the active block on rows and columns k..m-1 has
+determinant D_m prev^(m-k-1), D_m the m x m leading minor (Bareiss, Math.
+Comp. 1968).  At a zero pivot a[k][k] let t be the first j > k with
+a[k][j] != 0 (row k is current in both modes).  With no t, row k of every
+later block is zero: every later minor is 0 and the sweep stops.  Otherwise
+the minors at indices k..t-1 are 0, and column t is added to column k; the
+symmetric mode first mirrors the stale lower half, then adds u row t to
+row k and u column t to column k, with u = +-1 so that the new pivot
+2u a[k][t] + a[t][t] is nonzero.  Bordered minors are linear in their
+border row and column, so this is the Bareiss state of a matrix whose
+leading minors of size > t are unchanged; minors are recorded again from
+the largest such t on.
 """
 
 from __future__ import annotations
@@ -96,31 +100,32 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
 
     With ``symmetric`` (the caller has checked the block is symmetric) each
     step updates only the upper half, j >= i, and reads a[i][k] as a[k][i];
-    the entries below the diagonal go stale and are never read.
+    the entries below the diagonal go stale until a zero pivot mirrors them.
     """
     a = [row[:count] for row in rows[:count]]
     minors = [0] * count
-    fix = set()
+    zero_to = 0
     prev = 1
     for k in range(count):
-        if a[k][k] == 0:
-            minors[k] = 0
-            t = next((i for i in range(k + 1, count) if a[i][i] != 0), None)
+        row_k = a[k]
+        if row_k[k] == 0:
+            t = next((j for j in range(k + 1, count) if row_k[j]), None)
             if t is None:
-                fix.update(range(k + 1, count))
                 break
+            zero_to = max(zero_to, t)
+            u = 1
             if symmetric:
                 for i in range(k + 1, count):
                     for j in range(k, i):
                         a[i][j] = a[j][i]
-            a[k], a[t] = a[t], a[k]
-            for row in a:
-                row[k], row[t] = row[t], row[k]
-            fix.update(range(k + 1, t))
-        else:
-            minors[k] = a[k][k]
-        piv = a[k][k]
-        row_k = a[k]
+                u = 1 if 2 * row_k[t] + a[t][t] else -1
+                for j in range(k, count):
+                    row_k[j] += u * a[t][j]
+            for i in range(k, count):
+                a[i][k] += u * a[i][t]
+        piv = row_k[k]
+        if k >= zero_to:
+            minors[k] = piv
         for i in range(k + 1, count):
             row_i = a[i]
             if symmetric:
@@ -130,8 +135,6 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
             for j in range(start, count):
                 row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
         prev = piv
-    for m in fix:
-        minors[m] = _det_int([row[: m + 1] for row in rows[: m + 1]])
     return minors
 
 

@@ -246,14 +246,6 @@ class Series:
             return div(Series([other], self.order), self)
         return NotImplemented
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        out = Series([1], self.order)
-        for _ in range(k):
-            out = out * self
-        return out
-
 
 def poly(coeff_list, order: int) -> Series:
     """Series with the given coefficients, zero-padded or truncated to order."""

@@ -73,7 +73,7 @@ def test_series_kernels_return_canonical_form(kind, lead):
         results = [
             a + b, a - b, a - a, 1 - a, -a,
             a * 2, a * lead, 2 * a, a / 2, a / lead, a / -3,
-            a * b, b ** 2, series.div(a, b), 1 / b,
+            a * b, b * b, series.div(a, b), 1 / b,
             series.compose(a, f), series.revert(f), series.sqrt(h),
             a.truncate(order - 1), b.truncate(1),
         ]

@@ -353,6 +353,12 @@ OUTPUT_SHA256 = {
     "matrix Rinv:2 4": "fdbb635963540607213bb0fa113eccc5ddede9952307786c70221dcc14e3b0ee",
     "matrix pascal 40 --format csv": "94abb5bffb8be03b1a74f88ce2c0a099b6f31d96d1df5cc1c8f3cd55270fdcf5",
     "matrix tildeR:-3 60": "8193da60f3e63ce6f8c4779962e279befff8fcedf2fe6c1e205d063119af80d6",
+    # a zero leading minor at index 1 (index 2 for A361654), so the sweep
+    # takes its zero-pivot rule; pinned from the sweep that swapped pivots
+    "minors pascal --symmetrize 60": "9c4461a7b74b830cc1f8541a4f0c40a1c506f2626952f1274dbf7895338bc4f3",
+    "minors catalan --symmetrize 60": "e014b97789ec4568630f103420816481a94927ba586cc509e09987c4bb18ffc1",
+    "minors A361654 --symmetrize 60": "a2134f03a3c07f5fd401cb0af6b4fbb1a0541a34abb20cb6c01471c56032af5a",
+    "minors R:-1 --symmetrize 60": "87c5173aa79285ee2c0d2e744c431ab5c08ae0920082c7003705379608689e49",
 }
 
 

@@ -147,8 +147,8 @@ def test_minor_sequence_type():
 
 
 def test_zero_pivot_fixup_matches_cofactor(monkeypatch):
-    # a symmetric integer matrix whose sweep swaps index 0 with 3 and must
-    # recompute the 2 x 2 and 3 x 3 minors independently
+    # a symmetric integer matrix with a zero pivot at step 0: the sweep folds
+    # column 1 into column 0 and needs no independent determinant
     rows = [
         [0, 1, 2, 3, 1],
         [1, 0, 4, 1, 2],
@@ -165,7 +165,7 @@ def test_zero_pivot_fixup_matches_cofactor(monkeypatch):
 
     monkeypatch.setattr(minors, "_det_int", counted)
     got = principal_minors(CoeffMatrix(rows), 5)
-    assert calls == [2, 3]
+    assert calls == []
     expected = [det_cofactor([[F(c) for c in row[:m]] for row in rows[:m]]) for m in range(1, 6)]
     assert list(got) == expected
     rng = random.Random(61)
@@ -212,7 +212,7 @@ def test_symmetric_mode_matches_general_mode_and_oracles_randomized():
     for trial in range(200):
         n = rng.randint(1, 8)
         rows = _random_symmetric(rng, n).rows
-        if trial % 2:  # zeroed diagonals send the sweep through swap and fix-up
+        if trial % 2:  # zeroed diagonals send the sweep through the zero-pivot fold
             for i in rng.sample(range(n), rng.randint(1, n)):
                 rows[i][i] = 0
         sym, gen = _sweep_both_modes(rows)
@@ -229,7 +229,7 @@ def test_symmetric_mode_on_large_entries_and_late_zero_pivots():
         for i in range(n):
             for j in range(i + 1):
                 rows[i][j] = rows[j][i] = rng.randint(-(10**30), 10**30)
-        # a singular leading 2 x 2 block: the first swap comes at step 1,
+        # a singular leading 2 x 2 block: the first fold comes at step 1,
         # after the lower half has gone stale
         rows[0][0], rows[0][1], rows[1][0], rows[1][1] = 2, 6, 6, 18
         sym, gen = _sweep_both_modes(rows)
@@ -238,8 +238,8 @@ def test_symmetric_mode_on_large_entries_and_late_zero_pivots():
 
 
 def test_symmetric_mode_mirrors_before_a_late_swap():
-    # minors 1, 0, ...: the zero pivot is met at step 1 and swapped with
-    # index 3, whose row and column come from the stale lower half
+    # minors 1, 0, ...: the zero pivot is met at step 1, and the fold reads
+    # row 2 from the stale lower half
     rows = [
         [1, 1, 2, 3, 1],
         [1, 1, 4, 5, 2],
@@ -262,15 +262,55 @@ def test_symmetric_mode_with_no_symmetric_pivot_left(monkeypatch):
         return det_int(block)
 
     monkeypatch.setattr(minors, "_det_int", counted)
-    # after step 0 both remaining diagonal entries are 0: no pivot is left
+    # after step 0 both remaining diagonal entries are 0: the fold still
+    # finds a pivot off the diagonal
     rows = [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
     assert minors._bareiss_minor_sweep(rows, 3, symmetric=True) == [1, 0, -1]
-    assert calls == [3]
-    # a zero diagonal from the start: every minor is computed independently
+    assert calls == []
+    # a zero diagonal from the start
     rows = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
-    calls.clear()
     assert minors._bareiss_minor_sweep(rows, 3, symmetric=True) == [0, -1, 12]
-    assert calls == [2, 3]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rows, want, modes",
+    [
+        # 2u a[0][1] + a[1][1] is 0 at u = 1: the fold needs u = -1
+        ([[0, 1], [1, -2]], [0, -1], (True, False)),
+        # with a third row the next step divides by that pivot
+        ([[0, 1, 0], [1, -2, 0], [0, 0, 1]], [0, -1, -1], (True, False)),
+        # row 0 is zero up to column 2, past the nonzero diagonal a[1][1]
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [0, 0, -1], (True, False)),
+        # row 0 is zero: every minor is 0 and the sweep stops
+        ([[0, 0, 0], [0, 1, 2], [0, 2, 3]], [0, 0, 0], (True, False)),
+        # the fold at step 0 skips to t = 3; inside that range step 1 folds
+        # again with t = 2, and the minors are recorded only from index 3
+        ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], [0, 0, 0, 1], (True, False)),
+        ([[0, 1], [-1, 0]], [0, 1], (False,)),
+    ],
+)
+def test_zero_pivot_fold(rows, want, modes):
+    assert _block_dets(rows) == want
+    for symmetric in modes:
+        assert minors._bareiss_minor_sweep(rows, len(rows), symmetric) == want
+
+
+def test_zero_pivot_fold_on_sparse_matrices_randomized(monkeypatch):
+    # sparse blocks meet zero pivots often, some of them inside a range the
+    # fold has already skipped; the sweep makes no independent determinant
+    calls = []
+    monkeypatch.setattr(minors, "_det_int", lambda block: calls.append(len(block)))
+    rng = random.Random(229)
+    for trial in range(200):
+        n = rng.randint(2, 7)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+        symmetric = bool(trial % 2)
+        if symmetric:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        got = minors._bareiss_minor_sweep(rows, n, symmetric)
+        assert got == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
+    assert calls == []
 
 
 def _spy_sweep(monkeypatch):
@@ -318,7 +358,7 @@ def test_rational_symmetric_blocks_take_the_symmetric_mode(monkeypatch):
         for i in range(n):
             for j in range(i + 1):
                 rows[i][j] = rows[j][i] = F(rng.randint(-4, 4), rng.randint(1, 6))
-        if trial % 2:  # zeroed diagonals send the sweep through swap and fix-up
+        if trial % 2:  # zeroed diagonals send the sweep through the zero-pivot fold
             for i in rng.sample(range(n), rng.randint(1, n)):
                 rows[i][i] = 0
         modes.clear()

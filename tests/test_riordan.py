@@ -93,7 +93,10 @@ def test_matrix_with_polynomial_f_matches_powers():
     n = 9
     g = series.Series([1, Fraction(1, 3), -2, 0, 7], n)
     f = series.poly([0, 1, -1], n)
-    want = [[(g * f**k).coeffs[i] if k <= i else 0 for k in range(n)] for i in range(n)]
+    powers = [series.poly([1], n)]
+    for _ in range(1, n):
+        powers.append(powers[-1] * f)
+    want = [[(g * powers[k]).coeffs[i] if k <= i else 0 for k in range(n)] for i in range(n)]
     assert matrix(RiordanPair(g, f), n).rows == want
 
 

