@@ -4,6 +4,15 @@ A Riordan pair is (g, f) with g(0) != 0, f(0) = 0 and f'(0) != 0, realized
 as the lower triangular matrix whose (n, k) entry is the x^n coefficient of
 g * f^k.  The group product is (g, f) . (u, v) = (g * u(f), v(f)), inverse
 (1/g(fbar), fbar) with fbar the compositional inverse of f.
+
+``matrix`` and ``inverse`` each take one of two routes, read from f.  On the
+relation route, an integral f with f - f^2 = x(1 + s f) mod x^n, the map
+phi(y) = (y - y^2)/(1 + s y) has phi(f) = x, so fbar = x(1 - x)/(1 + s x)
+in closed form; the triangle is filled by running sums with no series
+product, and the inverse's g, 1/g(fbar), is column 0 of the inverse
+triangle, read by one forward substitution.  Every other pair takes the
+product route: series products for the triangle, reversion and composition
+for the inverse.
 """
 
 from __future__ import annotations
@@ -105,11 +114,11 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     if N > a.order:
         raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
     rows = [[0] * N for _ in range(N)]
-    f, df = a.f.nums, a.f.den
-    if df == 1 and N > 2 and _relation_holds(f, N):
-        _fill_from_relation(rows, a.g.nums, f[2] - 1)
+    s = _relation_s(a.f, N)
+    if s is not None:
+        _fill_from_relation(rows, a.g.nums, s)
         return CoeffMatrix._of(rows, a.g.den)
-    f = series._trim(f)
+    f, df = series._trim(a.f.nums), a.f.den
     col = a.g.nums[:N]
     for k in range(N):
         scale = df ** (N - 1 - k)
@@ -120,15 +129,20 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     return CoeffMatrix._of(rows, a.g.den * df ** max(N - 1, 0))
 
 
-def _relation_holds(f, n) -> bool:
-    """Whether f - f^2 = x (1 + s f) mod x^n with s = f[2] - 1, for the int
-    coefficients f of a series with f(0) = 0 (the x^2 term holds by the
-    choice of s); stops at the first coefficient that fails."""
+def _relation_s(f: Series, n: int) -> int | None:
+    """s = f_2 - 1 when f is integral, n > 2 and f - f^2 = x (1 + s f)
+    mod x^n (the x^2 term holds by the choice of s), else None; stops at the
+    first coefficient that fails."""
+    if f.den != 1 or n <= 2 or f.nums[1] != 1:
+        return None
+    f = f.nums
     s = f[2] - 1
-    return f[1] == 1 and not any(
+    if any(
         f[i] - s * f[i - 1] - sum(map(operator.mul, f[1:i], f[i - 1 : 0 : -1]))
         for i in range(3, n)
-    )
+    ):
+        return None
+    return s
 
 
 def _fill_from_relation(rows, g, s):
@@ -152,9 +166,39 @@ def product(a: RiordanPair, b: RiordanPair) -> RiordanPair:
 
 
 def inverse(a: RiordanPair) -> RiordanPair:
-    """Group inverse (1/g(fbar), fbar)."""
-    fbar = series.revert(a.f)
-    return RiordanPair(1 / series.compose(a.g, fbar), fbar)
+    """Group inverse (1/g(fbar), fbar), to the pair's order n.
+
+    * Relation route, when ``matrix`` at order n would take it: f is
+      integral with f - f^2 = x(1 + s f) mod x^n, s = f_2 - 1.  Then
+      phi(y) = (y - y^2)/(1 + s y) has phi(f) = x mod x^n, so
+      fbar = x(1 - x)/(1 + s x), one rational expansion.  The inverse
+      matrix is the matrix of the inverse pair, so 1/g(fbar) is column 0 of
+      T^(-1), T the n x n triangle (filled from the relation, all int over
+      the denominator of g).  T has the constant diagonal d = g_0 (f_1 = 1),
+      and T y = e_0 is solved fraction-free with y_j = z_j / p: y_0 = 1/d,
+      and row m > 0 gives t_m = -(sum over j < m of T[m][j] z_j) and
+      y_m = t_m / (d p), so when d != 1 every z is scaled by d and p by d
+      before z_m = t_m.  O(n^2) int steps.
+    * Product route, for every other pair: fbar by ``series.revert`` and
+      g(fbar) by ``series.compose``.
+    """
+    n = a.order
+    s = _relation_s(a.f, n)
+    if s is None:
+        fbar = series.revert(a.f)
+        return RiordanPair(1 / series.compose(a.g, fbar), fbar)
+    rows = [[0] * n for _ in range(n)]
+    _fill_from_relation(rows, a.g.nums, s)
+    d = a.g.nums[0]
+    p, z = d, [1]
+    for row in rows[1:]:
+        t = -sum(map(operator.mul, row, z))
+        if d != 1:
+            z = [v * d for v in z]
+            p *= d
+        z.append(t)
+    fbar = series.rational([0, 1, -1], [1, s], n)
+    return RiordanPair(series._series([a.g.den * v for v in z], p, n), fbar)
 
 
 def apply(a: RiordanPair, h: Series) -> Series:

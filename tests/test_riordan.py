@@ -24,7 +24,9 @@ from riordan.families import (
     make_example1,
     make_R,
     make_R_inverse_closed,
+    make_tilde_R,
     pascal_pair,
+    tilde_inverse_closed,
 )
 from riordan.series import InsufficientOrder
 from riordan.symmetry import closed_form_entry
@@ -371,21 +373,31 @@ def _reference_200(spec):
     return rows
 
 
+def _counting(names, fn, *args):
+    """fn(*args) and the number of calls it made to each named function of
+    the series module."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        kernel = getattr(series, name)
+
+        def call(*a):
+            calls[name] += 1
+            return kernel(*a)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            mp.setattr(series, name, counted(name))
+        return fn(*args), calls
+
+
 def _built(a, N):
     """matrix(a, N) and the number of series._mul_lists calls it made: none
     on the relation route, N - 1 on the product route."""
-    calls = 0
-    kernel = series._mul_lists
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return kernel(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_mul_lists", counted)
-        M = matrix(a, N)
-    return M, calls
+    M, calls = _counting(["_mul_lists"], matrix, a, N)
+    return M, calls["_mul_lists"]
 
 
 @pytest.mark.parametrize("spec", RELATION_SPECS)
@@ -453,3 +465,65 @@ def test_group_operations_take_the_relation_route():
         R = matrix(make_R(r, 30), 30)
         assert _built(product(cat, right), 30) == (R, 0)
         assert _built(inverse(make_R_inverse_closed(r, 30)), 30) == (R, 0)
+
+
+def _inverse_by_reversion(a):
+    """The group inverse from its definition: fbar by Lagrange reversion,
+    then 1/g(fbar) by composition."""
+    fbar = series.revert(a.f)
+    return RiordanPair(1 / series.compose(a.g, fbar), fbar)
+
+
+def _relation_f(spec, N):
+    """An f on the relation route: a family's, x, or x - x^2 (on it only
+    up to order 4)."""
+    if spec == "identity":
+        return series.poly([0, 1], N)
+    if spec == "x-x^2":
+        return series.poly([0, 1, -1], N)
+    return cli._build_pair(*cli._parse_family(spec), N).f
+
+
+def _random_g(rng, N):
+    """An int g with g_0 in {1, -1, 2, 3}, or a rational one."""
+    g0 = rng.choice([1, -1, 2, 3])
+    if rng.random() < 0.5:
+        return series.poly([g0] + [rng.randint(-9, 9) for _ in range(N - 1)], N)
+    rest = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(N - 1)]
+    return series.Series([F(g0, rng.choice([1, 2, 3]))] + rest, N)
+
+
+@pytest.mark.parametrize("spec", [*RELATION_SPECS, "identity", "x-x^2"])
+def test_relation_route_inverse_matches_reversion_randomized(spec):
+    rng = random.Random(spec)
+    for N in range(3, 41):
+        a = RiordanPair(_random_g(rng, N), _relation_f(spec, N))
+        inv = inverse(a)
+        assert inv == _inverse_by_reversion(a)
+        assert inverse(inv) == a
+
+
+def test_inverse_routes():
+    relation = [cli._build_pair(*cli._parse_family(spec), 40) for spec in RELATION_SPECS]
+    product_route = [a for a, _ in PRODUCT_ROUTE.values()]
+    # f = x - x^2 meets the relation mod x^4 and not mod x^5, and
+    # x c(x) + x^20 mod x^20 and not mod x^21
+    relation.append(make_R_inverse_closed(2, 4))
+    product_route.append(make_R_inverse_closed(2, 5))
+    product_route.append(RiordanPair(_R1.g, _R1.f + series.poly([0] * 20 + [1], 40)))
+    for pairs, n in ((relation, 0), (product_route, 1)):
+        for a in pairs:
+            inv, calls = _counting(["revert", "compose"], inverse, a)
+            assert calls == {"revert": n, "compose": n}
+            assert inv == _inverse_by_reversion(a)
+
+
+@pytest.mark.parametrize("r", range(-3, 7))
+def test_inverse_closed_forms_at_order_60(r):
+    assert inverse(make_R(r, 60)) == make_R_inverse_closed(r, 60)
+    assert inverse(make_tilde_R(r, 60)) == tilde_inverse_closed(r, 60)
+
+
+def test_catalan_inverse_at_order_60():
+    # c(x(1 - x)) = 1/(1 - x)
+    assert inverse(catalan_pair(60)) == rational_pair(([1, -1], [1]), ([0, 1, -1], [1]), 60)
