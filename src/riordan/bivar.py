@@ -214,11 +214,6 @@ class CoeffMatrix:
     def transpose(self) -> "CoeffMatrix":
         return CoeffMatrix._of([list(col) for col in zip(*self.ints)], self.den)
 
-    def leading(self, m: int) -> "CoeffMatrix":
-        if not 0 <= m <= self.n:
-            raise DimensionError(f"leading {m}x{m} block of a {self.n}x{self.n} matrix")
-        return CoeffMatrix._of([row[:m] for row in self.ints[:m]], self.den)
-
     def is_symmetric(self, m: int | None = None) -> bool:
         """Whether the leading m x m block (the whole matrix by default) is symmetric."""
         a = self.ints

@@ -31,6 +31,10 @@ row k and u column t to column k, with u = +-1 so that the new pivot
 border row and column, so this is the Bareiss state of a matrix whose
 leading minors of size > t are unchanged; minors are recorded again from
 the largest such t on.
+
+`det` is the last minor of the same sweep, with no second elimination.  It
+is exact: every fold keeps the minors of size > t, and the last index N-1
+is never below t; with no t, every later minor, the last one too, is 0.
 """
 
 from __future__ import annotations
@@ -65,34 +69,6 @@ def _cofactor(rows):
         sub = [row[:j] + row[j + 1 :] for row in rows[1:]]
         total += (-1) ** j * c * _cofactor(sub)
     return total
-
-
-def _det_int(rows) -> int:
-    """Exact determinant of an integer matrix: Bareiss with row pivoting."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for t in range(k + 1, n):
-                if a[t][k] != 0:
-                    a[k], a[t] = a[t], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
 
 
 def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
@@ -142,14 +118,18 @@ def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
     """First `count` leading principal minors, exactly."""
     if count < 0 or count > M.n:
         raise DimensionError(f"requested {count} minors of a {M.n}x{M.n} matrix")
-    raw = _bareiss_minor_sweep(M.ints, count, M.is_symmetric(count))
-    d = M.den
-    if d == 1:
-        return MinorSequence(raw)
-    return MinorSequence(_exact(Fraction(v, d ** (m + 1))) for m, v in enumerate(raw))
+    return MinorSequence(_exact_minors(M, count))
 
 
 def det(M: CoeffMatrix):
-    """Exact determinant of the whole matrix."""
-    value = _det_int(M.ints)
-    return value if M.den == 1 else _exact(Fraction(value, M.den**M.n))
+    """Exact determinant of the whole matrix: the sweep's last minor."""
+    return _exact_minors(M, M.n)[-1] if M.n else 1
+
+
+def _exact_minors(M: CoeffMatrix, count: int) -> list:
+    """The sweep's minors of sizes 1..count, in the mode the block allows, over d^size."""
+    raw = _bareiss_minor_sweep(M.ints, count, M.is_symmetric(count))
+    d = M.den
+    if d == 1:
+        return raw
+    return [_exact(Fraction(v, d ** (m + 1))) for m, v in enumerate(raw)]

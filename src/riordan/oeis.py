@@ -101,12 +101,7 @@ def bfile_url(seq_id: str) -> str:
     return f"https://oeis.org/{seq_id}/b{seq_id[1:]}.txt"
 
 
-def oeis_fetch(
-    seq_id: str,
-    cache_dir: str | None = None,
-    offline: bool = False,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> BFile:
+def oeis_fetch(seq_id: str, cache_dir: str | None = None, offline: bool = False) -> BFile:
     """Return the parsed b-file, from cache if present, else the network."""
     check_seq_id(seq_id)
     path = cache_path(seq_id, cache_dir)
@@ -121,7 +116,7 @@ def oeis_fetch(
         raise CacheMiss(f"{seq_id} is not cached and offline mode is set")
     import urllib.request
     try:
-        with urllib.request.urlopen(bfile_url(seq_id), timeout=timeout) as resp:
+        with urllib.request.urlopen(bfile_url(seq_id), timeout=DEFAULT_TIMEOUT) as resp:
             text = resp.read().decode("ascii", errors="replace")
     except OSError as exc:  # urllib.error.URLError is an OSError
         raise NetworkError(f"could not fetch {seq_id}: {exc}") from exc

@@ -1,6 +1,7 @@
-"""Every leading principal minor of an integer matrix modulo a prime, by
-plain elimination with modular inverses: an oracle for ``riordan.minors``
-that shares no code with it.
+"""Oracles for ``riordan.minors`` that share no code with it: every leading
+principal minor of an integer matrix modulo a prime, by plain elimination
+with modular inverses, and the exact determinant by Bareiss elimination
+with row exchanges.
 
 Import it from a checkout with ``tests`` on the path, e.g.
 ``PYTHONPATH=src:tests python -c "from minors_mod_p import leading_minors_mod"``.
@@ -57,3 +58,31 @@ def _eliminate_below(a, i, p):
         c = row[i] * inv % p
         if c:
             row[i + 1 :] = [(u - c * v) % p for u, v in zip(row[i + 1 :], tail)]
+
+
+def det_int(rows) -> int:
+    """Exact determinant of an integer matrix: Bareiss with row pivoting."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for t in range(k + 1, n):
+                if a[t][k] != 0:
+                    a[k], a[t] = a[t], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = piv
+    return sign * a[n - 1][n - 1]

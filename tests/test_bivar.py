@@ -11,7 +11,6 @@ from riordan.bivar import (
     BivarPoly,
     BivariateRational,
     CoeffMatrix,
-    DimensionError,
     ZeroConstant,
     expand,
     gf_identity_check,
@@ -166,19 +165,11 @@ def test_coeff_matrix_operations():
     B = CoeffMatrix([[0, 1], [1, 0]])
     assert ints(A * B) == [[2, 1], [4, 3]]
     assert ints(A.transpose()) == [[1, 3], [2, 4]]
-    assert A.leading(1).rows == [[1]]
     assert not A.is_symmetric()
     assert CoeffMatrix([[1, 2], [2, 5]]).is_symmetric()
     C = CoeffMatrix([[1, 2, 3], [2, 5, 0], [9, 9, 9]])
     assert C.is_symmetric(2) and C.is_symmetric(0) and not C.is_symmetric()
     assert CoeffMatrix([[1, 0], [7, 2]]).is_lower_triangular()
-
-
-@pytest.mark.parametrize("m", [-1, -2, 3])
-def test_leading_block_out_of_range(m):
-    with pytest.raises(DimensionError):
-        CoeffMatrix([[1, 2], [3, 4]]).leading(m)
-    assert CoeffMatrix([[1, 2], [3, 4]]).leading(0).rows == []
 
 
 # The matrix product and the expansion run on int over common denominators;

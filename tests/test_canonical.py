@@ -91,7 +91,7 @@ def test_matrix_kernels_return_canonical_form(kind, lead):
         S = symmetrize_matrix(T)
         assert type(S) is CoeffMatrix
         products = (T * T.transpose(), S * T)
-        for M in (T, S, *products, T.transpose(), T.leading(N - 1), S.leading(N // 2)):
+        for M in (T, S, *products, T.transpose()):
             _check_matrix(M)
 
 

@@ -6,17 +6,40 @@ import sys
 from pathlib import Path
 
 import pytest
+from minors_mod_p import PRIMES, leading_minors_mod
 
 import riordan
-from riordan.cli import FAMILIES, _render_sequence, main
+from riordan.cli import FAMILIES, _build_pair, _parse_family, _render_sequence, main
 from riordan.families import reference_B20, robbins, twenty_vertex_matrix
 from riordan.minors import principal_minors
+from riordan.symmetry import symmetrize_gf
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def _assert_minors_mod_p(minors, rows):
+    for p in PRIMES:
+        assert [m % p for m in minors] == leading_minors_mod(rows, p)
+
+
+def _check_small_sweep_first(capsys, spec):
+    # A wrong elimination step makes the entries of a large sweep grow
+    # without bound, so a test that sweeps N >= 40 first checks the N = 16
+    # minors of the same family against an oracle that shares no code with
+    # the sweep: the product formula for R:1, else elimination mod p on the
+    # gf route's symmetrization.  A broken sweep then fails here at once.
+    rc, out = run(capsys, "minors", spec, "--symmetrize", "16")
+    assert rc == 0
+    minors = [int(v) for v in out.split()]
+    if spec == "R:1":
+        assert minors == [robbins(n + 1) for n in range(16)]
+    else:
+        pair = _build_pair(*_parse_family(spec), 16)
+        _assert_minors_mod_p(minors, symmetrize_gf(pair, 16).rows)
 
 
 def test_matrix_table(capsys):
@@ -266,12 +289,24 @@ def test_every_pair_family_is_integral_at_the_order_it_is_built(capsys, spec):
 
 
 def test_robbins_minors_at_default_order(capsys):
+    _check_small_sweep_first(capsys, "R:1")
     rc, out = run(capsys, "minors", "R:1", "--symmetrize", "60")
     assert rc == 0
     assert [int(v) for v in out.split()] == [robbins(n + 1) for n in range(60)]
 
 
+def _check_twenty_vertex_sweeps_first(capsys):
+    # both sweeps at N = 16 against elimination mod p on the gf matrix, as in
+    # _check_small_sweep_first
+    M = twenty_vertex_matrix(16)
+    rc, out = run(capsys, "minors", "R:2", "--symmetrize", "16")
+    assert rc == 0
+    _assert_minors_mod_p([int(v) for v in out.split()], M.rows)
+    _assert_minors_mod_p(principal_minors(M, 16), M.rows)
+
+
 def test_twenty_vertex_family_route_matches_gf_matrix(capsys):
+    _check_twenty_vertex_sweeps_first(capsys)
     rc, out = run(capsys, "minors", "R:2", "--symmetrize", "40")
     assert rc == 0
     assert [int(v) for v in out.split()] == list(principal_minors(twenty_vertex_matrix(40), 40))
@@ -280,6 +315,7 @@ def test_twenty_vertex_family_route_matches_gf_matrix(capsys):
 def test_twenty_vertex_family_route_matches_gf_matrix_at_60(capsys):
     # the family route's Sym(R_2) takes the symmetric sweep, the gf matrix
     # (not symmetric) the general one
+    _check_twenty_vertex_sweeps_first(capsys)
     rc, out = run(capsys, "minors", "R:2", "--symmetrize", "60")
     assert rc == 0
     assert [int(v) for v in out.split()] == list(principal_minors(twenty_vertex_matrix(60), 60))
@@ -318,6 +354,7 @@ def test_render_sequence_past_the_digit_limit():
     not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no digit limit"
 )
 def test_minors_print_under_a_lowered_digit_limit(capsys):
+    _check_small_sweep_first(capsys, "R:1")
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)  # the smallest limit CPython accepts
     try:
@@ -363,7 +400,10 @@ OUTPUT_SHA256 = {
 
 
 def _assert_pinned(capsys, command):
-    rc, out = run(capsys, *command.split())
+    argv = command.split()
+    if argv[0] == "minors":
+        _check_small_sweep_first(capsys, argv[1])
+    rc, out = run(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]
 

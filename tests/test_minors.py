@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from minors_mod_p import det_int
 
 from riordan import minors, series
 from riordan.array import RiordanPair, conjugate, matrix
@@ -87,6 +89,38 @@ def test_bareiss_vs_cofactor_randomized():
         assert det(M) == det_cofactor([[F(c) for c in row] for row in rows])
 
 
+def _repeat(rows, i, j):
+    # row and column j become copies of row and column i: every leading block
+    # past both is singular, and a symmetric matrix stays symmetric
+    for row in rows:
+        row[j] = row[i]
+    rows[j] = rows[i][:]
+
+
+def test_det_matches_the_row_exchange_oracle_randomized():
+    # det is the sweep's last minor; the oracle is a second elimination with
+    # row exchanges, on the int rows or on Fraction rows scaled to int
+    rng = random.Random(241)
+    for trial in range(780):
+        n = trial % 13
+        dens = (1,) if trial % 4 < 2 else (1, 2, 3, 6)
+        rows = [[F(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if n and trial % 3 == 1:  # zeroed diagonals force zero pivots
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                rows[i][i] = 0
+        if n > 1 and trial % 5 == 2:
+            _repeat(rows, *rng.sample(range(n), 2))
+        scale = math.lcm(*(v.denominator for row in rows for v in row))
+        want = F(det_int([[int(v * scale) for v in row] for row in rows]), scale**n)
+        got = det(CoeffMatrix(rows))
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else F)
+        if n <= 5:
+            assert got == det_cofactor(rows)
+
+
 def test_minor_sweep_vs_independent_dets_randomized():
     rng = random.Random(53)
     for _ in range(60):
@@ -146,9 +180,9 @@ def test_minor_sequence_type():
     assert got == [2, 6]
 
 
-def test_zero_pivot_fixup_matches_cofactor(monkeypatch):
+def test_zero_pivot_fixup_matches_cofactor():
     # a symmetric integer matrix with a zero pivot at step 0: the sweep folds
-    # column 1 into column 0 and needs no independent determinant
+    # column 1 into column 0
     rows = [
         [0, 1, 2, 3, 1],
         [1, 0, 4, 1, 2],
@@ -156,16 +190,7 @@ def test_zero_pivot_fixup_matches_cofactor(monkeypatch):
         [3, 1, 5, 7, 2],
         [1, 2, 1, 2, 3],
     ]
-    calls = []
-    det_int = minors._det_int
-
-    def counted(block):
-        calls.append(len(block))
-        return det_int(block)
-
-    monkeypatch.setattr(minors, "_det_int", counted)
     got = principal_minors(CoeffMatrix(rows), 5)
-    assert calls == []
     expected = [det_cofactor([[F(c) for c in row[:m]] for row in rows[:m]]) for m in range(1, 6)]
     assert list(got) == expected
     rng = random.Random(61)
@@ -204,7 +229,7 @@ def _sweep_both_modes(rows):
 
 
 def _block_dets(rows):
-    return [minors._det_int([row[:m] for row in rows[:m]]) for m in range(1, len(rows) + 1)]
+    return [det_int([row[:m] for row in rows[:m]]) for m in range(1, len(rows) + 1)]
 
 
 def test_symmetric_mode_matches_general_mode_and_oracles_randomized():
@@ -253,24 +278,14 @@ def test_symmetric_mode_mirrors_before_a_late_swap():
     assert sym[1] == 0
 
 
-def test_symmetric_mode_with_no_symmetric_pivot_left(monkeypatch):
-    calls = []
-    det_int = minors._det_int
-
-    def counted(block):
-        calls.append(len(block))
-        return det_int(block)
-
-    monkeypatch.setattr(minors, "_det_int", counted)
+def test_symmetric_mode_with_no_symmetric_pivot_left():
     # after step 0 both remaining diagonal entries are 0: the fold still
     # finds a pivot off the diagonal
     rows = [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
     assert minors._bareiss_minor_sweep(rows, 3, symmetric=True) == [1, 0, -1]
-    assert calls == []
     # a zero diagonal from the start
     rows = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
     assert minors._bareiss_minor_sweep(rows, 3, symmetric=True) == [0, -1, 12]
-    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -296,11 +311,9 @@ def test_zero_pivot_fold(rows, want, modes):
         assert minors._bareiss_minor_sweep(rows, len(rows), symmetric) == want
 
 
-def test_zero_pivot_fold_on_sparse_matrices_randomized(monkeypatch):
+def test_zero_pivot_fold_on_sparse_matrices_randomized():
     # sparse blocks meet zero pivots often, some of them inside a range the
-    # fold has already skipped; the sweep makes no independent determinant
-    calls = []
-    monkeypatch.setattr(minors, "_det_int", lambda block: calls.append(len(block)))
+    # fold has already skipped
     rng = random.Random(229)
     for trial in range(200):
         n = rng.randint(2, 7)
@@ -310,7 +323,6 @@ def test_zero_pivot_fold_on_sparse_matrices_randomized(monkeypatch):
             rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         got = minors._bareiss_minor_sweep(rows, n, symmetric)
         assert got == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
-    assert calls == []
 
 
 def _spy_sweep(monkeypatch):

@@ -2,13 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from minors_mod_p import PRIMES, det_mod, leading_minors_mod
+from minors_mod_p import PRIMES, det_int, det_mod, leading_minors_mod
 
 from riordan import families
 from riordan.bivar import ONE, X, Y, BivariateRational, expand
 from riordan.cli import main
 from riordan.families import twenty_vertex_matrix
-from riordan.minors import _det_int
 from riordan.symmetry import symmetrize_gf
 
 
@@ -35,7 +34,7 @@ def test_leading_minors_mod_match_block_determinants_randomized():
     for _ in range(200):
         n = rng.randint(1, 7)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        want = [_det_int([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
+        want = [det_int([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
         for p in (2, 3, 5, 2**31 - 1):
             assert leading_minors_mod(rows, p) == [v % p for v in want]
 
