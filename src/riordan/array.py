@@ -201,14 +201,6 @@ def inverse(a: RiordanPair) -> RiordanPair:
     return RiordanPair(series._series([a.g.den * v for v in z], p, n), fbar)
 
 
-def apply(a: RiordanPair, h: Series) -> Series:
-    """Action of the pair on a series: g * h(f).
-
-    Equals the matrix of the pair times the coefficient column of h.
-    """
-    return a.g * series.compose(h, a.f)
-
-
 def bivariate_gf(a: RiordanPair) -> BivariateRational:
     """Bivariate generating function g(x) / (1 - y f(x)).
 

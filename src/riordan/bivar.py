@@ -64,9 +64,6 @@ class BivarPoly:
     def coefficient(self, i: int, j: int) -> int | Fraction:
         return self.coeffs.get((i, j), 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _coerce(self, other):
         if isinstance(other, BivarPoly):
             return other

@@ -78,11 +78,16 @@ def _build_pair(name, r, N):
     return build(r, order) if family.takes_r else build(order)
 
 
-def _build_matrix(name, r, N):
+def _build_matrix(name, r, N, symmetrized=False):
+    """The N x N matrix of a family: a full matrix as built, else the pair's
+    triangle, or its symmetrization when `symmetrized`."""
     family = FAMILIES[name]
     if family.full_matrix:
+        if symmetrized:
+            raise UsageError(f"{name} is already a full matrix; it has no symmetrization")
         return getattr(families, family.constructor)(N)
-    return pair_matrix(_build_pair(name, r, N), N)
+    pair = _build_pair(name, r, N)
+    return symmetrize(pair, N) if symmetrized else pair_matrix(pair, N)
 
 
 def _cells(values):
@@ -120,35 +125,22 @@ def _require_nonnegative(**sizes):
 
 def cmd_matrix(args):
     _require_nonnegative(N=args.N)
-    name, r = _parse_family(args.family)
-    M = _build_matrix(name, r, args.N)
+    M = _build_matrix(*_parse_family(args.family), args.N)
     print(_render_matrix(M, args.format))
     return EXIT_PASS
 
 
 def cmd_symmetrize(args):
     _require_nonnegative(N=args.N)
-    name, r = _parse_family(args.family)
-    if FAMILIES[name].full_matrix:
-        raise UsageError(f"{name} is already a full matrix; it has no symmetrization")
-    pair = _build_pair(name, r, args.N)
-    S = symmetrize(pair, args.N)
+    S = _build_matrix(*_parse_family(args.family), args.N, symmetrized=True)
     print(_render_matrix(S, args.format))
     return EXIT_PASS
 
 
 def cmd_minors(args):
     _require_nonnegative(count=args.count)
-    name, r = _parse_family(args.family)
-    count = args.count
-    if FAMILIES[name].full_matrix:
-        if args.symmetrize:
-            raise UsageError(f"{name} is already a full matrix; --symmetrize does not apply")
-        M = _build_matrix(name, r, count)
-    else:
-        pair = _build_pair(name, r, count)
-        M = symmetrize(pair, count) if args.symmetrize else pair_matrix(pair, count)
-    print(_render_sequence(principal_minors(M, count), args.format))
+    M = _build_matrix(*_parse_family(args.family), args.count, args.symmetrize)
+    print(_render_sequence(principal_minors(M, args.count), args.format))
     return EXIT_PASS
 
 
@@ -160,10 +152,8 @@ def _suite_summary(suite, counts):
 
 
 def cmd_verify(args):
-    if args.suite == "all":
-        results = verify.run_all(seed=args.seed)
-    else:
-        results = [verify.run_suite(args.suite, seed=args.seed)]
+    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    results = [verify.run_suite(name, seed=args.seed) for name in names]
     exit_status = max(r.exit_status for r in results)
     if args.json:
         suites = [r.as_dict() for r in results]

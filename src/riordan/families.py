@@ -20,9 +20,7 @@ from math import comb, factorial
 from . import series
 from .array import RiordanPair, rational_pair
 from .bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
-from .minors import principal_minors
 from .series import Series
-from .symmetry import symmetrize
 
 
 class TooLarge(ValueError):
@@ -209,12 +207,3 @@ def asm_count_bruteforce(n: int) -> int:
         return total
 
     return walk(0, (0,) * n)
-
-
-def minor_polynomial_table() -> list[list[int]]:
-    """Six-by-six table: row r holds the first six symmetrization minors of
-    make_R(r), for r = 0..5."""
-    table = []
-    for r in range(6):
-        table.append(list(principal_minors(symmetrize(make_R(r, 6), 6), 6)))
-    return table

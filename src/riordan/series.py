@@ -176,9 +176,6 @@ class Series:
 
     __hash__ = None
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def truncate(self, n: int) -> "Series":
         if n > self.order:
             raise InsufficientOrder(f"cannot extend order {self.order} to {n}")

@@ -118,14 +118,20 @@ def test_family_table_looks_up_constructors_at_call_time(capsys, monkeypatch):
 
 
 def test_usage_errors(capsys):
-    rc, _ = run(capsys, "matrix", "nosuch", "4")
-    assert rc == 2
-    rc, _ = run(capsys, "matrix", "R:x", "4")
-    assert rc == 2
-    rc, _ = run(capsys, "symmetrize", "vertex20", "4")
-    assert rc == 2
-    rc, _ = run(capsys, "minors", "asm-classical", "4", "--symmetrize")
-    assert rc == 2
+    # each UsageError path exits 2 with one "error: " line on stderr
+    for argv, message in (
+        (("matrix", "nosuch", "4"), "unknown family spec 'nosuch'"),
+        (("matrix", "R:x", "4"), "bad family parameter 'x'"),
+        (("symmetrize", "vertex20", "4"), "vertex20 is already a full matrix; it has no symmetrization"),
+        (
+            ("minors", "asm-classical", "4", "--symmetrize"),
+            "asm-classical is already a full matrix; it has no symmetrization",
+        ),
+    ):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
     rc, _ = run(capsys, "nosuchcommand")
     assert rc == 2
     rc, _ = run(capsys, "matrix", "R:1", "8", "--order", "4")

@@ -8,7 +8,6 @@ import pytest
 from riordan import cli, series, verify
 from riordan.array import (
     RiordanPair,
-    apply,
     bivariate_gf,
     conjugate,
     gf_right_transform,
@@ -133,25 +132,6 @@ def test_inverse_closed_forms():
         assert inv.g == expected_g
         assert inv.f == series.poly([0, 1, -1], 10)
     assert inverse(identity_pair(8)) == identity_pair(8)
-
-
-def test_apply():
-    h = series.poly([2, 0, -1, 5], 6)
-    assert apply(identity_pair(6), h) == h
-    geo = series.rational([1], [1, -1], 8)
-    assert seq(apply(pascal_pair(8), geo)) == [2**n for n in range(8)]
-    zero = series.poly([], 6)
-    assert apply(make_example1(6), zero).is_zero()
-
-
-def test_apply_matches_matrix_vector_product():
-    rng = random.Random(5)
-    a = make_example1(8)
-    M = matrix(a, 8)
-    h = series.Series([rng.randint(-3, 3) for _ in range(8)], 8)
-    out = apply(a, h)
-    for n in range(8):
-        assert out.coeffs[n] == sum(M[n][k] * h.coeffs[k] for k in range(8))
 
 
 def test_bivariate_gf_rational_route():
