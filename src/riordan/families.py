@@ -164,20 +164,16 @@ def reference_B20() -> list[int]:
     ]
 
 
-def _alternating_rows(n: int):
-    # a row with entries in {-1,0,1}, nonzeros alternating and summing to 1,
-    # is determined by the odd-sized set of its nonzero positions
+def _alternating_rows(n: int) -> list:
+    """Every row of an n x n alternating sign matrix as a pair of column bit
+    masks (plus, minus): its nonzero entries alternate +1, -1, ..., +1 from
+    the left, so the row is determined by the odd-sized set of its nonzero
+    positions."""
     rows = []
     for mask in range(1, 1 << n):
-        positions = [i for i in range(n) if mask >> i & 1]
-        if len(positions) % 2 == 0:
-            continue
-        row = [0] * n
-        sign = 1
-        for p in positions:
-            row[p] = sign
-            sign = -sign
-        rows.append(tuple(row))
+        bits = [1 << p for p in range(n) if mask >> p & 1]
+        if len(bits) % 2:
+            rows.append((sum(bits[0::2]), sum(bits[1::2])))
     return rows
 
 
@@ -185,8 +181,10 @@ def asm_count_bruteforce(n: int) -> int:
     """Exhaustive count of n x n alternating sign matrices, n <= 5.
 
     Rows are drawn from the alternating-row catalog; columns are pruned via
-    partial sums, which must stay in {0, 1} and end at 1.  The count of
-    completions depends only on (depth, partial column sums), so it is
+    partial sums, which must stay in {0, 1} and end at 1.  The partial sums
+    are the bit mask ``ones`` of the columns at 1: a row (plus, minus) fits
+    when it adds 1 only to columns at 0 and takes 1 only from columns at 1.
+    The count of completions depends only on (depth, ones), so it is
     memoized for the duration of the call.
     """
     if n < 1:
@@ -194,16 +192,16 @@ def asm_count_bruteforce(n: int) -> int:
     if n > 5:
         raise TooLarge("brute force enumeration is capped at n = 5")
     rows = _alternating_rows(n)
+    full = (1 << n) - 1
 
     @cache
-    def walk(depth: int, colsums: tuple) -> int:
+    def walk(depth: int, ones: int) -> int:
         if depth == n:
-            return 1 if all(s == 1 for s in colsums) else 0
+            return 1 if ones == full else 0
         total = 0
-        for row in rows:
-            nxt = tuple(s + e for s, e in zip(colsums, row))
-            if all(0 <= s <= 1 for s in nxt):
-                total += walk(depth + 1, nxt)
+        for plus, minus in rows:
+            if plus & ones == 0 and minus & ~ones == 0:
+                total += walk(depth + 1, (ones | plus) & ~minus)
         return total
 
-    return walk(0, (0,) * n)
+    return walk(0, 0)

@@ -53,22 +53,26 @@ class MinorSequence(list):
 
 
 def det_cofactor(rows) -> int | Fraction:
-    """Determinant by cofactor expansion along the first row (test oracle)."""
-    return _exact(_cofactor(rows))
+    """Determinant by cofactor expansion along successive rows (test oracle).
 
-
-def _cofactor(rows):
+    The minor on the last m rows and a set of m columns is memoised on the
+    bit mask of those columns: it expands along its first row, with the
+    sign alternating over the columns in the set.  Every set is reached
+    from a smaller one, so one pass over the masks in increasing order
+    gives the determinant in O(n 2^n) products and no division.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
-    total = 0
-    for j in range(n):
-        c = rows[0][j]
-        if not c:
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        total += (-1) ** j * c * _cofactor(sub)
-    return total
+    minor = [1] * (1 << n)
+    for mask in range(1, 1 << n):
+        row = rows[n - mask.bit_count()]
+        total = 0
+        sign = 1
+        for j in range(n):
+            if mask >> j & 1:
+                total += sign * row[j] * minor[mask ^ (1 << j)]
+                sign = -sign
+        minor[mask] = total
+    return _exact(minor[-1])
 
 
 def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):

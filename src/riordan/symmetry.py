@@ -87,15 +87,30 @@ def symmetrize(a: RiordanPair, N: int) -> CoeffMatrix:
     return symmetrize_matrix(matrix(a, N))
 
 
-def closed_form_entry(r: int, n: int, k: int) -> int:
-    """Entry (n, k) of the r-parameter array: sum of r^(n-j-k) * C(k+2j, j)."""
-    if k > n:
-        return 0
-    return sum(r ** (n - j - k) * comb(k + 2 * j, j) for j in range(n - k + 1))
+def closed_form_rows(r: int, N: int) -> list:
+    """N x N rows of the r-parameter array, T[n][k] = sum_j r^(n-k-j) C(k+2j, j).
+
+    The sum is evaluated column by column by Horner's rule in r:
+    T[n][k] = r T[n-1][k] + C(2n-k, n-k), from T[k-1][k] = 0.
+    """
+    rows = [[0] * N for _ in range(N)]
+    for k in range(N):
+        t = 0
+        for n in range(k, N):
+            t = r * t + comb(2 * n - k, n - k)
+            rows[n][k] = t
+    return rows
 
 
-def closed_form_sym_entry(n: int, k: int) -> int:
-    """Entry (n, k) of the symmetrized r=1 array, by the bracketed binomial sum."""
-    if k <= n:
-        return sum(comb(n - k + 2 * j, j) for j in range(k + 1))
-    return sum(comb(k - n + 2 * j, j) for j in range(n + 1))
+def closed_form_sym_rows(N: int) -> list:
+    """N x N rows of the symmetrized r=1 array, by the bracketed binomial sum:
+    the entry at (n, k), k <= n, is sum_{j <= k} C(n-k+2j, j), and the matrix
+    is symmetric.  Down the diagonal n - k = d the entries are the running
+    sums of C(d+2j, j)."""
+    rows = [[0] * N for _ in range(N)]
+    for d in range(N):
+        t = 0
+        for k in range(N - d):
+            t += comb(d + 2 * k, k)
+            rows[d + k][k] = rows[k][d + k] = t
+    return rows

@@ -5,6 +5,8 @@ pass/fail line so a plain `pytest -s tests/test_acceptance.py` reads as a
 checklist.
 """
 
+from math import comb
+
 from riordan import series, verify
 from riordan.array import (
     RiordanPair,
@@ -30,7 +32,7 @@ from riordan.families import (
     twenty_vertex_matrix,
 )
 from riordan.minors import principal_minors
-from riordan.symmetry import closed_form_entry, closed_form_sym_entry, symmetrize
+from riordan.symmetry import symmetrize
 
 ROBBINS_MINORS = [1, 2, 7, 42, 429, 7436, 218348, 10850216, 911835460,
                   129534272700, 31095744852375]
@@ -133,15 +135,20 @@ def test_criterion_7_twenty_vertex_chain():
 
 
 def test_criterion_8_closed_forms():
+    # T[n][k] = sum_j r^(n-k-j) C(k+2j, j), and the bracketed sum of Sym(R_1)
     ok = True
     for r in range(6):
         M = matrix(make_R(r, 21), 21)
         ok = ok and all(
-            M[n][k] == closed_form_entry(r, n, k) for n in range(21) for k in range(21)
+            M[n][k] == sum(r ** (n - j - k) * comb(k + 2 * j, j) for j in range(n - k + 1))
+            for n in range(21)
+            for k in range(21)
         )
     S = symmetrize(make_R(1, 34), 15)
     ok = ok and all(
-        S[n][k] == closed_form_sym_entry(n, k) for n in range(15) for k in range(15)
+        S[n][k] == sum(comb(abs(n - k) + 2 * j, j) for j in range(min(n, k) + 1))
+        for n in range(15)
+        for k in range(15)
     )
     cat = catalan_pair(20)
     for r in range(6):

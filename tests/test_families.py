@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from riordan.array import (
 from riordan.bivar import CoeffMatrix, expand
 from riordan.families import (
     TooLarge,
+    _alternating_rows,
     asm_count_bruteforce,
     catalan_gf,
     catalan_pair,
@@ -264,6 +266,18 @@ def test_asm_count_bruteforce():
         asm_count_bruteforce(6)
     with pytest.raises(ValueError):
         asm_count_bruteforce(0)
+
+
+def test_alternating_rows_as_mask_pairs():
+    for n in range(1, 6):
+        rows = _alternating_rows(n)
+        assert len(rows) == len(set(rows)) == 2 ** (n - 1)
+        for plus, minus in rows:
+            assert plus & minus == 0 and (plus | minus) >> n == 0
+            assert plus.bit_count() == minus.bit_count() + 1
+            # read left to right, the partial sums stay in {0, 1}
+            sums = accumulate((plus >> p & 1) - (minus >> p & 1) for p in range(n))
+            assert set(sums) <= {0, 1}
 
 
 def test_catalan_factorization():

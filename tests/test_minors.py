@@ -89,6 +89,51 @@ def test_bareiss_vs_cofactor_randomized():
         assert det(M) == det_cofactor([[F(c) for c in row] for row in rows])
 
 
+def _cofactor_by_paths(rows):
+    # the earlier form of the oracle: expansion along the first row, n! paths
+    n = len(rows)
+    if n == 0:
+        return 1
+    total = 0
+    for j in range(n):
+        c = rows[0][j]
+        if not c:
+            continue
+        sub = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        total += (-1) ** j * c * _cofactor_by_paths(sub)
+    return total
+
+
+def test_det_cofactor_matches_the_path_expansion_randomized():
+    rng = random.Random(83)
+    for trial in range(160):
+        n = trial % 8
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 3 == 0:
+            _repeat(rows, *rng.sample(range(n), 2))
+        got = det_cofactor(rows)
+        assert got == _cofactor_by_paths(rows)
+        assert type(got) is int
+    for trial in range(120):
+        n = trial % 6
+        dens = (1,) if trial % 4 == 0 else (1, 2, 3)
+        rows = [[F(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)] for _ in range(n)]
+        want = F(_cofactor_by_paths(rows))
+        got = det_cofactor(rows)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else F)
+
+
+def test_det_cofactor_at_12_by_12():
+    # 12! = 479001600 expansion paths would run far past the per-test limit;
+    # memoised on column sets it is 2^12 minors of at most 12 terms each
+    rng = random.Random(12)
+    rows = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+    got = det_cofactor(rows)
+    assert got == det_int(rows) != 0
+    assert det_cofactor(rows[:11] + [rows[0]]) == 0
+
+
 def _repeat(rows, i, j):
     # row and column j become copies of row and column i: every leading block
     # past both is singular, and a symmetric matrix stays symmetric

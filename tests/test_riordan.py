@@ -28,7 +28,7 @@ from riordan.families import (
     tilde_inverse_closed,
 )
 from riordan.series import InsufficientOrder
-from riordan.symmetry import closed_form_entry
+from riordan.symmetry import closed_form_rows
 
 F = Fraction
 
@@ -289,7 +289,7 @@ def _fraction_triangle(a, N):
 def test_matrix_R_matches_closed_form_entry(r):
     M = matrix(make_R(r, 60), 60)
     assert all(type(c) is int for row in M.rows for c in row)
-    assert M.rows == [[closed_form_entry(r, n, k) for k in range(60)] for n in range(60)]
+    assert M.rows == closed_form_rows(r, 60)
 
 
 @pytest.mark.parametrize(

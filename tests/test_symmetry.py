@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,8 +19,8 @@ from riordan.families import (
 from riordan.series import InsufficientOrder
 from riordan.symmetry import (
     NotLowerTriangular,
-    closed_form_entry,
-    closed_form_sym_entry,
+    closed_form_rows,
+    closed_form_sym_rows,
     symmetrize,
     symmetrize_gf,
     symmetrize_matrix,
@@ -165,25 +166,34 @@ def test_gf_closed_forms():
         )
 
 
+def _entry_sum(r, n, k):
+    # the paper's closed form, one sum per entry
+    if k > n:
+        return 0
+    return sum(r ** (n - j - k) * comb(k + 2 * j, j) for j in range(n - k + 1))
+
+
+def _sym_entry_sum(n, k):
+    # the bracketed binomial sum of the symmetrized r=1 array, one per entry
+    if k <= n:
+        return sum(comb(n - k + 2 * j, j) for j in range(k + 1))
+    return sum(comb(k - n + 2 * j, j) for j in range(n + 1))
+
+
 def test_closed_form_entry():
-    assert closed_form_entry(1, 4, 1) == 49
-    assert closed_form_entry(2, 5, 2) == 110
-    assert closed_form_entry(1, 7, 7) == 1
-    assert closed_form_entry(3, 2, 5) == 0
-    for r in range(6):
-        M = matrix(make_R(r, 21), 21)
-        for n in range(21):
-            for k in range(21):
-                assert M[n][k] == closed_form_entry(r, n, k)
+    T = closed_form_rows(1, 8)
+    assert T[4][1] == 49 and T[7][7] == 1 and T[2][5] == 0
+    assert closed_form_rows(2, 6)[5][2] == 110
+    for r in range(-3, 7):
+        for N in (0, 1, 2, 25):
+            want = [[_entry_sum(r, n, k) for k in range(N)] for n in range(N)]
+            assert closed_form_rows(r, N) == want
 
 
 def test_closed_form_sym_entry():
-    assert closed_form_sym_entry(3, 2) == 14
-    assert closed_form_sym_entry(0, 5) == 1
-    for n in range(11):
-        for k in range(11):
-            assert closed_form_sym_entry(n, k) == closed_form_sym_entry(k, n)
-    S = symmetrize(make_R(1, 34), 15)
-    for n in range(15):
-        for k in range(15):
-            assert S[n][k] == closed_form_sym_entry(n, k)
+    S = closed_form_sym_rows(6)
+    assert S[3][2] == 14 and S[0][5] == 1
+    for N in range(26):
+        want = [[_sym_entry_sum(n, k) for k in range(N)] for n in range(N)]
+        assert closed_form_sym_rows(N) == want
+    assert symmetrize(make_R(1, 34), 15).rows == closed_form_sym_rows(15)
