@@ -21,7 +21,7 @@ import operator
 from itertools import accumulate
 
 from . import series
-from .bivar import ONE, BivarPoly, BivariateRational, CoeffMatrix, from_univariate
+from .bivar import ONE, X, Y, BivarPoly, BivariateRational, CoeffMatrix, from_univariate
 from .series import InsufficientOrder, Series
 
 
@@ -30,8 +30,7 @@ class RiordanPair:
 
     ``g_rational`` / ``f_rational`` hold the (numerator, denominator)
     coefficient lists of a pair built by :func:`rational_pair`, and are None
-    on every other pair; only ``bivariate_gf`` and ``gf_right_transform``
-    read them.
+    on every other pair; only ``gf_right_transform`` reads them.
     """
 
     __slots__ = ("g", "f", "order", "g_rational", "f_rational")
@@ -71,7 +70,7 @@ def rational_pair(g_form, f_form, order: int) -> RiordanPair:
     """The pair (p/q, u/v) from its forms g_form = (p, q) and f_form = (u, v),
     each a (numerator, denominator) pair of coefficient lists, expanded to
     order by ``series.rational``.  The pair keeps the forms for
-    ``bivariate_gf`` and ``gf_right_transform``."""
+    ``gf_right_transform`` and the gfs built on it."""
     a = RiordanPair(series.rational(*g_form, order), series.rational(*f_form, order))
     a.g_rational, a.f_rational = g_form, f_form
     return a
@@ -202,26 +201,24 @@ def inverse(a: RiordanPair) -> RiordanPair:
 
 
 def bivariate_gf(a: RiordanPair) -> BivariateRational:
-    """Bivariate generating function g(x) / (1 - y f(x)).
+    """Bivariate generating function g(x) / (1 - y f(x)) of the pair's matrix.
 
-    Requires a pair built by :func:`rational_pair`; the expansion of the
-    result equals the matrix of the pair.
+    The right transform of 1/(1 - xy), the identity matrix, is the gf of the
+    transposed matrix.  Requires a pair built by :func:`rational_pair`.
     """
-    if a.g_rational is None or a.f_rational is None:
-        raise ValueError("bivariate_gf needs a pair built by rational_pair")
-    pg, qg = a.g_rational
-    pf, qf = a.f_rational
-    num = from_univariate(pg) * from_univariate(qf)
-    den = from_univariate(qg) * (
-        from_univariate(qf) - BivarPoly({(0, 1): 1}) * from_univariate(pf)
-    )
-    return BivariateRational(num, den)
+    return gf_right_transform(BivariateRational(ONE, ONE - X * Y), a).transpose()
 
 
 def conjugate(M: CoeffMatrix, a: RiordanPair) -> CoeffMatrix:
     """A * M * A^T where A is the N x N matrix of the pair."""
     A = matrix(a, M.n)
     return A * M * A.transpose()
+
+
+def gf_conjugate(m: BivariateRational, a: RiordanPair) -> BivariateRational:
+    """The gf g(x) g(y) m(f(x), f(y)) of A M A^T, A the pair's matrix:
+    (M A^T)^T = A M^T, so a second right transform and a transpose give it."""
+    return gf_right_transform(gf_right_transform(m, a).transpose(), a).transpose()
 
 
 def gf_right_transform(m: BivariateRational, a: RiordanPair) -> BivariateRational:
@@ -233,9 +230,9 @@ def gf_right_transform(m: BivariateRational, a: RiordanPair) -> BivariateRationa
     of P and Q: each monomial c x^i y^j goes to c x^i pq^j qq^(d-j).
     """
     if a.g_rational is None or a.f_rational is None:
-        raise ValueError("gf_right_transform needs a pair built by rational_pair")
-    pp, qp = (from_univariate(c, "y") for c in a.g_rational)
-    pq, qq = (from_univariate(c, "y") for c in a.f_rational)
+        raise ValueError("a gf of the pair needs a pair built by rational_pair")
+    pp, qp = map(from_univariate, a.g_rational)
+    pq, qq = map(from_univariate, a.f_rational)
     d = max((j for poly in (m.num, m.den) for _, j in poly.coeffs), default=0)
     pq_pow, qq_pow = [ONE], [ONE]
     for _ in range(d):
@@ -245,9 +242,10 @@ def gf_right_transform(m: BivariateRational, a: RiordanPair) -> BivariateRationa
     y_pow = [p * q for p, q in zip(pq_pow, reversed(qq_pow))]
 
     def substitute(poly: BivarPoly) -> BivarPoly:
-        out = BivarPoly()
+        out = {}
         for (i, j), c in poly.coeffs.items():
-            out = out + BivarPoly({(i, 0): c}) * y_pow[j]
-        return out
+            for (_, k), v in y_pow[j].coeffs.items():
+                out[i, k] = out.get((i, k), 0) + c * v
+        return BivarPoly(out)
 
     return BivariateRational(pp * substitute(m.num), qp * substitute(m.den))

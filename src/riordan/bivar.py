@@ -118,19 +118,19 @@ class BivarPoly:
 
     __rmul__ = __mul__
 
+    def transpose(self) -> "BivarPoly":
+        """The polynomial with x and y swapped."""
+        return BivarPoly({(j, i): c for (i, j), c in self.coeffs.items()})
+
 
 ONE = BivarPoly({(0, 0): 1})
 X = BivarPoly({(1, 0): 1})
 Y = BivarPoly({(0, 1): 1})
 
 
-def from_univariate(coeff_list, var: str = "x") -> BivarPoly:
-    """Embed a univariate coefficient list as a polynomial in x or in y."""
-    if var == "x":
-        return BivarPoly({(i, 0): c for i, c in enumerate(coeff_list)})
-    if var == "y":
-        return BivarPoly({(0, j): c for j, c in enumerate(coeff_list)})
-    raise ValueError("var must be 'x' or 'y'")
+def from_univariate(coeff_list) -> BivarPoly:
+    """Embed a univariate coefficient list as a polynomial in y."""
+    return BivarPoly({(0, j): c for j, c in enumerate(coeff_list)})
 
 
 class CoeffMatrix:
@@ -235,6 +235,10 @@ class BivariateRational:
 
     def __repr__(self):
         return f"BivariateRational({self.num!r} / {self.den!r})"
+
+    def transpose(self) -> "BivariateRational":
+        """r(y, x): the gf of the transposed matrix."""
+        return BivariateRational(self.num.transpose(), self.den.transpose())
 
     def __add__(self, other):
         if not isinstance(other, BivariateRational):

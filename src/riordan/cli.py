@@ -208,10 +208,11 @@ def cmd_oeis(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "csv", "json"), default="table")
     common.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     common.add_argument("--offline", action="store_true")
     common.add_argument("--cache-dir", default=None)
+    printing = argparse.ArgumentParser(add_help=False)
+    printing.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     parser = argparse.ArgumentParser(
         prog="riordan",
@@ -219,17 +220,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("matrix", parents=[common], help="print an N x N family matrix")
+    p = sub.add_parser("matrix", parents=[common, printing], help="print an N x N family matrix")
     p.add_argument("family")
     p.add_argument("N", type=int)
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("symmetrize", parents=[common], help="print a symmetrized matrix")
+    p = sub.add_parser("symmetrize", parents=[common, printing], help="print a symmetrized matrix")
     p.add_argument("family")
     p.add_argument("N", type=int)
     p.set_defaults(func=cmd_symmetrize)
 
-    p = sub.add_parser("minors", parents=[common], help="print principal minors")
+    p = sub.add_parser("minors", parents=[common, printing], help="print principal minors")
     p.add_argument("family")
     p.add_argument("count", type=int)
     p.add_argument("--symmetrize", action="store_true")
@@ -240,7 +241,7 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oeis", parents=[common], help="fetch and compare OEIS b-files")
+    p = sub.add_parser("oeis", parents=[common, printing], help="fetch and compare OEIS b-files")
     p.add_argument("sequence")
     p.add_argument("--check", choices=CHECK_SEQUENCES, default=None)
     p.add_argument("--limit", type=int, default=20)

@@ -160,6 +160,20 @@ def test_symmetric_gf_expands_to_symmetric_matrix():
         assert expand(gf, 9).is_symmetric()
 
 
+def test_transpose_swaps_x_and_y():
+    rng = random.Random(43)
+    for _ in range(40):
+        P = _random_poly(rng, 3, 2)
+        Q = _random_poly(rng, 2, 3, nonzero_origin=True)
+        assert P.transpose().coeffs == {(j, i): c for (i, j), c in P.coeffs.items()}
+        assert P.transpose().transpose() == P
+        r = BivariateRational(P, Q)
+        back = r.transpose().transpose()
+        assert (back.num, back.den) == (P, Q)
+        # the gf of the transposed matrix
+        assert expand(r.transpose(), 7) == expand(r, 7).transpose()
+
+
 def test_coeff_matrix_operations():
     A = CoeffMatrix([[1, 2], [3, 4]])
     B = CoeffMatrix([[0, 1], [1, 0]])

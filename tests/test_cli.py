@@ -136,6 +136,11 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _ = run(capsys, "matrix", "R:1", "8", "--order", "4")
     assert rc == 2
+    # --format belongs to the printing commands; verify reports with --json
+    assert main(["verify", "robbins", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format json" in captured.err
     # int() takes each of these; the parameter is ASCII digits with an optional sign
     for spec in ("R:1_0", "R: 2", "R:\u0663", "R:2 ", "R:"):
         assert main(["matrix", spec, "4"]) == 2

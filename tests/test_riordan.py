@@ -10,6 +10,7 @@ from riordan.array import (
     RiordanPair,
     bivariate_gf,
     conjugate,
+    gf_conjugate,
     gf_right_transform,
     identity_pair,
     inverse,
@@ -17,7 +18,16 @@ from riordan.array import (
     product,
     rational_pair,
 )
-from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand, gf_identity_check
+from riordan.bivar import (
+    ONE,
+    X,
+    Y,
+    BivarPoly,
+    BivariateRational,
+    CoeffMatrix,
+    expand,
+    gf_identity_check,
+)
 from riordan.families import (
     catalan_pair,
     make_example1,
@@ -26,7 +36,10 @@ from riordan.families import (
     make_tilde_R,
     pascal_pair,
     tilde_inverse_closed,
+    twenty_vertex_gf,
+    twenty_vertex_matrix,
 )
+from riordan.minors import principal_minors
 from riordan.series import InsufficientOrder
 from riordan.symmetry import closed_form_rows
 
@@ -146,6 +159,8 @@ def test_bivariate_gf_rational_route():
 def test_bivariate_gf_needs_rational_forms():
     with pytest.raises(ValueError):
         bivariate_gf(make_R(1, 10))
+    with pytest.raises(ValueError):
+        gf_conjugate(BivariateRational(ONE, ONE - X - Y), make_R(1, 10))
     assert expand(bivariate_gf(identity_pair(6)), 6) == CoeffMatrix.identity(6)
 
 
@@ -167,25 +182,73 @@ def test_conjugate_by_identity():
     assert conjugate(M, identity_pair(8)) == M
 
 
+def _random_rational_pair(rng, order):
+    """A pair (pg/qg, pf/qf) from short random integer lists; the constant
+    terms of both denominators are in {1, -1, 2}."""
+    pg = [rng.choice([1, -1, 2, 3])] + [rng.randint(-3, 3) for _ in range(2)]
+    qg = [rng.choice([1, -1, 2])] + [rng.randint(-2, 2) for _ in range(2)]
+    pf = [0, rng.choice([1, -1, 2])] + [rng.randint(-3, 3) for _ in range(2)]
+    qf = [rng.choice([1, -1, 2])] + [rng.randint(-2, 2) for _ in range(2)]
+    return rational_pair((pg, qg), (pf, qf), order)
+
+
 def test_conjugate_gf_relation_randomized():
-    # result gf is p(x) p(y) m(q(x), q(y)): checked through matrices, with the
-    # gf side expanded independently for a rational test pair
+    # result gf is p(x) p(y) m(q(x), q(y)): gf_conjugate expanded against the
+    # matrix conjugation of the expansion of m, for a non-symmetric m
     rng = random.Random(13)
     for _ in range(20):
-        P = {}
+        P = {(0, 0): 1}
         for i in range(3):
             for j in range(3):
                 if rng.random() < 0.5:
                     P[(i, j)] = rng.randint(-2, 2)
-        from riordan.bivar import BivarPoly
-
-        m = BivariateRational(BivarPoly(P), ONE - X - Y)
+        m = BivariateRational(BivarPoly(P), ONE - X - 2 * Y + rng.randint(-2, 2) * X * Y)
         M = expand(m, 8)
+        assert not M.is_symmetric()
         a = RiordanPair(
             series.rational([1], [1, 1], 10), series.rational([0, 1], [1, 1], 10)
         )
         A = matrix(a, 8)
         assert conjugate(M, a) == A * M * A.transpose()
+        b = _random_rational_pair(rng, 10)
+        assert expand(gf_conjugate(m, b), 8) == conjugate(M, b)
+
+
+def _bivariate_gf_oracle(a):
+    """g(x) / (1 - y f(x)) written out: pg qf / (qg (qf - y pf)), in x."""
+    (pg, qg), (pf, qf) = a.g_rational, a.f_rational
+
+    def in_x(c):
+        return BivarPoly({(i, 0): v for i, v in enumerate(c)})
+
+    return BivariateRational(in_x(pg) * in_x(qf), in_x(qg) * (in_x(qf) - Y * in_x(pf)))
+
+
+def test_bivariate_gf_is_the_transposed_right_transform():
+    rng = random.Random(31)
+    for _ in range(120):
+        a = _random_rational_pair(rng, 8)
+        gf = bivariate_gf(a)
+        assert gf_identity_check(gf, _bivariate_gf_oracle(a))
+        assert expand(gf, 8) == matrix(a, 8)
+
+
+def test_twenty_vertex_chain_on_gfs():
+    # the chain decided for the whole expansion; each link keeps every leading
+    # minor, so the end matrix has the twenty-vertex minors at every N
+    g0 = BivariateRational((ONE - X) * (ONE - Y), (ONE - X * Y) * (ONE - X - Y - X * Y))
+    link = BivariateRational(ONE + Y * Y, (ONE - Y) * (ONE - Y))
+    prod = BivariateRational(g0.num * link.num, g0.den * link.den)
+    assert gf_identity_check(twenty_vertex_gf(), prod)
+    a1 = rational_pair(([1], [1, 1]), ([0, 1], [1, 1]), 12)
+    step1 = gf_conjugate(g0, a1)
+    assert gf_identity_check(step1, BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE + X + Y)))
+    a2 = rational_pair(([1], [1]), ([0, -1], [1]), 12)
+    end = BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE - X - Y))
+    assert gf_identity_check(gf_conjugate(step1, a2), end)
+    assert not gf_identity_check(gf_conjugate(step1, identity_pair(12)), end)
+    N = 14
+    assert principal_minors(expand(end, N), N) == principal_minors(twenty_vertex_matrix(N), N)
 
 
 def test_gf_right_transform_example():
