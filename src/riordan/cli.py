@@ -125,21 +125,14 @@ def _require_nonnegative(**sizes):
 
 def cmd_matrix(args):
     _require_nonnegative(N=args.N)
-    M = _build_matrix(*_parse_family(args.family), args.N)
+    M = _build_matrix(*_parse_family(args.family), args.N, args.symmetrized)
     print(_render_matrix(M, args.format))
-    return EXIT_PASS
-
-
-def cmd_symmetrize(args):
-    _require_nonnegative(N=args.N)
-    S = _build_matrix(*_parse_family(args.family), args.N, symmetrized=True)
-    print(_render_matrix(S, args.format))
     return EXIT_PASS
 
 
 def cmd_minors(args):
     _require_nonnegative(count=args.count)
-    M = _build_matrix(*_parse_family(args.family), args.count, args.symmetrize)
+    M = _build_matrix(*_parse_family(args.family), args.count, args.symmetrized)
     print(_render_sequence(principal_minors(M, args.count), args.format))
     return EXIT_PASS
 
@@ -176,9 +169,9 @@ def cmd_verify(args):
 CHECK_SEQUENCES = ("robbins", "vertex20", "catalan", "A361654")
 
 
-def _check_values(name, length):
+def _check_values(name):
     if name == "robbins":
-        return [families.robbins(n) for n in range(length)]
+        return [families.robbins(n) for n in range(30)]
     if name == "vertex20":
         return families.reference_B20()
     # catalan or A361654 (argparse rejects other names): the first 12 rows
@@ -196,7 +189,7 @@ def cmd_oeis(args):
     if args.check is None:
         print(_render_sequence(bfile.values[: args.limit], args.format))
         return EXIT_PASS
-    values = _check_values(args.check, 30)
+    values = _check_values(args.check)
     alignment = oeis.align(values, bfile)
     verdict = "match" if alignment.ok else "MISMATCH"
     print(
@@ -207,44 +200,45 @@ def cmd_oeis(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    common.add_argument("--offline", action="store_true")
-    common.add_argument("--cache-dir", default=None)
-    printing = argparse.ArgumentParser(add_help=False)
-    printing.add_argument("--format", choices=("table", "csv", "json"), default="table")
-
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Exact Riordan arrays, symmetrizations, and principal minors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = ("table", "csv", "json")
 
-    p = sub.add_parser("matrix", parents=[common, printing], help="print an N x N family matrix")
-    p.add_argument("family")
-    p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_matrix)
+    for name, help_text, symmetrized in (
+        ("matrix", "print an N x N family matrix", False),
+        ("symmetrize", "print a symmetrized matrix", True),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("family")
+        p.add_argument("N", type=int)
+        p.add_argument("--format", choices=formats, default="table")
+        p.set_defaults(func=cmd_matrix, symmetrized=symmetrized)
 
-    p = sub.add_parser("symmetrize", parents=[common, printing], help="print a symmetrized matrix")
-    p.add_argument("family")
-    p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_symmetrize)
-
-    p = sub.add_parser("minors", parents=[common, printing], help="print principal minors")
+    p = sub.add_parser("minors", help="print principal minors")
     p.add_argument("family")
     p.add_argument("count", type=int)
-    p.add_argument("--symmetrize", action="store_true")
+    p.add_argument("--symmetrize", action="store_true", dest="symmetrized")
+    p.add_argument("--format", choices=formats, default="table")
+    # read by no handler; accepted because bench/workloads.py (sym-robbins) passes it
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=cmd_minors)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
     p.add_argument("--json", action="store_true")
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oeis", parents=[common, printing], help="fetch and compare OEIS b-files")
+    p = sub.add_parser("oeis", help="fetch and compare OEIS b-files")
     p.add_argument("sequence")
     p.add_argument("--check", choices=CHECK_SEQUENCES, default=None)
     p.add_argument("--limit", type=int, default=20)
+    p.add_argument("--offline", action="store_true")
+    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--format", choices=formats, default="table")
     p.set_defaults(func=cmd_oeis)
     return parser
 

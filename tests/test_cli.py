@@ -80,6 +80,13 @@ def test_verify_seed_flag(capsys):
     assert rc == 0
 
 
+def test_minors_accepts_and_ignores_seed(capsys):
+    # the argv of the bench workload sym-robbins, which passes --seed to minors
+    with_seed = run(capsys, "minors", "R:1", "--symmetrize", "30", "--seed", "7")
+    assert with_seed[0] == 0
+    assert with_seed == run(capsys, "minors", "R:1", "--symmetrize", "30")
+
+
 def test_symmetrize_matches_display(capsys):
     rc, out = run(capsys, "symmetrize", "R:1", "6", "--format", "csv")
     assert rc == 0
@@ -136,11 +143,22 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _ = run(capsys, "matrix", "R:1", "8", "--order", "4")
     assert rc == 2
-    # --format belongs to the printing commands; verify reports with --json
-    assert main(["verify", "robbins", "--format", "json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --format json" in captured.err
+    # each flag is declared only on the commands that read it: --format on
+    # the printing commands (verify reports with --json), --seed on verify
+    # (and minors), --offline and --cache-dir on oeis
+    for argv, unrecognized in (
+        (("verify", "robbins", "--format", "json"), "--format json"),
+        (("matrix", "R:1", "3", "--offline"), "--offline"),
+        (("symmetrize", "R:1", "3", "--cache-dir", "x"), "--cache-dir x"),
+        (("minors", "R:1", "3", "--offline"), "--offline"),
+        (("verify", "robbins", "--cache-dir", "x"), "--cache-dir x"),
+        (("matrix", "R:1", "3", "--seed", "1"), "--seed 1"),
+        (("oeis", "A005130", "--seed", "1", "--offline"), "--seed 1"),
+    ):
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {unrecognized}\n" in captured.err
     # int() takes each of these; the parameter is ASCII digits with an optional sign
     for spec in ("R:1_0", "R: 2", "R:\u0663", "R:2 ", "R:"):
         assert main(["matrix", spec, "4"]) == 2
