@@ -4,7 +4,8 @@ The rational functions that appear in this package all have tiny polynomial
 numerators and denominators, so :class:`BivarPoly` is a sparse table keyed by
 ``(x_degree, y_degree)``.  :func:`expand` turns a ratio of two such
 polynomials into the dense matrix of its power series coefficients via the
-linear recurrence obtained from ``Q * S = P``.  Polynomial coefficients
+linear recurrence obtained from ``Q * S = P``, scaled to ints and run
+fraction-free on int for every input.  Polynomial coefficients
 follow the package rule (``series._exact``): an int when integral, else a
 Fraction, never a float.  A :class:`CoeffMatrix` is stored as int rows over
 one positive denominator in lowest terms, like a ``Series``; its read-only
@@ -14,11 +15,11 @@ one positive denominator in lowest terms, like a ``Series``; its read-only
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import gcd
 from operator import mul
 
-from .series import _all_int, _exact, _scaled
+from .series import _exact, _scaled
 
 
 class ZeroConstant(ValueError):
@@ -258,29 +259,45 @@ class BivariateRational:
 def expand(r: BivariateRational, N: int) -> CoeffMatrix:
     """N x N coefficient matrix of the power series expansion of r.
 
-    Uses the recurrence from Q*S = P: with q = Q(0,0),
+    P and Q are scaled to ints, P/Q = (dq/dp) P'/Q', and with q = Q'(0,0)
+    the recurrence from Q'*S' = P' runs fraction-free on
+    t[n][k] = s'[n][k] * q^(n+k+1):
 
-        s[n][k] = (p[n][k] - sum over (i,j) != (0,0) of q[i][j]*s[n-i][k-j]) / q
+        t[n][k] = p'[n][k]*q^(n+k) - sum over (i,j) != (0,0) of q'[i][j]*q^(i+j-1)*t[n-i][k-j]
 
-    Row-major order visits every needed earlier entry first.  With an
-    integral numerator and denominator and q = +-1 the recurrence runs on
-    int (1/q = q); otherwise it multiplies by the Fraction 1/q.
+    Row-major order visits every needed earlier entry first.  Every entry
+    is returned over the one denominator dp*q^(2N-1), its sign moved into
+    the numerators.
     """
-    q0 = r.den.coefficient(0, 0)
-    if q0 == 0:
+    if r.den.coefficient(0, 0) == 0:
         raise ZeroConstant("denominator vanishes at the origin")
-    num, den = r.num.coeffs, r.den.coeffs
-    inv = q0 if q0 in (1, -1) and _all_int(num.values(), den.values()) else Fraction(1, q0)
-    qterms = [(i, j, c) for (i, j), c in den.items() if (i, j) != (0, 0)]
-    s = [[0] * N for _ in range(N)]
+    pv, dp = _scaled(list(r.num.coeffs.values()))
+    qv, dq = _scaled(list(r.den.coeffs.values()))
+    num = dict(zip(r.num.coeffs, pv))
+    den = dict(zip(r.den.coeffs, qv))
+    q = den[(0, 0)]
+    pw = list(accumulate(repeat(q, 2 * N - 1), mul, initial=1))  # q^0 .. q^(2N-1)
+    qterms = [
+        (i, j, c * pw[i + j - 1])
+        for (i, j), c in den.items()
+        if (i, j) != (0, 0) and i < N and j < N
+    ]
+    t = [[0] * N for _ in range(N)]
     for n in range(N):
         for k in range(N):
-            acc = num.get((n, k), 0)
+            acc = num.get((n, k), 0) * pw[n + k]
             for i, j, c in qterms:
                 if i <= n and j <= k:
-                    acc -= c * s[n - i][k - j]
-            s[n][k] = acc * inv
-    return CoeffMatrix._of(s, 1) if type(inv) is int else CoeffMatrix(s)
+                    acc -= c * t[n - i][k - j]
+            t[n][k] = acc
+    if q == dq == 1:
+        return CoeffMatrix._of(t, dp)
+    d = dp * pw[-1]
+    m = -dq if d < 0 else dq
+    last = 2 * N - 2
+    return CoeffMatrix._of(
+        [[m * pw[last - n - k] * v for k, v in enumerate(row)] for n, row in enumerate(t)], abs(d)
+    )
 
 
 def gf_identity_check(lhs: BivariateRational, rhs: BivariateRational) -> bool:

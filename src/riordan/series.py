@@ -77,10 +77,6 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(saved)
 
 
-def _all_int(*lists) -> bool:
-    return all(type(c) is int for cs in lists for c in cs)
-
-
 def _scaled(c):
     """Integers over a common denominator: (ints, d) with c[i] == ints[i] / d,
     d the lcm of the denominators (in lowest terms for exact c)."""

@@ -2,16 +2,17 @@
 
 Two routes produce the same symmetric matrix:
 
-* the generating function route, expanding B(xy, 1/y) + B(xy, 1/x) - g(xy)
-  structurally (no Laurent series is ever formed: because the array is lower
-  triangular, f(xy)/y only carries nonnegative powers into the result);
+* the generating function route, B(xy, 1/y) + B(xy, 1/x) - g(xy) by one
+  ``bivar.expand`` of the rational gf g(xy) / (1 - f(xy)/y) plus its
+  transpose (no Laurent series is ever formed: because f(0) = 0,
+  f(xy)/y is a polynomial with nonnegative powers);
 * the matrix route, mirroring each reversed row of the triangle across the
   diagonal.
 
 The matrix route is the production path; the gf route is the definitional
 oracle the tests hold it against.  Both return a plain ``CoeffMatrix``,
 symmetric by construction: the matrix route writes s[n][k] and s[k][n] from
-one triangle entry, the gf route adds a table to its own transpose.
+one triangle entry, the gf route adds an expansion to its own transpose.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from math import comb
 
 from .array import RiordanPair, matrix
-from .bivar import CoeffMatrix
+from .bivar import ONE, BivarPoly, BivariateRational, CoeffMatrix, expand
 from .series import InsufficientOrder
 
 
@@ -27,47 +28,26 @@ class NotLowerTriangular(ValueError):
     """symmetrize_matrix needs a lower triangular input."""
 
 
-def _mul_trunc(a: dict, b: dict, N: int) -> dict:
-    """Product of sparse bivariate tables, truncated to degrees < N in x and y."""
-    out: dict = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i < N and j < N:
-                key = (i, j)
-                out[key] = out.get(key, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
 def symmetrize_gf(a: RiordanPair, N: int) -> CoeffMatrix:
     """N x N matrix of B(xy, 1/y) + B(xy, 1/x) - g(xy), where B = g/(1 - yf).
 
-    B(xy, 1/y) = g(xy) / (1 - f(xy)/y), and f(xy)/y = sum f_k x^k y^(k-1)
-    has positive x-degree in every monomial, so the geometric sum terminates
-    within the truncation.  The mirror term is the x <-> y swap.
+    B(xy, 1/y) = g(xy) / (1 - u) with u = f(xy)/y = sum f_k x^k y^(k-1), a
+    polynomial once f is truncated, so it is one expansion of a rational
+    gf.  The mirror term B(xy, 1/x) is its transpose, and g(xy) sits on
+    the diagonal.
     """
     if a.order < N:
         raise InsufficientOrder(f"symmetrization to {N}x{N} needs order >= {N}, have {a.order}")
-    f, g = a.f, a.g
-    u = {(k, k - 1): f.coeffs[k] for k in range(1, N) if f.coeffs[k]}
-    acc = {(0, 0): 1}
-    term = {(0, 0): 1}
-    for _ in range(1, N):
-        term = _mul_trunc(term, u, N)
-        if not term:
-            break
-        for k, c in term.items():
-            acc[k] = acc.get(k, 0) + c
-    gxy = {(j, j): g.coeffs[j] for j in range(N) if g.coeffs[j]}
-    half = _mul_trunc(gxy, acc, N)
-    rows = [[0] * N for _ in range(N)]
-    for n in range(N):
-        for k in range(N):
-            s = half.get((n, k), 0) + half.get((k, n), 0)
-            if n == k:
-                s -= g.coeffs[n]
-            rows[n][k] = s
-    return CoeffMatrix(rows)
+    f, g = a.f.coeffs, a.g
+    u = BivarPoly({(k, k - 1): f[k] for k in range(1, N)})
+    gxy = BivarPoly({(j, j): g.coeffs[j] for j in range(N)})
+    half = expand(BivariateRational(gxy, ONE - u), N)
+    h, d = half.ints, half.den
+    rows = [
+        [(h[n][k] + h[k][n]) * g.den - (g.nums[n] * d if n == k else 0) for k in range(N)]
+        for n in range(N)
+    ]
+    return CoeffMatrix._of(rows, d * g.den)
 
 
 def symmetrize_matrix(T: CoeffMatrix) -> CoeffMatrix:
