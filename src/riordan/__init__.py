@@ -4,7 +4,7 @@ lattice model numbers."""
 
 from .array import RiordanPair, identity_pair
 from .bivar import BivarPoly, BivariateRational, CoeffMatrix, expand
-from .minors import MinorSequence, principal_minors
+from .minors import principal_minors
 from .series import Series
 from .symmetry import symmetrize, symmetrize_gf, symmetrize_matrix
 
@@ -12,7 +12,6 @@ __all__ = [
     "BivarPoly",
     "BivariateRational",
     "CoeffMatrix",
-    "MinorSequence",
     "RiordanPair",
     "Series",
     "expand",

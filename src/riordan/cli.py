@@ -185,12 +185,11 @@ def cmd_oeis(args):
         oeis.check_seq_id(args.sequence)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    bfile = oeis.oeis_fetch(args.sequence, cache_dir=args.cache_dir, offline=args.offline)
+    reference = oeis.oeis_fetch(args.sequence, cache_dir=args.cache_dir, offline=args.offline)
     if args.check is None:
-        print(_render_sequence(bfile.values[: args.limit], args.format))
+        print(_render_sequence(reference[: args.limit], args.format))
         return EXIT_PASS
-    values = _check_values(args.check)
-    alignment = oeis.align(values, bfile)
+    alignment = oeis.align(_check_values(args.check), reference)
     verdict = "match" if alignment.ok else "MISMATCH"
     print(
         f"{args.sequence} vs {args.check}: {verdict} "

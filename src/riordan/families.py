@@ -31,7 +31,7 @@ def catalan_shift(order: int) -> Series:
     """x times the Catalan generating function, (1 - sqrt(1 - 4x)) / 2; fixed
     point of reversion tests.  The root is taken one order up, since sqrt
     needs a stored constant term, so order 0 works too."""
-    root = series.sqrt(series.poly([1, -4], order + 1))
+    root = series.sqrt(Series([1, -4], order + 1))
     return ((1 - root) / 2).truncate(order)
 
 
@@ -56,9 +56,9 @@ def _quadratic_pair(a: int, b: int, c: int, order: int) -> RiordanPair:
     """The pair (1/((1-ax) sqrt(1-bx+cx^2)), (1 - (b/2-2)x - sqrt(1-bx+cx^2))/2)
     for even b, with g and f built from one square root: the shape of both
     make_R and make_tilde_R."""
-    root = series.sqrt(series.poly([1, -b, c], order))
-    g = 1 / (series.poly([1, -a], order) * root)
-    return RiordanPair(g, (series.poly([1, 2 - b // 2], order) - root) / 2)
+    root = series.sqrt(Series([1, -b, c], order))
+    g = 1 / (Series([1, -a], order) * root)
+    return RiordanPair(g, (Series([1, 2 - b // 2], order) - root) / 2)
 
 
 def make_R(r: int, order: int) -> RiordanPair:
@@ -131,7 +131,7 @@ def make_A361654_embed(order: int) -> RiordanPair:
     u = x c(x) = (1 - sqrt(1-4x))/2.  Since 1-3u+3u^2-2u^3 = (1-x)(1-2u)
     and 1-2u = sqrt(1-4x), g = (1-u)/((1-x)(1-2u))."""
     xc = catalan_shift(order)
-    g = (1 - xc) / (series.poly([1, -1], order) * (1 - 2 * xc))
+    g = (1 - xc) / (Series([1, -1], order) * (1 - 2 * xc))
     return RiordanPair(g, xc)
 
 

@@ -24,13 +24,14 @@ determinant D_m prev^(m-k-1), D_m the m x m leading minor (Bareiss, Math.
 Comp. 1968).  At a zero pivot a[k][k] let t be the first j > k with
 a[k][j] != 0 (row k is current in both modes).  With no t, row k of every
 later block is zero: every later minor is 0 and the sweep stops.  Otherwise
-the minors at indices k..t-1 are 0, and column t is added to column k; the
-symmetric mode first mirrors the stale lower half, then adds u row t to
-row k and u column t to column k, with u = +-1 so that the new pivot
-2u a[k][t] + a[t][t] is nonzero.  Bordered minors are linear in their
-border row and column, so this is the Bareiss state of a matrix whose
-leading minors of size > t are unchanged; minors are recorded again from
-the largest such t on.
+the minors at indices k..t-1 are 0, and column t is added to column k.  The
+symmetric mode adds u row t to row k and u column t to column k, with
+u = +-1 so that the new pivot 2u a[k][t] + a[t][t] is nonzero; it reads
+row t left of the diagonal as column t above it, and of column k it
+updates only the pivot, the one entry on or above the diagonal.  Bordered
+minors are linear in their border row and column, so this is the Bareiss
+state of a matrix whose leading minors of size > t are unchanged; minors
+are recorded again from the largest such t on.
 
 `det` is the last minor of the same sweep, with no second elimination.  It
 is exact: every fold keeps the minors of size > t, and the last index N-1
@@ -43,13 +44,6 @@ from fractions import Fraction
 
 from .bivar import CoeffMatrix, DimensionError
 from .series import _exact
-
-
-class MinorSequence(list):
-    """Leading principal minors; entry n is the (n+1) x (n+1) determinant."""
-
-    def __repr__(self):
-        return f"MinorSequence({list.__repr__(self)})"
 
 
 def det_cofactor(rows) -> int | Fraction:
@@ -80,7 +74,8 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
 
     With ``symmetric`` (the caller has checked the block is symmetric) each
     step updates only the upper half, j >= i, and reads a[i][k] as a[k][i];
-    the entries below the diagonal go stale until a zero pivot mirrors them.
+    the entries below the diagonal go stale and are never read, a zero-pivot
+    fold included.
     """
     a = [row[:count] for row in rows[:count]]
     minors = [0] * count
@@ -93,16 +88,15 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
             if t is None:
                 break
             zero_to = max(zero_to, t)
-            u = 1
             if symmetric:
-                for i in range(k + 1, count):
-                    for j in range(k, i):
-                        a[i][j] = a[j][i]
-                u = 1 if 2 * row_k[t] + a[t][t] else -1
+                row_t = a[t]
+                u = 1 if 2 * row_k[t] + row_t[t] else -1
                 for j in range(k, count):
-                    row_k[j] += u * a[t][j]
-            for i in range(k, count):
-                a[i][k] += u * a[i][t]
+                    row_k[j] += u * (a[j][t] if j < t else row_t[j])
+                row_k[k] += u * row_k[t]
+            else:
+                for i in range(k, count):
+                    a[i][k] += a[i][t]
         piv = row_k[k]
         if k >= zero_to:
             minors[k] = piv
@@ -118,11 +112,11 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
     return minors
 
 
-def principal_minors(M: CoeffMatrix, count: int) -> MinorSequence:
-    """First `count` leading principal minors, exactly."""
+def principal_minors(M: CoeffMatrix, count: int) -> list:
+    """First `count` leading principal minors, exactly; entry n is the (n+1) x (n+1) one."""
     if count < 0 or count > M.n:
         raise DimensionError(f"requested {count} minors of a {M.n}x{M.n} matrix")
-    return MinorSequence(_exact_minors(M, count))
+    return _exact_minors(M, count)
 
 
 def det(M: CoeffMatrix):

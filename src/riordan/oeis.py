@@ -1,12 +1,14 @@
 """OEIS b-file client with a local immutable cache.
 
 A b-file is plain text: one ``index value`` pair per line, ``#`` comments,
-LF endings.  Fetched files are written to the cache directory once,
-atomically, and never rewritten; offline mode reads the cache only.  The
-text is ASCII: a byte outside it (say an accented name in a comment) is
-replaced on download, on the cache write and on the cache read alike.
-The network stack and ``tempfile`` are imported only by a fetch and a cache
-write, so every other command starts without them.
+LF endings.  It parses to its values, a plain list of ints in index order;
+the indices are only checked to increase strictly.  Fetched files are
+written to the cache directory once, atomically, and never rewritten;
+offline mode reads the cache only.  The text is ASCII: a byte outside it
+(say an accented name in a comment) is replaced on download, on the cache
+write and on the cache read alike.  The network stack and ``tempfile`` are
+imported only by a fetch and a cache write, so every other command starts
+without them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import os
 import re
+from collections import namedtuple
 
 from .series import unlimited_int_digits
 
@@ -34,38 +37,15 @@ class CacheMiss(LookupError):
     """Offline mode and the sequence is not cached."""
 
 
-class BFile:
-    """Parsed b-file: a sequence id and its (index, value) entries."""
-
-    __slots__ = ("seq_id", "entries")
-
-    def __init__(self, seq_id: str, entries):
-        self.seq_id = seq_id
-        self.entries = list(entries)
-
-    @property
-    def indices(self):
-        return [i for i, _ in self.entries]
-
-    @property
-    def values(self):
-        return [v for _, v in self.entries]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __repr__(self):
-        return f"BFile({self.seq_id}, {len(self.entries)} entries)"
-
-
 def check_seq_id(seq_id: str) -> str:
     if not SEQ_ID_RE.match(seq_id or ""):
         raise ValueError(f"bad sequence id {seq_id!r}; expected A followed by six digits")
     return seq_id
 
 
-def parse_bfile(text: str, seq_id: str) -> BFile:
-    entries = []
+def parse_bfile(text: str, seq_id: str) -> list:
+    """The b-file's values in index order; the indices are only checked."""
+    values = []
     last = None
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -82,8 +62,8 @@ def parse_bfile(text: str, seq_id: str) -> BFile:
         if last is not None and idx <= last:
             raise ParseError(f"{seq_id} line {lineno}: indices not strictly increasing")
         last = idx
-        entries.append((idx, val))
-    return BFile(seq_id, entries)
+        values.append(val)
+    return values
 
 
 def default_cache_dir() -> str:
@@ -101,8 +81,8 @@ def bfile_url(seq_id: str) -> str:
     return f"https://oeis.org/{seq_id}/b{seq_id[1:]}.txt"
 
 
-def oeis_fetch(seq_id: str, cache_dir: str | None = None, offline: bool = False) -> BFile:
-    """Return the parsed b-file, from cache if present, else the network."""
+def oeis_fetch(seq_id: str, cache_dir: str | None = None, offline: bool = False) -> list:
+    """Return the b-file's values, from cache if present, else the network."""
     check_seq_id(seq_id)
     path = cache_path(seq_id, cache_dir)
     if os.path.exists(path):
@@ -120,9 +100,9 @@ def oeis_fetch(seq_id: str, cache_dir: str | None = None, offline: bool = False)
             text = resp.read().decode("ascii", errors="replace")
     except OSError as exc:  # urllib.error.URLError is an OSError
         raise NetworkError(f"could not fetch {seq_id}: {exc}") from exc
-    bfile = parse_bfile(text, seq_id)
+    values = parse_bfile(text, seq_id)
     _cache_once(path, text)
-    return bfile
+    return values
 
 
 def _cache_once(path: str, text: str) -> None:
@@ -151,30 +131,25 @@ def _cache_once(path: str, text: str) -> None:
         raise NetworkError(f"could not write the cache file {path}: {exc}") from exc
 
 
-class Alignment:
+class Alignment(namedtuple("Alignment", "offset matched compared")):
     """How a computed sequence lines up against a b-file."""
 
-    __slots__ = ("offset", "matched", "compared", "ok")
+    __slots__ = ()
 
-    def __init__(self, offset: int, matched: int, compared: int):
-        self.offset = offset
-        self.matched = matched
-        self.compared = compared
-        self.ok = compared > 0 and matched == compared
-
-    def __repr__(self):
-        return f"Alignment(offset={self.offset}, matched={self.matched}/{self.compared})"
+    @property
+    def ok(self) -> bool:
+        return self.compared > 0 and self.matched == self.compared
 
 
-def align(values, bfile: BFile) -> Alignment:
-    """Best alignment of `values` against the b-file, trying offsets 0 and 1.
+def align(values, reference) -> Alignment:
+    """Best alignment of `values` against the b-file values `reference`, trying offsets 0 and 1.
 
-    Offset o compares values[k] to the (k+o)-th b-file entry; b-file index
-    numbering itself varies per sequence, so only positions are used.
+    Offset o compares values[k] to reference[k + o]; b-file index numbering
+    itself varies per sequence, so only positions are used.
     """
     best = None
     for offset in (0, 1):
-        w = bfile.values[offset:]
+        w = reference[offset:]
         compared = min(len(values), len(w))
         matched = 0
         for k in range(compared):

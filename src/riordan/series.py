@@ -128,7 +128,8 @@ def _series(nums, den, order):
 
 class Series:
     """Power series truncated to ``order`` exact coefficients, stored as the
-    ints ``nums`` over one positive denominator ``den`` in lowest terms."""
+    ints ``nums`` over one positive denominator ``den`` in lowest terms.
+    ``Series(coeffs, order)`` zero-pads or truncates ``coeffs`` to ``order``."""
 
     __slots__ = ("nums", "den", "order", "_coeffs")
 
@@ -238,11 +239,6 @@ class Series:
         if isinstance(other, (int, Fraction)):
             return div(Series([other], self.order), self)
         return NotImplemented
-
-
-def poly(coeff_list, order: int) -> Series:
-    """Series with the given coefficients, zero-padded or truncated to order."""
-    return Series(coeff_list, order)
 
 
 def _div_lists(a, b, n):
@@ -388,4 +384,4 @@ def sqrt(g: Series) -> Series:
 
 def rational(p, q, order: int) -> Series:
     """Expansion of the rational function p(x)/q(x); needs q(0) != 0."""
-    return div(poly(p, order), poly(q, order))
+    return div(Series(p, order), Series(q, order))

@@ -126,7 +126,7 @@ def test_criterion_7_twenty_vertex_chain():
     a1 = RiordanPair(series.rational([1], [1, 1], 12), series.rational([0, 1], [1, 1], 12))
     step1 = conjugate(g0, a1)
     ok = step1 == expand(BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE + X + Y)), N)
-    a2 = RiordanPair(series.poly([1], 12), series.poly([0, -1], 12))
+    a2 = RiordanPair(series.Series([1], 12), series.Series([0, -1], 12))
     step2 = conjugate(step1, a2)
     ok = ok and step2 == expand(BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE - X - Y)), N)
     minors_neg = principal_minors(matrix(a2, 8), 8)
@@ -154,7 +154,7 @@ def test_criterion_8_closed_forms():
     for r in range(6):
         right = RiordanPair(
             series.rational([1, -1], [1, -r - 2, 3 * r, -2 * r], 20),
-            series.poly([0, 1], 20),
+            series.Series([0, 1], 20),
         )
         ok = ok and product(cat, right) == make_R(r, 20)
     for r in range(-2, 6):

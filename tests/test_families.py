@@ -52,9 +52,9 @@ def test_catalan_gf():
     c = catalan_gf(8)
     assert seq(c) == [1, 1, 2, 5, 14, 42, 132, 429]
     # recurrence oracle: c = 1 + x c^2
-    x = series.poly([0, 1], 8)
+    x = series.Series([0, 1], 8)
     assert c == 1 + x * c * c
-    assert catalan_shift(8) == series.revert(series.poly([0, 1, -1], 8))
+    assert catalan_shift(8) == series.revert(series.Series([0, 1, -1], 8))
     for n in range(41):
         cat = [comb(2 * k, k) // (k + 1) for k in range(n)]
         assert catalan_gf(n) == series.Series(cat, n)
@@ -159,21 +159,21 @@ def test_rational_families_expand_from_their_forms(name):
 
 
 def _R_written_out(r, order):
-    root = series.sqrt(series.poly([1, -4], order))
-    return RiordanPair(1 / (series.poly([1, -r], order) * root), (1 - root) / 2)
+    root = series.sqrt(series.Series([1, -4], order))
+    return RiordanPair(1 / (series.Series([1, -r], order) * root), (1 - root) / 2)
 
 
 def _tilde_R_written_out(r, order):
-    root = series.sqrt(series.poly([1, -2 * (r + 2), r * r], order))
-    g = 1 / (series.poly([1, -1], order) * root)
-    return RiordanPair(g, (series.poly([1, -r], order) - root) / 2)
+    root = series.sqrt(series.Series([1, -2 * (r + 2), r * r], order))
+    g = 1 / (series.Series([1, -1], order) * root)
+    return RiordanPair(g, (series.Series([1, -r], order) - root) / 2)
 
 
 def _tilde_inverse_written_out(r, order):
     # (1 - x + rx + x^2) * d/dx(x(1-x)/(1+rx)), the derivative termwise
     inner = series.rational([0, 1, -1], [1, r], order + 1)
     derivative = series.Series([k * c for k, c in enumerate(inner.coeffs)][1:], order)
-    g = series.poly([1, r - 1, 1], order) * derivative
+    g = series.Series([1, r - 1, 1], order) * derivative
     return RiordanPair(g, series.rational([0, 1, -1], [1, r], order))
 
 
@@ -212,7 +212,7 @@ def test_make_A361654_embed():
     assert seq(g) == [1, -2, 1, -1, -1, -1, -1, -1]
     emb = make_A361654_embed(12)
     pre = RiordanPair(
-        series.rational([1, -3, 3, -2], [1, -1], 12), series.poly([0, 1, -1], 12)
+        series.rational([1, -3, 3, -2], [1, -1], 12), series.Series([0, 1, -1], 12)
     )
     assert inverse(emb) == pre
     # columns k >= 1 carry the r=1 array shifted one step down the diagonal
@@ -225,7 +225,7 @@ def test_make_A361654_embed():
 
 @pytest.mark.parametrize("n", [*range(2, 61), 200])
 def test_make_A361654_embed_inverts_its_preimage(n):
-    pre = RiordanPair(series.rational([1, -3, 3, -2], [1, -1], n), series.poly([0, 1, -1], n))
+    pre = RiordanPair(series.rational([1, -3, 3, -2], [1, -1], n), series.Series([0, 1, -1], n))
     assert make_A361654_embed(n) == inverse(pre)
 
 
@@ -285,7 +285,7 @@ def test_catalan_factorization():
     for r in range(6):
         right = RiordanPair(
             series.rational([1, -1], [1, -r - 2, 3 * r, -2 * r], 20),
-            series.poly([0, 1], 20),
+            series.Series([0, 1], 20),
         )
         assert product(cat, right) == make_R(r, 20)
 

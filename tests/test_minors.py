@@ -15,7 +15,7 @@ from riordan.families import (
     robbins,
     twenty_vertex_matrix,
 )
-from riordan.minors import MinorSequence, det, det_cofactor, principal_minors
+from riordan.minors import det, det_cofactor, principal_minors
 from riordan.symmetry import symmetrize
 
 F = Fraction
@@ -34,7 +34,7 @@ def test_twenty_vertex_minors():
 
 
 def test_negation_pair_minors():
-    pair = RiordanPair(series.poly([1], 8), series.poly([0, -1], 8))
+    pair = RiordanPair(series.Series([1], 8), series.Series([0, -1], 8))
     got = principal_minors(matrix(pair, 6), 6)
     assert list(got) == [1, -1, -1, 1, 1, -1]
     assert list(got) == [(-1) ** ((n + 1) * n // 2) for n in range(6)]
@@ -198,7 +198,7 @@ def _random_symmetric(rng, n):
 def _random_unipotent_pair(rng, order):
     g = [1] + [rng.randint(-3, 3) for _ in range(order - 1)]
     f = [0, 1] + [rng.randint(-3, 3) for _ in range(order - 2)]
-    return RiordanPair(series.poly(g, order), series.poly(f, order))
+    return RiordanPair(series.Series(g, order), series.Series(f, order))
 
 
 def test_unipotent_conjugation_preserves_minors():
@@ -212,17 +212,20 @@ def test_unipotent_conjugation_preserves_minors():
 
 def test_negation_conjugation_preserves_minors():
     rng = random.Random(67)
-    neg = RiordanPair(series.poly([1], 10), series.poly([0, -1], 10))
+    neg = RiordanPair(series.Series([1], 10), series.Series([0, -1], 10))
     for _ in range(40):
         n = rng.randint(2, 8)
         M = _random_symmetric(rng, n)
         assert principal_minors(conjugate(M, neg), n) == principal_minors(M, n)
 
 
-def test_minor_sequence_type():
+def test_principal_minors_returns_list():
     got = principal_minors(CoeffMatrix([[2, 0], [0, 3]]), 2)
-    assert isinstance(got, MinorSequence)
-    assert got == [2, 6]
+    assert type(got) is list and got == [2, 6]
+    got = principal_minors(CoeffMatrix([[F(1, 2), 1], [1, 3]]), 2)
+    assert type(got) is list and got == [F(1, 2), F(1, 2)]
+    got = principal_minors(CoeffMatrix([[2, 0], [0, 3]]), 0)
+    assert type(got) is list and got == []
 
 
 def test_zero_pivot_fixup_matches_cofactor():
@@ -307,9 +310,9 @@ def test_symmetric_mode_on_large_entries_and_late_zero_pivots():
         assert sym == gen == _block_dets(rows)
 
 
-def test_symmetric_mode_mirrors_before_a_late_swap():
-    # minors 1, 0, ...: the zero pivot is met at step 1, and the fold reads
-    # row 2 from the stale lower half
+def test_symmetric_mode_late_fold_reads_no_stale_entry():
+    # minors 1, 0, ...: the zero pivot is met at step 1, after the lower half
+    # has gone stale; the fold reads row 2 left of the diagonal as column 2
     rows = [
         [1, 1, 2, 3, 1],
         [1, 1, 4, 5, 2],

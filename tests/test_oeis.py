@@ -13,7 +13,6 @@ import pytest
 from riordan import cli, oeis
 from riordan.families import reference_B20, robbins
 from riordan.oeis import (
-    BFile,
     CacheMiss,
     NetworkError,
     ParseError,
@@ -34,10 +33,9 @@ def test_seq_id_validation():
 
 def test_parse_bfile():
     text = "# OEIS b-file\n\n0 1\n1 1\n2 2\n3 7\n"
-    bf = parse_bfile(text, "A005130")
-    assert bf.indices == [0, 1, 2, 3]
-    assert bf.values == [1, 1, 2, 7]
-    assert len(bf) == 4
+    assert parse_bfile(text, "A005130") == [1, 1, 2, 7]
+    # indices that start at 1 and skip still give the values in order
+    assert parse_bfile("1 5\n3 7\n", "A000001") == [5, 7]
 
 
 def test_parse_bfile_errors():
@@ -54,8 +52,7 @@ def test_parse_bfile_errors():
 def test_parse_bfile_value_past_the_digit_limit():
     # CPython refuses int() of more than 4300 digits by default
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    bf = parse_bfile("0 1\n1 " + "9" * 5000 + "\n", "A000001")
-    assert bf.values == [1, 10**5000 - 1]
+    assert parse_bfile("0 1\n1 " + "9" * 5000 + "\n", "A000001") == [1, 10**5000 - 1]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
     with pytest.raises(ParseError, match="non-integer field"):
         parse_bfile("0 1\n1 " + "9" * 5000 + "x\n", "A000001")
@@ -66,8 +63,7 @@ def test_fetch_reads_cache(tmp_path):
     lines = "\n".join(f"{n} {robbins(n)}" for n in range(12)) + "\n"
     with open(cache_path("A005130", cache), "w") as fh:
         fh.write(lines)
-    bf = oeis_fetch("A005130", cache_dir=cache, offline=True)
-    assert bf.values == [robbins(n) for n in range(12)]
+    assert oeis_fetch("A005130", cache_dir=cache, offline=True) == [robbins(n) for n in range(12)]
 
 
 def test_offline_cache_miss(tmp_path):
@@ -81,21 +77,18 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
 
 
 def test_align_offset_zero():
-    bf = BFile("A005130", [(n, robbins(n)) for n in range(12)])
-    a = align([robbins(n) for n in range(10)], bf)
+    a = align([robbins(n) for n in range(10)], [robbins(n) for n in range(12)])
     assert a.ok and a.offset == 0 and a.matched == 10
 
 
 def test_align_offset_one():
     # b-file carries one extra leading term relative to the computed values
-    bf = BFile("A358069", [(n + 1, v) for n, v in enumerate([99] + reference_B20())])
-    a = align(reference_B20(), bf)
+    a = align(reference_B20(), [99] + reference_B20())
     assert a.ok and a.offset == 1 and a.matched == 9
 
 
 def test_align_mismatch():
-    bf = BFile("A000001", [(0, 1), (1, 2), (2, 999)])
-    a = align([1, 2, 3], bf)
+    a = align([1, 2, 3], [1, 2, 999])
     assert not a.ok
     assert a.matched == 2
 
@@ -118,13 +111,13 @@ ROBBINS_BFILE = "# A005130\n" + "".join(f"{n} {robbins(n)}\n" for n in range(12)
 def test_fetch_writes_cache_once(tmp_path, monkeypatch):
     urls = _serve(monkeypatch, ROBBINS_BFILE.encode("ascii"))
     cache = str(tmp_path / "oeis")
-    bf = oeis_fetch("A005130", cache_dir=cache)
-    assert bf.values == [robbins(n) for n in range(12)]
+    values = oeis_fetch("A005130", cache_dir=cache)
+    assert values == [robbins(n) for n in range(12)]
     assert urls == ["https://oeis.org/A005130/b005130.txt"]
     assert os.listdir(cache) == ["b005130.txt"]
     with open(cache_path("A005130", cache), encoding="ascii") as fh:
         assert fh.read() == ROBBINS_BFILE
-    assert oeis_fetch("A005130", cache_dir=cache, offline=True).values == bf.values
+    assert oeis_fetch("A005130", cache_dir=cache, offline=True) == values
 
 
 def test_fetch_failing_midway_leaves_no_cache_file(tmp_path, monkeypatch):

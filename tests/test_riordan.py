@@ -60,18 +60,18 @@ def test_unipotence_helper():
     require_unipotent(pascal_pair(4))
     assert pascal_pair(4).is_unipotent()
     assert make_R(1, 4).is_unipotent()
-    assert not RiordanPair(series.poly([1], 4), series.poly([0, 2], 4)).is_unipotent()
+    assert not RiordanPair(series.Series([1], 4), series.Series([0, 2], 4)).is_unipotent()
     with pytest.raises(ValueError):
-        require_unipotent(RiordanPair(series.poly([2], 4), series.poly([0, 1], 4)))
+        require_unipotent(RiordanPair(series.Series([2], 4), series.Series([0, 1], 4)))
 
 
 def test_pair_validation():
     with pytest.raises(ValueError):
-        RiordanPair(series.poly([0, 1], 4), series.poly([0, 1], 4))
+        RiordanPair(series.Series([0, 1], 4), series.Series([0, 1], 4))
     with pytest.raises(ValueError):
-        RiordanPair(series.poly([1], 4), series.poly([1, 1], 4))
+        RiordanPair(series.Series([1], 4), series.Series([1, 1], 4))
     with pytest.raises(ValueError):
-        RiordanPair(series.poly([1], 4), series.poly([0, 0, 1], 4))
+        RiordanPair(series.Series([1], 4), series.Series([0, 0, 1], 4))
 
 
 def test_matrix_R1_display():
@@ -106,8 +106,8 @@ def test_matrix_with_polynomial_f_matches_powers():
     # f = x - x^2 is stored with trailing zeros, which the column loop skips
     n = 9
     g = series.Series([1, Fraction(1, 3), -2, 0, 7], n)
-    f = series.poly([0, 1, -1], n)
-    powers = [series.poly([1], n)]
+    f = series.Series([0, 1, -1], n)
+    powers = [series.Series([1], n)]
     for _ in range(1, n):
         powers.append(powers[-1] * f)
     want = [[(g * powers[k]).coeffs[i] if k <= i else 0 for k in range(n)] for i in range(n)]
@@ -123,7 +123,7 @@ def test_pascal_matrix():
 def test_product_catalan_factorization_of_R1():
     cat = catalan_pair(12)
     right = RiordanPair(
-        series.rational([1, -1], [1, -3, 3, -2], 12), series.poly([0, 1], 12)
+        series.rational([1, -1], [1, -3, 3, -2], 12), series.Series([0, 1], 12)
     )
     assert product(cat, right) == make_R(1, 12)
 
@@ -141,9 +141,9 @@ def test_inverse_closed_forms():
     assert seq(inv2.f) == [0, 1, -1] + [0] * 7
     for r in (0, 1, 3):
         inv = inverse(make_R(r, 10))
-        expected_g = series.poly([1, -2], 10) * series.poly([1, -r, r], 10)
+        expected_g = series.Series([1, -2], 10) * series.Series([1, -r, r], 10)
         assert inv.g == expected_g
-        assert inv.f == series.poly([0, 1, -1], 10)
+        assert inv.f == series.Series([0, 1, -1], 10)
     assert inverse(identity_pair(8)) == identity_pair(8)
 
 
@@ -172,7 +172,7 @@ def test_conjugate_twenty_vertex_chain():
     a1 = RiordanPair(series.rational([1], [1, 1], 12), series.rational([0, 1], [1, 1], 12))
     step1 = conjugate(g0, a1)
     assert step1 == expand(BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE + X + Y)), N)
-    a2 = RiordanPair(series.poly([1], 12), series.poly([0, -1], 12))
+    a2 = RiordanPair(series.Series([1], 12), series.Series([0, -1], 12))
     step2 = conjugate(step1, a2)
     assert step2 == expand(BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE - X - Y)), N)
 
@@ -462,7 +462,7 @@ def test_relation_route_matches_product_route_and_fraction_reference(spec):
 def test_relation_is_checked_to_the_order_built():
     # f + x^20 satisfies f - f^2 = x mod x^20 and not mod x^21
     a = make_R(1, 30)
-    bent = RiordanPair(a.g, a.f + series.poly([0] * 20 + [1], 30))
+    bent = RiordanPair(a.g, a.f + series.Series([0] * 20 + [1], 30))
     for N, expected in ((20, 0), (21, 20)):
         M, calls = _built(bent, N)
         assert calls == expected
@@ -503,7 +503,7 @@ def test_group_operations_take_the_relation_route():
     cat = catalan_pair(30)
     for r in range(6):
         right = RiordanPair(
-            series.rational([1, -1], [1, -r - 2, 3 * r, -2 * r], 30), series.poly([0, 1], 30)
+            series.rational([1, -1], [1, -r - 2, 3 * r, -2 * r], 30), series.Series([0, 1], 30)
         )
         R = matrix(make_R(r, 30), 30)
         assert _built(product(cat, right), 30) == (R, 0)
@@ -521,9 +521,9 @@ def _relation_f(spec, N):
     """An f on the relation route: a family's, x, or x - x^2 (on it only
     up to order 4)."""
     if spec == "identity":
-        return series.poly([0, 1], N)
+        return series.Series([0, 1], N)
     if spec == "x-x^2":
-        return series.poly([0, 1, -1], N)
+        return series.Series([0, 1, -1], N)
     return cli._build_pair(*cli._parse_family(spec), N).f
 
 
@@ -531,7 +531,7 @@ def _random_g(rng, N):
     """An int g with g_0 in {1, -1, 2, 3}, or a rational one."""
     g0 = rng.choice([1, -1, 2, 3])
     if rng.random() < 0.5:
-        return series.poly([g0] + [rng.randint(-9, 9) for _ in range(N - 1)], N)
+        return series.Series([g0] + [rng.randint(-9, 9) for _ in range(N - 1)], N)
     rest = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(N - 1)]
     return series.Series([F(g0, rng.choice([1, 2, 3]))] + rest, N)
 
@@ -553,7 +553,7 @@ def test_inverse_routes():
     # x c(x) + x^20 mod x^20 and not mod x^21
     relation.append(make_R_inverse_closed(2, 4))
     product_route.append(make_R_inverse_closed(2, 5))
-    product_route.append(RiordanPair(_R1.g, _R1.f + series.poly([0] * 20 + [1], 40)))
+    product_route.append(RiordanPair(_R1.g, _R1.f + series.Series([0] * 20 + [1], 40)))
     for pairs, n in ((relation, 0), (product_route, 1)):
         for a in pairs:
             inv, calls = _counting(["revert", "compose"], inverse, a)
