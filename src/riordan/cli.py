@@ -1,8 +1,10 @@
 """Command line front end.
 
-Subcommands: matrix, symmetrize, minors, verify, oeis.  Exit codes:
-0 pass, 1 verification failure, 2 usage, 4 network, 5 parse, and 141
-(128 + SIGPIPE) from the console script when stdout closes early.
+Subcommands: matrix, symmetrize, minors, verify, oeis.  A call builds the
+parser of the command its first argument names only; any other argv (none,
+-h, an unknown command, a leading option) gets the parser of every command.
+Exit codes: 0 pass, 1 verification failure, 2 usage, 4 network, 5 parse,
+and 141 (128 + SIGPIPE) from the console script when stdout closes early.
 """
 
 from __future__ import annotations
@@ -198,52 +200,81 @@ def cmd_oeis(args):
     return EXIT_PASS if alignment.ok else EXIT_FAIL
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="riordan",
-        description="Exact Riordan arrays, symmetrizations, and principal minors.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    formats = ("table", "csv", "json")
+FORMATS = ("table", "csv", "json")
 
-    for name, help_text, symmetrized in (
-        ("matrix", "print an N x N family matrix", False),
-        ("symmetrize", "print a symmetrized matrix", True),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("family")
-        p.add_argument("N", type=int)
-        p.add_argument("--format", choices=formats, default="table")
-        p.set_defaults(func=cmd_matrix, symmetrized=symmetrized)
 
-    p = sub.add_parser("minors", help="print principal minors")
+def _matrix_arguments(p, symmetrized=False):
+    p.add_argument("family")
+    p.add_argument("N", type=int)
+    p.add_argument("--format", choices=FORMATS, default="table")
+    p.set_defaults(func=cmd_matrix, symmetrized=symmetrized)
+
+
+def _minors_arguments(p):
     p.add_argument("family")
     p.add_argument("count", type=int)
     p.add_argument("--symmetrize", action="store_true", dest="symmetrized")
-    p.add_argument("--format", choices=formats, default="table")
+    p.add_argument("--format", choices=FORMATS, default="table")
     # read by no handler; accepted because bench/workloads.py (sym-robbins) passes it
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=cmd_minors)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _verify_arguments(p):
     p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
     p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oeis", help="fetch and compare OEIS b-files")
+
+def _oeis_arguments(p):
     p.add_argument("sequence")
     p.add_argument("--check", choices=CHECK_SEQUENCES, default=None)
     p.add_argument("--limit", type=int, default=20)
     p.add_argument("--offline", action="store_true")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--format", choices=formats, default="table")
+    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(func=cmd_oeis)
+
+
+# Command name -> (help line, function that declares its arguments), in the
+# order the top-level usage and help list them.
+COMMANDS = {
+    "matrix": ("print an N x N family matrix", _matrix_arguments),
+    "symmetrize": (
+        "print a symmetrized matrix",
+        lambda p: _matrix_arguments(p, symmetrized=True),
+    ),
+    "minors": ("print principal minors", _minors_arguments),
+    "verify": ("run a verification suite", _verify_arguments),
+    "oeis": ("fetch and compare OEIS b-files", _oeis_arguments),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or of `command` alone.
+
+    Either way the top-level usage line names every command.  It is set
+    after the subparsers are added, because each subparser's prog is taken
+    from the usage line current when `add_subparsers` runs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="riordan",
+        description="Exact Riordan arrays, symmetrizations, and principal minors.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    parser.usage = "%(prog)s [-h] {" + ",".join(COMMANDS) + "} ..."
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's arguments are declared: the others would be
+    # built on every call and never read
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -82,6 +82,30 @@ def closed_form_rows(r: int, N: int) -> list:
     return rows
 
 
+def closed_form_tilde_rows(r: int, N: int) -> list:
+    """N x N rows of the companion array tilde-R_r, by Lagrange inversion.
+
+    fbar = x(1 - x)/(1 + rx), so f = x phi(f) with phi(t) = (1 + rt)/(1 - t);
+    1 - x phi'(f) = sqrt(1 - 2(r+2)x + r^2 x^2)/(1 - f) and 1 - x = (1 + (r-1)f + f^2)/(1 + rf)
+    give g f^k = H(f)/(1 - x phi'(f)), H(t) = t^k phi(t)/(1 + (r-1)t + t^2), whence by
+    Lagrange T[n][k] = [t^(n-k)] (1 + rt)^(n+1) / ((1 - t)^(n+1) (1 + (r-1)t + t^2)).
+    """
+    # e = 1/(1 + (r-1)t + t^2), expanded once
+    e = [1, 1 - r]
+    for _ in range(N - 2):
+        e.append((1 - r) * e[-1] - e[-2])
+    rows = [[0] * N for _ in range(N)]
+    for n in range(N):
+        # [t^j] (1 + rt)^(n+1)/(1 - t)^(n+1) = sum_i C(n+1, i) r^i C(n+j-i, n)
+        a = [
+            sum(comb(n + 1, i) * r**i * comb(n + j - i, n) for i in range(j + 1))
+            for j in range(n + 1)
+        ]
+        for k in range(n + 1):
+            rows[n][k] = sum(a[j] * e[n - k - j] for j in range(n - k + 1))
+    return rows
+
+
 def closed_form_sym_rows(N: int) -> list:
     """N x N rows of the symmetrized r=1 array, by the bracketed binomial sum:
     the entry at (n, k), k <= n, is sum_{j <= k} C(n-k+2j, j), and the matrix

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ import pytest
 from minors_mod_p import PRIMES, leading_minors_mod
 
 import riordan
-from riordan.cli import FAMILIES, _build_pair, _parse_family, _render_sequence, main
+from riordan import cli
+from riordan.cli import FAMILIES, _build_pair, _parse_family, _render_sequence, build_parser, main
 from riordan.families import reference_B20, robbins, twenty_vertex_matrix
 from riordan.minors import principal_minors
 from riordan.symmetry import symmetrize_gf
@@ -19,6 +21,18 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def _reference_parser(command=None):
+    # a stand-in for build_parser that ignores `command`: the parser of every
+    # command with the usage line argparse writes itself, no override being
+    # set, not even while the subparsers take their prog
+    top = build_parser()
+    parser = argparse.ArgumentParser(prog=top.prog, description=top.description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in cli.COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
 
 
 def _assert_minors_mod_p(minors, rows):
@@ -124,7 +138,7 @@ def test_family_table_looks_up_constructors_at_call_time(capsys, monkeypatch):
     assert built == ["make_R", "twenty_vertex_matrix"]
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     # each UsageError path exits 2 with one "error: " line on stderr
     for argv, message in (
         (("matrix", "nosuch", "4"), "unknown family spec 'nosuch'"),
@@ -141,12 +155,15 @@ def test_usage_errors(capsys):
         assert captured.err == f"error: {message}\n"
     rc, _ = run(capsys, "nosuchcommand")
     assert rc == 2
-    rc, _ = run(capsys, "matrix", "R:1", "8", "--order", "4")
-    assert rc == 2
     # each flag is declared only on the commands that read it: --format on
     # the printing commands (verify reports with --json), --seed on verify
-    # (and minors), --offline and --cache-dir on oeis
+    # (and minors), --offline and --cache-dir on oeis.  argparse reports an
+    # unrecognized argument under the top-level usage line, which names
+    # every command even when only the invoked one was built.
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = _reference_parser().format_usage()
     for argv, unrecognized in (
+        (("matrix", "R:1", "8", "--order", "4"), "--order 4"),
         (("verify", "robbins", "--format", "json"), "--format json"),
         (("matrix", "R:1", "3", "--offline"), "--offline"),
         (("symmetrize", "R:1", "3", "--cache-dir", "x"), "--cache-dir x"),
@@ -158,11 +175,63 @@ def test_usage_errors(capsys):
         assert main(list(argv)) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"unrecognized arguments: {unrecognized}\n" in captured.err
+        assert captured.err == f"{usage}riordan: error: unrecognized arguments: {unrecognized}\n"
     # int() takes each of these; the parameter is ASCII digits with an optional sign
     for spec in ("R:1_0", "R: 2", "R:\u0663", "R:2 ", "R:"):
         assert main(["matrix", spec, "4"]) == 2
         assert "bad family parameter" in capsys.readouterr().err
+
+
+ARGV_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["min"],
+    ["-x", "minors"],
+    ["minors"],
+    ["minors", "--help"],
+    ["minors", "R:1", "5", "--zz"],
+    ["minors", "R:1", "--symmetrize", "8"],
+    ["minors", "R:1", "3", "--seed", "x"],
+    ["minors", "R:x", "3"],
+    ["matrix", "R:1", "4", "--format", "xml"],
+    ["matrix", "R:1", "8", "--offline"],
+    ["matrix", "R:1", "-1"],
+    ["matrix", "--help"],
+    ["symmetrize", "R:1", "4"],
+    ["symmetrize", "--help"],
+    ["verify", "robbins", "--format", "json"],
+    ["verify", "nosuch"],
+    ["verify", "--help"],
+    ["oeis", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES, ids=" ".join)
+def test_command_parser_behaves_as_the_full_parser(capsys, monkeypatch, argv):
+    # the parser of the invoked command alone gives the exit code, stdout
+    # and stderr of the parser of every command with argparse's own usage
+    monkeypatch.setenv("COLUMNS", "80")
+    built = main(list(argv)), *capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", _reference_parser)
+    assert built == (main(list(argv)), *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv, subparsers", [(["minors", "R:1", "--symmetrize", "8"], 1), (["--help"], 5)]
+)
+def test_parser_adds_the_invoked_command_only(capsys, monkeypatch, argv, subparsers):
+    add_parser = argparse._SubParsersAction.add_parser
+    added = []
+    monkeypatch.setattr(
+        argparse._SubParsersAction,
+        "add_parser",
+        lambda self, name, **kwargs: added.append(name) or add_parser(self, name, **kwargs),
+    )
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(added) == subparsers
 
 
 def test_output_determinism(capsys):

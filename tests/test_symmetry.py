@@ -21,6 +21,7 @@ from riordan.symmetry import (
     NotLowerTriangular,
     closed_form_rows,
     closed_form_sym_rows,
+    closed_form_tilde_rows,
     symmetrize,
     symmetrize_gf,
     symmetrize_matrix,
@@ -188,6 +189,15 @@ def test_closed_form_entry():
         for N in (0, 1, 2, 25):
             want = [[_entry_sum(r, n, k) for k in range(N)] for n in range(N)]
             assert closed_form_rows(r, N) == want
+
+
+def test_closed_form_tilde_rows():
+    # column 0 at r = 1: partial sums of the central Delannoy numbers 1, 3, 13, 63
+    assert closed_form_tilde_rows(1, 4) == [[1, 0, 0, 0], [4, 1, 0, 0], [17, 6, 1, 0], [80, 31, 8, 1]]
+    for N in (0, 1, 2):
+        assert closed_form_tilde_rows(3, N) == matrix(make_tilde_R(3, 2), N).rows
+    for r in range(-3, 7):
+        assert closed_form_tilde_rows(r, 60) == matrix(make_tilde_R(r, 60), 60).rows
 
 
 def test_closed_form_sym_entry():
