@@ -131,16 +131,19 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
 def _relation_s(f: Series, n: int) -> int | None:
     """s = f_2 - 1 when f is integral, n > 2 and f - f^2 = x (1 + s f)
     mod x^n (the x^2 term holds by the choice of s), else None; stops at the
-    first coefficient that fails."""
+    first coefficient that fails.  The x^i term of f^2 sums each pair
+    f_j f_(i-j) once: twice the sum over j < i/2, plus f_(i/2)^2 for even i."""
     if f.den != 1 or n <= 2 or f.nums[1] != 1:
         return None
     f = f.nums
     s = f[2] - 1
-    if any(
-        f[i] - s * f[i - 1] - sum(map(operator.mul, f[1:i], f[i - 1 : 0 : -1]))
-        for i in range(3, n)
-    ):
-        return None
+    for i in range(3, n):
+        half = (i - 1) // 2
+        square = 2 * sum(map(operator.mul, f[1 : half + 1], f[i - 1 : i - 1 - half : -1]))
+        if i % 2 == 0:
+            square += f[i // 2] ** 2
+        if f[i] - s * f[i - 1] != square:
+            return None
     return s
 
 

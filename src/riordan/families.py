@@ -3,7 +3,11 @@
 Each family is built once from its defining forms: a rational pair from its
 (numerator, denominator) coefficient lists by ``array.rational_pair``, R_r
 and tilde-R_r from one quadratic shape with one square root
-(``_quadratic_pair``), the Catalan pairs from one Catalan root.
+(``_quadratic_pair``), the Catalan pairs from one Catalan root.  Every
+divisor and radicand a constructor hands to a kernel is a polynomial of
+degree at most 3, and a quotient by, or the root of, a polynomial of degree
+d costs O(n d) coefficient products (see ``series``), so each pair builds
+in O(n) products at order n.
 
 Every constructor takes an explicit truncation order.  The matrix route to
 an N x N block (``array.matrix``, ``symmetry.symmetrize``, the minors) needs
@@ -55,9 +59,13 @@ def pascal_pair(order: int) -> RiordanPair:
 def _quadratic_pair(a: int, b: int, c: int, order: int) -> RiordanPair:
     """The pair (1/((1-ax) sqrt(1-bx+cx^2)), (1 - (b/2-2)x - sqrt(1-bx+cx^2))/2)
     for even b, with g and f built from one square root: the shape of both
-    make_R and make_tilde_R."""
+    make_R and make_tilde_R.
+
+    root^2 = 1 - bx + cx^2, so g = root / ((1-ax)(1-bx+cx^2)), a division by
+    the cubic 1 - (a+b)x + (c+ab)x^2 - ac x^3 written out here.  The root of
+    a quadratic and the quotient by a cubic each cost O(order) products."""
     root = series.sqrt(Series([1, -b, c], order))
-    g = 1 / (Series([1, -a], order) * root)
+    g = root / Series([1, -a - b, c + a * b, -a * c], order)
     return RiordanPair(g, (Series([1, 2 - b // 2], order) - root) / 2)
 
 
@@ -128,10 +136,12 @@ def make_A361654_embed(order: int) -> RiordanPair:
     array embeds into (OEIS A361654), from one Catalan root.
 
     The inverse is (1/h(u), u) with h = (1-3x+3x^2-2x^3)/(1-x) and
-    u = x c(x) = (1 - sqrt(1-4x))/2.  Since 1-3u+3u^2-2u^3 = (1-x)(1-2u)
-    and 1-2u = sqrt(1-4x), g = (1-u)/((1-x)(1-2u))."""
+    u = x c(x) = (1 - sqrt(1-4x))/2.  Since 1-3u+3u^2-2u^3 = (1-x)(1-2u),
+    g = (1-u)/((1-x)(1-2u)).  Multiplying through by 1-2u = sqrt(1-4x),
+    with (1-u)(1-2u) = 1 - 3u + 2u^2 = 1 - 2x - u (as u^2 = u - x), gives
+    g = (1 - 2x - u)/((1-x)(1-4x)), a division by a quadratic."""
     xc = catalan_shift(order)
-    g = (1 - xc) / (Series([1, -1], order) * (1 - 2 * xc))
+    g = (Series([1, -2], order) - xc) / Series([1, -5, 4], order)
     return RiordanPair(g, xc)
 
 

@@ -14,6 +14,12 @@ gcd and makes ``den`` positive.  The read-only ``coeffs`` follows the
 package rule for every stored value (:func:`_exact`): an ``int`` when it is
 integral, a ``Fraction`` otherwise, and a float is refused.  It is derived
 on first read, and is ``nums`` itself when ``den == 1``.
+
+The kernels whose operand is often a polynomial read it without its
+trailing zeros: the divisor of :func:`div`, the radicand of :func:`sqrt`
+and the inner series of :func:`compose`.  A quotient or a square root at
+order n then costs O(n deg) coefficient products, O(n) for the
+low-degree polynomials the family constructors divide by and take roots of.
 """
 
 from __future__ import annotations
@@ -247,21 +253,24 @@ def _div_lists(a, b, n):
 
     Fraction-free: Q_k = [x^k](a / b) * b_0^(k+1) is an integer, and
 
-        Q_k = a_k b_0^k - sum over j >= 1 of b_j b_0^(j-1) Q_(k-j),
+        Q_k = a_k b_0^k - sum over 0 < j <= min(k, deg b) of b_j b_0^(j-1) Q_(k-j),
 
     so nums[k] = Q_k * b_0^(n-1-k) over den = b_0^n (not reduced, and
-    negative for b_0 < 0 and odd n).
+    negative for b_0 < 0 and odd n).  b loses its trailing zeros (and its
+    terms past x^(n-1)) first, so the quotient costs O(n deg b) products:
+    O(n) for a polynomial divisor, O(n^2) for a dense one.
     """
     if n == 0:
         return [], 1
     powers = [1]
     for _ in range(n):
         powers.append(powers[-1] * b[0])
-    bs = [0] + [bj * p for bj, p in zip(b[1:n], powers)]  # b_j b_0^(j-1)
+    bs = [0] + [bj * p for bj, p in zip(_trim(b[1:n]), powers)]  # b_j b_0^(j-1)
+    deg = len(bs) - 1
     q = []
     for k in range(n):
         s = a[k] * powers[k]
-        for j in range(1, k + 1):
+        for j in range(1, min(k, deg) + 1):
             bj = bs[j]
             if bj:
                 s -= bj * q[k - j]
@@ -349,35 +358,39 @@ def revert(f: Series) -> Series:
 
 
 def sqrt(g: Series) -> Series:
-    """Square root with constant term 1, by the coefficient recurrence.
+    """Square root with constant term 1, by a recurrence of length deg g.
 
-    s_m = (g_m - sum over 0 < k < m of s_k s_(m-k)) / 2, with each product
-    pair taken once.  The recurrence runs for t(x) = s(c x), the root of
-    g(c x), on int.  With g = G / d, c = 4d makes g(c x) = 1 + 4u with u
-    integral, so t is integral.  For integral g it starts at c = 1 and
-    stays there while each halving is exact; an odd numerator (1 + x has the
-    root 1 + x/2 - ...) rescales t_k by 4^k and goes on at c = 4.
+    s^2 = g gives 2 g s' = g' s, and with g_0 = 1 its x^(m-1) coefficient
+    reads 2m s_m = sum over 0 < j <= m of (3j - 2m) g_j s_(m-j).  g loses
+    its trailing zeros first, so each coefficient costs O(deg g) products:
+    O(n) for a polynomial radicand, O(n^2) for a dense one.  The recurrence
+    runs for t(x) = s(c x), the root of g(c x), on int.  With g = G / d,
+    c = 4d makes g(c x) = 1 + 4u with u integral, so t is integral and each
+    division by 2m is exact.  For integral g it starts at c = 1 and stays
+    there while each division is exact; a remainder (1 + x has the root
+    1 + x/2 - ...) rescales t_k by 4^k and goes on at c = 4.
     """
     n = g.order
     if n == 0 or g.nums[0] != g.den:
         raise BadConstantTerm("sqrt needs constant term 1")
-    gs, d = g.nums, g.den
+    gs, d = _trim(g.nums), g.den
     c = 1 if d == 1 else 4 * d
+    h = [gj * c**j // d for j, gj in enumerate(gs)]  # g(c x), integral
     t = [1] + [0] * (n - 1)
     m = 1
     while m < n:
         acc = 0
-        for k in range(1, (m + 1) // 2):
-            acc += t[k] * t[m - k]
-        acc *= 2
-        if m % 2 == 0:
-            acc += t[m // 2] ** 2
-        r = gs[m] * c**m // d - acc
-        if r % 2:
+        for j in range(1, min(m, len(h) - 1) + 1):
+            acc += (3 * j - 2 * m) * h[j] * t[m - j]
+        tm, rem = divmod(acc, 2 * m)
+        if rem:
+            if c != 1:
+                raise ArithmeticError(f"root coefficient {acc} is not divisible by {2 * m}")
             c = 4
+            h = [gj << 2 * j for j, gj in enumerate(gs)]
             t = [tk << 2 * k for k, tk in enumerate(t)]
             continue
-        t[m] = r // 2
+        t[m] = tm
         m += 1
     return _series([tm * c ** (n - 1 - m) for m, tm in enumerate(t)], c ** (n - 1), n)
 

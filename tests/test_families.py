@@ -169,6 +169,12 @@ def _tilde_R_written_out(r, order):
     return RiordanPair(g, (series.Series([1, -r], order) - root) / 2)
 
 
+def _A361654_written_out(order):
+    xc = catalan_shift(order)
+    one_minus_x = series.Series([1, -1], order)
+    return RiordanPair((1 - xc) / (one_minus_x * (1 - 2 * xc)), xc)
+
+
 def _tilde_inverse_written_out(r, order):
     # (1 - x + rx + x^2) * d/dx(x(1-x)/(1+rx)), the derivative termwise
     inner = series.rational([0, 1, -1], [1, r], order + 1)
@@ -182,6 +188,13 @@ def test_constructors_match_their_formulas_written_out(r):
     assert make_R(r, 200) == _R_written_out(r, 200)
     assert make_tilde_R(r, 200) == _tilde_R_written_out(r, 200)
     assert tilde_inverse_closed(r, 200) == _tilde_inverse_written_out(r, 200)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 17, 200])
+def test_make_A361654_embed_matches_its_formula_written_out(order):
+    a = make_A361654_embed(order)
+    assert a == _A361654_written_out(order)
+    assert a.g.den == 1
 
 
 def test_make_example1():

@@ -8,6 +8,7 @@ import pytest
 from riordan import cli, series, verify
 from riordan.array import (
     RiordanPair,
+    _relation_s,
     bivariate_gf,
     conjugate,
     gf_conjugate,
@@ -468,6 +469,22 @@ def test_relation_is_checked_to_the_order_built():
         assert calls == expected
         assert M.rows == _column_product(bent, N)
     assert matrix(bent, 20) == matrix(a, 20)
+
+
+def test_relation_check_matches_series_arithmetic():
+    # f + x^j for j on both sides of every parity: the check takes the
+    # relation exactly when f - f^2 - x(1 + s f) = 0 mod x^N, s = f_2 - 1
+    for r in (-2, 0, 3):
+        f = make_tilde_R(r, 30).f
+        for j in range(3, 14):
+            for bump in (-1, 1):
+                bent = f + series.Series([0] * j + [bump], 30)
+                for N in range(3, 18):
+                    s = bent.nums[2] - 1
+                    b = bent.truncate(N)
+                    rest = b - b * b - series.Series([0, 1], N) * (1 + s * b)
+                    holds = not any(rest.nums)
+                    assert _relation_s(bent, N) == (s if holds else None)
 
 
 _R1 = make_R(1, 40)

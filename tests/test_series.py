@@ -433,14 +433,28 @@ def test_sqrt_leaves_int_path_partway():
     s = series.sqrt(Series([1, 1], 12))
     assert s == _oracle_sqrt(Series([1, 1], 12))
     assert s.coeffs[:3] == [1, F(1, 2), F(-1, 8)]
-    # (1 - 2x)^2 + x^5: the root is 1 - 2x exactly up to x^4, and the x^5
-    # numerator is odd
-    g = Series([1, -4, 4, 0, 0, 1], 16)
-    s = series.sqrt(g)
-    assert s == _oracle_sqrt(g)
-    assert s.coeffs[:5] == [1, -2, 0, 0, 0]
-    assert s.coeffs[5] == F(1, 2)
-    assert s * s == g
+    # (1 - 2x)^2 + x^k: the root is 1 - 2x exactly up to x^(k-1), and its
+    # x^k coefficient is 1/2, so the int path ends at x^k
+    for k in (3, 4, 5, 8, 13, 30):
+        g = Series([1, -4, 4] + [0] * (k - 3) + [1], k + 12)
+        s = series.sqrt(g)
+        assert s == _oracle_sqrt(g)
+        assert s.coeffs[:k] == [1, -2] + [0] * (k - 2)
+        assert s.coeffs[k] == F(1, 2)
+        assert s * s == g
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sqrt_of_sparse_radicands_matches_oracle(kind):
+    # 2 to 4 terms, some with zeros inside or past the last term: the
+    # recurrence runs over the radicand's terms up to its last nonzero one
+    rng = random.Random(149)
+    for order in (1, 2, 3, 5, 17, 60, 120):
+        for terms in (2, 3, 4):
+            g = Series([1] + _operand(rng, terms - 1, kind), order)
+            s = series.sqrt(g)
+            assert s == _oracle_sqrt(g)
+            _check_types(s.coeffs, False)
 
 
 def test_sqrt_families_at_large_order():
@@ -451,6 +465,21 @@ def test_sqrt_families_at_large_order():
         assert all(c.denominator == 1 for c in s.coeffs)
     g = Series([1, -4], 80)
     assert coeffs(series.sqrt(g))[1:] == [-2 * comb(2 * k - 2, k - 1) // k for k in range(1, 80)]
+
+
+@pytest.mark.parametrize("lead", [1, -1, 2, -3])
+def test_div_kernel_by_short_divisors_matches_oracle(lead):
+    # a divisor of degree 1 to 3, zero-padded to the numerator's length:
+    # the recurrence runs over the divisor's terms up to its last nonzero one
+    rng = random.Random(151)
+    for n in (1, 2, 3, 4, 7, 20, 60):
+        for deg in (1, 2, 3):
+            a = _operand(rng, n, "int")
+            b = [lead] + [rng.choice([-3, -1, 1, 2]) for _ in range(deg)]
+            b += [0] * (n - len(b))
+            nums, d = series._div_lists(a, b, n)
+            assert d == lead**n
+            assert Series([F(v, d) for v in nums], n) == _oracle_div(Series(a, n), Series(b, n))
 
 
 def test_div_of_order_zero_numerator():
