@@ -130,19 +130,21 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
 
 def _relation_s(f: Series, n: int) -> int | None:
     """s = f_2 - 1 when f is integral, n > 2 and f - f^2 = x (1 + s f)
-    mod x^n (the x^2 term holds by the choice of s), else None; stops at the
-    first coefficient that fails.  The x^i term of f^2 sums each pair
-    f_j f_(i-j) once: twice the sum over j < i/2, plus f_(i/2)^2 for even i."""
+    mod x^n (the x and x^2 terms hold by f_1 = 1 and the choice of s), else
+    None; O(n), stopping at the first coefficient that fails.
+
+    With y = 1 - sx - 2f and D = 1 - 2(s+2)x + s^2 x^2, E = y^2 - D is
+    -4(f - f^2 - x - sxf), and 2D y' - D' y = E' y - 2E y'.  As y_0 = 1, the
+    lowest term c x^m of E gives m c x^(m-1) on the right, so the relation
+    holds mod x^n exactly when 2D y' = D' y mod x^(n-1).  At x^(i-1) that
+    reads i f_i = (s+2)(2i-3) f_(i-1) - s^2 (i-3) f_(i-2) for i >= 3."""
     if f.den != 1 or n <= 2 or f.nums[1] != 1:
         return None
     f = f.nums
     s = f[2] - 1
+    a, b = s + 2, s * s
     for i in range(3, n):
-        half = (i - 1) // 2
-        square = 2 * sum(map(operator.mul, f[1 : half + 1], f[i - 1 : i - 1 - half : -1]))
-        if i % 2 == 0:
-            square += f[i // 2] ** 2
-        if f[i] - s * f[i - 1] != square:
+        if i * f[i] != a * (2 * i - 3) * f[i - 1] - b * (i - 3) * f[i - 2]:
             return None
     return s
 

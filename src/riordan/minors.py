@@ -8,6 +8,19 @@ stored as int rows over one denominator d (``CoeffMatrix.ints`` and
 ``.den``; d = 1 for an integer matrix), so the sweep copies ``M.ints`` once
 and the (m+1) x (m+1) minor is its raw value divided by d^(m+1).
 
+The sweep advances two pivots at a time, Bareiss's two-step form.  With
+p = a[k][k] != 0 it first computes the next pivot
+q = (p a[k+1][k+1] - a[k+1][k] a[k][k+1]) / prev.  When q != 0, each row
+i > k+1 gets e_i = (a[k+1][k] a[i][k+1] - a[k+1][k+1] a[i][k]) / prev and
+f_i = (p a[i][k+1] - a[k][k+1] a[i][k]) / prev, and then
+a[i][j] = (a[k][j] e_i - a[k+1][j] f_i + a[i][j] q) / prev: the 3 x 3
+minor on rows k, k+1, i and columns k, k+1, j, expanded along column j,
+over prev^2.  Every division is exact by Sylvester's identity, and an
+entry costs 3 products and 1 division where two single steps cost 4 and 2.
+When q = 0, and at the last index of an odd count, the sweep takes the
+single step a[i][j] = (p a[i][j] - a[i][k] a[k][j]) / prev instead, and a
+zero q is folded away as a zero pivot at the next step.
+
 The sweep has two modes, chosen from the entries by one comparison of the
 leading block with its transpose, whatever built the matrix (the
 symmetrizations return a plain `CoeffMatrix`).  A symmetric block takes the
@@ -72,6 +85,12 @@ def det_cofactor(rows) -> int | Fraction:
 def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
     """Integer minors of the leading blocks, from one elimination sweep.
 
+    Each step folds a zero pivot p = a[k][k] away, then computes the next
+    pivot q = (p a[k+1][k+1] - a[k+1][k] a[k][k+1]) // prev.  With q != 0 it
+    eliminates columns k and k+1 together and advances by two; otherwise
+    (q = 0, or k the last index) it takes one step.  Rows k and k+1 are left
+    at level k: no later step reads them.
+
     With ``symmetric`` (the caller has checked the block is symmetric) each
     step updates only the upper half, j >= i, and reads a[i][k] as a[k][i];
     the entries below the diagonal go stale and are never read, a zero-pivot
@@ -81,7 +100,8 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
     minors = [0] * count
     zero_to = 0
     prev = 1
-    for k in range(count):
+    k = 0
+    while k < count:
         row_k = a[k]
         if row_k[k] == 0:
             t = next((j for j in range(k + 1, count) if row_k[j]), None)
@@ -97,9 +117,30 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
             else:
                 for i in range(k, count):
                     a[i][k] += a[i][t]
-        piv = row_k[k]
+        p = row_k[k]
         if k >= zero_to:
-            minors[k] = piv
+            minors[k] = p
+        if k + 1 < count:
+            row_l = a[k + 1]
+            b, d = row_k[k + 1], row_l[k + 1]
+            c = b if symmetric else row_l[k]
+            q = (p * d - c * b) // prev
+            if q:
+                if k + 1 >= zero_to:
+                    minors[k + 1] = q
+                for i in range(k + 2, count):
+                    row_i = a[i]
+                    if symmetric:
+                        x, y, start = row_k[i], row_l[i], i
+                    else:
+                        x, y, start = row_i[k], row_i[k + 1], k + 2
+                    e = (c * y - d * x) // prev
+                    f = (p * y - b * x) // prev
+                    for j in range(start, count):
+                        row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * q) // prev
+                prev = q
+                k += 2
+                continue
         for i in range(k + 1, count):
             row_i = a[i]
             if symmetric:
@@ -107,8 +148,9 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
             else:
                 aik, start = row_i[k], k + 1
             for j in range(start, count):
-                row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
-        prev = piv
+                row_i[j] = (row_i[j] * p - aik * row_k[j]) // prev
+        prev = p
+        k += 1
     return minors
 
 

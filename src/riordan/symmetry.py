@@ -57,14 +57,19 @@ def symmetrize_matrix(T: CoeffMatrix) -> CoeffMatrix:
     """
     if not T.is_lower_triangular():
         raise NotLowerTriangular("matrix route needs a lower triangular input")
-    N, t = T.n, T.ints
-    rows = [[t[n][n - k] if k <= n else t[k][k - n] for k in range(N)] for n in range(N)]
-    return CoeffMatrix._of(rows, T.den)
+    return _mirror(T)
 
 
 def symmetrize(a: RiordanPair, N: int) -> CoeffMatrix:
-    """Production route: symmetrize the N x N matrix of the pair."""
-    return symmetrize_matrix(matrix(a, N))
+    """Production route: symmetrize the N x N matrix of the pair, which
+    ``matrix`` builds lower triangular, so it is mirrored unchecked."""
+    return _mirror(matrix(a, N))
+
+
+def _mirror(T: CoeffMatrix) -> CoeffMatrix:
+    N, t = T.n, T.ints
+    rows = [[t[n][n - k] if k <= n else t[k][k - n] for k in range(N)] for n in range(N)]
+    return CoeffMatrix._of(rows, T.den)
 
 
 def closed_form_rows(r: int, N: int) -> list:

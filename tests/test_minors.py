@@ -351,6 +351,73 @@ def test_symmetric_mode_with_no_symmetric_pivot_left():
         # again with t = 2, and the minors are recorded only from index 3
         ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], [0, 0, 0, 1], (True, False)),
         ([[0, 1], [-1, 0]], [0, 1], (False,)),
+        # q = 0 after p = -3: one step at index 0, then a fold at index 1
+        ([[-3, -3, 3, 2], [-3, -3, 1, 2], [3, 1, 3, -2], [2, 2, -2, -3]], [-3, 0, 12, -20], (True, False)),
+        ([[-3, -2, 2, -2], [-3, -2, 1, 3], [0, 1, -2, 0], [-1, 3, 0, 0]], [-3, 0, -3, -102], (False,)),
+        # a fold at index 2, right after the two-step over indices 0 and 1
+        (
+            [[-3, -3, -3, -2, 2], [-3, 2, -3, 2, -3], [-3, -3, -3, 3, 1], [-2, 2, 3, 3, 3], [2, -3, 1, 3, 3]],
+            [-3, -15, 0, 375, 617],
+            (True, False),
+        ),
+        (
+            [[2, -3, 0, 2, 0], [2, 3, -2, 3, 1], [-2, -3, 2, -2, -1], [0, 1, 2, -2, 1], [-1, 1, -1, 3, 0]],
+            [2, 12, 0, -28, -14],
+            (False,),
+        ),
+        # a zero pivot at index 3: a two-step, a one-step at q = 0, a fold
+        (
+            [
+                [2, 2, -3, 0, 1, 1],
+                [2, -3, 3, 0, 1, 3],
+                [-3, 3, 0, 0, -3, 1],
+                [0, 0, 0, 0, 1, -2],
+                [1, 1, -3, 1, 1, -2],
+                [1, 3, 1, -2, -2, 2],
+            ],
+            [2, -10, -27, 0, 27, -190],
+            (True, False),
+        ),
+        (
+            [
+                [3, -2, 3, -3, -2, 0],
+                [-3, -3, 0, -3, -3, 0],
+                [2, 0, 1, -3, 0, -2],
+                [3, -2, 3, -3, 1, 0],
+                [-2, -1, -1, 2, 0, 0],
+                [0, -3, 2, 1, -3, -1],
+            ],
+            [3, -15, 3, 0, -72, 288],
+            (False,),
+        ),
+        # a zero pivot at index 0: a fold, then a two-step from the folded state
+        ([[0, 2, 0, -1], [2, -3, 1, 0], [0, 1, -3, 0], [-1, 0, 0, 1]], [0, -4, 12, 4], (True, False)),
+        ([[0, -3, -3, -2], [3, 3, -3, 0], [3, 1, 2, 2], [-3, -1, -1, -3]], [0, 9, 63, -93], (False,)),
+        # zero pivots at indices 2 and 3 after a two-step
+        (
+            [
+                [2, 0, 3, 2, -2, -2],
+                [0, -2, 3, 0, 1, -1],
+                [3, 3, 0, 3, 3, 2],
+                [2, 0, 3, -1, -1, 1],
+                [-2, 1, 3, -1, 3, 1],
+                [-2, -1, 2, 1, 1, 0],
+            ],
+            [2, -4, 0, 0, -675, -1597],
+            (True, False),
+        ),
+        (
+            [
+                [3, 3, 2, 1, -2, 0],
+                [1, 0, 1, 0, -2, 3],
+                [1, 0, 1, 0, 1, 0],
+                [-2, 3, -2, 3, 0, 1],
+                [2, 2, -1, 3, -3, -3],
+                [-1, 0, -1, -3, -3, 1],
+            ],
+            [3, -3, 0, 0, -63, -315],
+            (False,),
+        ),
     ],
 )
 def test_zero_pivot_fold(rows, want, modes):
@@ -438,3 +505,59 @@ def test_symmetric_mode_is_taken_only_for_a_symmetric_leading_block(monkeypatch)
     assert list(principal_minors(M, 2)) == [2, 5]
     assert list(principal_minors(M, 3)) == [2, 5, det_cofactor(rows)]
     assert modes == [True, False]
+
+
+def _one_step_sweep(rows, count, symmetric=False):
+    # the sweep one pivot per step, as it ran before the two-step update:
+    # the reference the two-step sweep is held against
+    a = [row[:count] for row in rows[:count]]
+    out = [0] * count
+    zero_to = 0
+    prev = 1
+    for k in range(count):
+        row_k = a[k]
+        if row_k[k] == 0:
+            t = next((j for j in range(k + 1, count) if row_k[j]), None)
+            if t is None:
+                break
+            zero_to = max(zero_to, t)
+            if symmetric:
+                row_t = a[t]
+                u = 1 if 2 * row_k[t] + row_t[t] else -1
+                for j in range(k, count):
+                    row_k[j] += u * (a[j][t] if j < t else row_t[j])
+                row_k[k] += u * row_k[t]
+            else:
+                for i in range(k, count):
+                    a[i][k] += a[i][t]
+        piv = row_k[k]
+        if k >= zero_to:
+            out[k] = piv
+        for i in range(k + 1, count):
+            row_i = a[i]
+            if symmetric:
+                aik, start = row_k[i], i
+            else:
+                aik, start = row_i[k], k + 1
+            for j in range(start, count):
+                row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
+        prev = piv
+    return out
+
+
+def test_two_step_sweep_matches_the_one_step_sweep_randomized():
+    # every size 0-9 and every count up to it, so the last step is a two-step
+    # or the lone one-step of an odd count; sparse entries give zero pivots
+    # at odd and even indices, q = 0 after a nonzero p, and folds in between
+    rng = random.Random(239)
+    for trial in range(500):
+        n = trial % 10
+        entries = (0, 0, 0, 1, -1, 2) if trial % 3 else tuple(range(-6, 7))
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        for symmetric in (False, True):
+            if symmetric:
+                rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            for count in range(n + 1):
+                got = minors._bareiss_minor_sweep(rows, count, symmetric)
+                assert got == _one_step_sweep(rows, count, symmetric)
+                assert got == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, count + 1)]
