@@ -6,7 +6,7 @@ from .array import RiordanPair, identity_pair
 from .bivar import BivarPoly, BivariateRational, CoeffMatrix, expand
 from .minors import principal_minors
 from .series import Series
-from .symmetry import symmetrize, symmetrize_gf, symmetrize_matrix
+from .symmetry import symmetrize, symmetrize_gf
 
 __all__ = [
     "BivarPoly",
@@ -19,5 +19,4 @@ __all__ = [
     "principal_minors",
     "symmetrize",
     "symmetrize_gf",
-    "symmetrize_matrix",
 ]

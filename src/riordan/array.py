@@ -13,6 +13,11 @@ product, and the inverse's g, 1/g(fbar), is column 0 of the inverse
 triangle, read by one forward substitution.  Every other pair takes the
 product route: series products for the triangle, reversion and composition
 for the inverse.
+
+The gf functions ``gf_right_transform``, ``gf_conjugate`` and
+``bivariate_gf`` act on rational bivariate gfs, so they take a pair as its
+forms g_form and f_form, the (numerator, denominator) coefficient lists of
+g and f, not as truncated series.
 """
 
 from __future__ import annotations
@@ -26,14 +31,9 @@ from .series import InsufficientOrder, Series
 
 
 class RiordanPair:
-    """Element (g, f) of the Riordan group, stored as truncated series.
+    """Element (g, f) of the Riordan group, stored as truncated series."""
 
-    ``g_rational`` / ``f_rational`` hold the (numerator, denominator)
-    coefficient lists of a pair built by :func:`rational_pair`, and are None
-    on every other pair; only ``gf_right_transform`` reads them.
-    """
-
-    __slots__ = ("g", "f", "order", "g_rational", "f_rational")
+    __slots__ = ("g", "f", "order")
 
     def __init__(self, g: Series, f: Series):
         order = min(g.order, f.order)
@@ -50,7 +50,6 @@ class RiordanPair:
         self.g = g
         self.f = f
         self.order = order
-        self.g_rational = self.f_rational = None
 
     def __repr__(self):
         return f"RiordanPair(g={self.g!r}, f={self.f!r})"
@@ -62,29 +61,17 @@ class RiordanPair:
 
     __hash__ = None
 
-    def is_unipotent(self) -> bool:
-        return self.g.coeffs[0] == 1 and self.f.coeffs[1] == 1
-
 
 def rational_pair(g_form, f_form, order: int) -> RiordanPair:
     """The pair (p/q, u/v) from its forms g_form = (p, q) and f_form = (u, v),
     each a (numerator, denominator) pair of coefficient lists, expanded to
-    order by ``series.rational``.  The pair keeps the forms for
-    ``gf_right_transform`` and the gfs built on it."""
-    a = RiordanPair(series.rational(*g_form, order), series.rational(*f_form, order))
-    a.g_rational, a.f_rational = g_form, f_form
-    return a
+    order by ``series.rational``."""
+    return RiordanPair(series.rational(*g_form, order), series.rational(*f_form, order))
 
 
 def identity_pair(order: int) -> RiordanPair:
     """The group identity (1, x)."""
     return rational_pair(([1], [1]), ([0, 1], [1]), order)
-
-
-def require_unipotent(a: RiordanPair) -> None:
-    """Guard used before minor-invariance arguments: g0 = 1 and f1 = 1."""
-    if not a.is_unipotent():
-        raise ValueError("pair is not unipotent (needs g(0) = 1 and f'(0) = 1)")
 
 
 def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
@@ -205,13 +192,15 @@ def inverse(a: RiordanPair) -> RiordanPair:
     return RiordanPair(series._series([a.g.den * v for v in z], p, n), fbar)
 
 
-def bivariate_gf(a: RiordanPair) -> BivariateRational:
-    """Bivariate generating function g(x) / (1 - y f(x)) of the pair's matrix.
+def bivariate_gf(g_form, f_form) -> BivariateRational:
+    """Bivariate generating function g(x) / (1 - y f(x)) of the matrix of the
+    pair with forms g_form and f_form, each a (numerator, denominator) pair
+    of coefficient lists.
 
     The right transform of 1/(1 - xy), the identity matrix, is the gf of the
-    transposed matrix.  Requires a pair built by :func:`rational_pair`.
+    transposed matrix.
     """
-    return gf_right_transform(BivariateRational(ONE, ONE - X * Y), a).transpose()
+    return gf_right_transform(BivariateRational(ONE, ONE - X * Y), g_form, f_form).transpose()
 
 
 def conjugate(M: CoeffMatrix, a: RiordanPair) -> CoeffMatrix:
@@ -220,24 +209,26 @@ def conjugate(M: CoeffMatrix, a: RiordanPair) -> CoeffMatrix:
     return A * M * A.transpose()
 
 
-def gf_conjugate(m: BivariateRational, a: RiordanPair) -> BivariateRational:
-    """The gf g(x) g(y) m(f(x), f(y)) of A M A^T, A the pair's matrix:
-    (M A^T)^T = A M^T, so a second right transform and a transpose give it."""
-    return gf_right_transform(gf_right_transform(m, a).transpose(), a).transpose()
+def gf_conjugate(m: BivariateRational, g_form, f_form) -> BivariateRational:
+    """The gf g(x) g(y) m(f(x), f(y)) of A M A^T, A the matrix of the pair
+    with forms g_form and f_form: (M A^T)^T = A M^T, so a second right
+    transform and a transpose give it."""
+    once = gf_right_transform(m, g_form, f_form).transpose()
+    return gf_right_transform(once, g_form, f_form).transpose()
 
 
-def gf_right_transform(m: BivariateRational, a: RiordanPair) -> BivariateRational:
-    """Right-multiply the matrix of m by the transpose of the pair's matrix.
+def gf_right_transform(m: BivariateRational, g_form, f_form) -> BivariateRational:
+    """Right-multiply the matrix of m by the transpose of the matrix of the
+    pair with forms g_form = (pp, qp) and f_form = (pq, qq), each a
+    (numerator, denominator) pair of coefficient lists.
 
-    On generating functions, for a = (p, q): m(x, y) goes to p(y) * m(x, q(y)).
-    Requires a pair built by :func:`rational_pair`.  Substituting y -> q(y)
-    into P/Q is done by clearing q's denominator to the largest y-degree d
-    of P and Q: each monomial c x^i y^j goes to c x^i pq^j qq^(d-j).
+    On generating functions, for the pair (p, q): m(x, y) goes to
+    p(y) * m(x, q(y)).  Substituting y -> q(y) into P/Q is done by clearing
+    q's denominator to the largest y-degree d of P and Q: each monomial
+    c x^i y^j goes to c x^i pq^j qq^(d-j).
     """
-    if a.g_rational is None or a.f_rational is None:
-        raise ValueError("a gf of the pair needs a pair built by rational_pair")
-    pp, qp = map(from_univariate, a.g_rational)
-    pq, qq = map(from_univariate, a.f_rational)
+    pp, qp = map(from_univariate, g_form)
+    pq, qq = map(from_univariate, f_form)
     d = max((j for poly in (m.num, m.den) for _, j in poly.coeffs), default=0)
     pq_pow, qq_pow = [ONE], [ONE]
     for _ in range(d):

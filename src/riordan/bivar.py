@@ -218,10 +218,6 @@ class CoeffMatrix:
         m = self.n if m is None else m
         return all(a[i][j] == a[j][i] for i in range(m) for j in range(i))
 
-    def is_lower_triangular(self) -> bool:
-        a = self.ints
-        return all(a[i][j] == 0 for i in range(self.n) for j in range(i + 1, self.n))
-
 
 class BivariateRational:
     """Ratio P/Q of bivariate polynomials with Q(0,0) != 0."""

@@ -6,8 +6,8 @@ Two routes produce the same symmetric matrix:
   ``bivar.expand`` of the rational gf g(xy) / (1 - f(xy)/y) plus its
   transpose (no Laurent series is ever formed: because f(0) = 0,
   f(xy)/y is a polynomial with nonnegative powers);
-* the matrix route, mirroring each reversed row of the triangle across the
-  diagonal.
+* the matrix route, ``symmetrize``, mirroring each reversed row of the
+  pair's triangle across the diagonal.
 
 The matrix route is the production path; the gf route is the definitional
 oracle the tests hold it against.  Both return a plain ``CoeffMatrix``,
@@ -22,10 +22,6 @@ from math import comb
 from .array import RiordanPair, matrix
 from .bivar import ONE, BivarPoly, BivariateRational, CoeffMatrix, expand
 from .series import InsufficientOrder
-
-
-class NotLowerTriangular(ValueError):
-    """symmetrize_matrix needs a lower triangular input."""
 
 
 def symmetrize_gf(a: RiordanPair, N: int) -> CoeffMatrix:
@@ -50,24 +46,12 @@ def symmetrize_gf(a: RiordanPair, N: int) -> CoeffMatrix:
     return CoeffMatrix._of(rows, d * g.den)
 
 
-def symmetrize_matrix(T: CoeffMatrix) -> CoeffMatrix:
-    """Mirror the reversed rows of a lower triangular matrix across the diagonal.
-
-    s[n][k] = T[n][n-k] for k <= n, and T[k][k-n] above the diagonal.
-    """
-    if not T.is_lower_triangular():
-        raise NotLowerTriangular("matrix route needs a lower triangular input")
-    return _mirror(T)
-
-
 def symmetrize(a: RiordanPair, N: int) -> CoeffMatrix:
-    """Production route: symmetrize the N x N matrix of the pair, which
-    ``matrix`` builds lower triangular, so it is mirrored unchecked."""
-    return _mirror(matrix(a, N))
-
-
-def _mirror(T: CoeffMatrix) -> CoeffMatrix:
-    N, t = T.n, T.ints
+    """Production route: mirror the reversed rows of the pair's N x N
+    triangle across the diagonal, s[n][k] = T[n][n-k] for k <= n and
+    T[k][k-n] above it."""
+    T = matrix(a, N)
+    t = T.ints
     rows = [[t[n][n - k] if k <= n else t[k][k - n] for k in range(N)] for n in range(N)]
     return CoeffMatrix._of(rows, T.den)
 

@@ -1,0 +1,193 @@
+"""Mutation gate: each row of MUTATIONS breaks one spot of ``src/`` in a
+temporary copy, and the row's pytest selector must then fail.
+
+Run from anywhere with ``python tests/mutation_gate.py``.  The file is not a
+``test_*.py`` module, so a plain ``pytest`` run does not collect it.
+
+* Every row's old text must occur exactly once in its file, or the gate
+  fails before running anything: a refactor that moves the text must update
+  the row, not drop it silently.
+* Every selector must pass on an unmutated copy, and ``riordan verify all``
+  must exit 0 on it.
+* For each row, the replacement is applied to a fresh copy and the selector
+  run against it.  The row is killed when pytest exits nonzero.
+* Each row also records whether ``riordan verify all`` on the mutated copy
+  exits 1.  A row that survives the report is listed as a survivor; the gate
+  fails only when the outcome differs from the recorded one, so the record
+  stays true as checks are added.
+
+``pyproject.toml`` sets ``pythonpath = ["src"]``, which pytest puts ahead of
+``PYTHONPATH``; the copy is selected with ``-o pythonpath=<copy>/src``.
+Exits 0 when every row is killed and every report outcome is as recorded.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+Mutation = namedtuple("Mutation", "name file old new selector verify_fails")
+
+MUTATIONS = [
+    Mutation(
+        "gf_conjugate without its final transpose",
+        "array.py",
+        "    return gf_right_transform(once, g_form, f_form).transpose()\n",
+        "    return gf_right_transform(once, g_form, f_form)\n",
+        "tests/test_riordan.py::test_conjugate_gf_relation_randomized",
+        False,
+    ),
+    Mutation(
+        "bivariate_gf without its transpose",
+        "array.py",
+        "ONE - X * Y), g_form, f_form).transpose()\n",
+        "ONE - X * Y), g_form, f_form)\n",
+        "tests/test_riordan.py::test_bivariate_gf_is_the_transposed_right_transform",
+        True,
+    ),
+    Mutation(
+        "relation fill without its s term",
+        "array.py",
+        "above = [u + s * v for u, v in zip(above, prev[n:0:-1])]",
+        "above = [u for u, v in zip(above, prev[n:0:-1])]",
+        "tests/test_symmetry.py::test_closed_form_tilde_rows",
+        True,
+    ),
+    Mutation(
+        "expand with q^(i+j) for q^(i+j-1)",
+        "bivar.py",
+        "(i, j, c * pw[i + j - 1])",
+        "(i, j, c * pw[i + j])",
+        "tests/test_bivar.py::test_expand_matches_fraction_recurrence",
+        True,
+    ),
+    Mutation(
+        "symmetrize_gf without the - g(xy) diagonal",
+        "symmetry.py",
+        " - (g.nums[n] * d if n == k else 0)",
+        "",
+        "tests/test_symmetry.py::test_route_equivalence_randomized",
+        True,
+    ),
+    Mutation(
+        "symmetric fold reading a[t][j] for every j",
+        "minors.py",
+        "row_k[j] += u * (a[j][t] if j < t else row_t[j])",
+        "row_k[j] += u * a[t][j]",
+        "tests/test_minors.py::test_zero_pivot_fold_on_sparse_matrices_randomized",
+        True,
+    ),
+    Mutation(
+        "usage override set before add_subparsers",
+        "cli.py",
+        '    sub = parser.add_subparsers(dest="command", required=True)\n'
+        "    for name in COMMANDS if command is None else (command,):\n"
+        "        help_text, add_arguments = COMMANDS[name]\n"
+        "        add_arguments(sub.add_parser(name, help=help_text))\n"
+        '    parser.usage = "%(prog)s [-h] {" + ",".join(COMMANDS) + "} ..."\n',
+        '    parser.usage = "%(prog)s [-h] {" + ",".join(COMMANDS) + "} ..."\n'
+        '    sub = parser.add_subparsers(dest="command", required=True)\n'
+        "    for name in COMMANDS if command is None else (command,):\n"
+        "        help_text, add_arguments = COMMANDS[name]\n"
+        "        add_arguments(sub.add_parser(name, help=help_text))\n",
+        "tests/test_cli.py::test_command_parser_behaves_as_the_full_parser",
+        False,
+    ),
+]
+
+
+def _env(src=None):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    if src is not None:
+        env["PYTHONPATH"] = str(src)
+    return env
+
+
+def _run(cmd, cwd, env):
+    """(failed, seconds): a run past TIMEOUT_S counts as failed."""
+    start = time.perf_counter()
+    try:
+        run = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT_S)
+        code = run.returncode
+    except subprocess.TimeoutExpired:
+        code = -1
+    return code != 0, time.perf_counter() - start
+
+
+def _pytest_fails(src, selector):
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    cmd += ["-o", f"pythonpath={src}", selector]
+    return _run(cmd, REPO, _env())
+
+
+def _verify_fails(src):
+    cmd = [sys.executable, "-m", "riordan.cli", "verify", "all"]
+    return _run(cmd, src.parent, _env(src))[0]
+
+
+def _copy(root, mutation=None):
+    src = Path(tempfile.mkdtemp(dir=root)) / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutation is not None:
+        path = src / "riordan" / mutation.file
+        text = path.read_text()
+        path.write_text(text.replace(mutation.old, mutation.new))
+    return src
+
+
+def main():
+    problems = []
+    for m in MUTATIONS:
+        found = (REPO / "src" / "riordan" / m.file).read_text().count(m.old)
+        if found != 1:
+            problems.append(f"{m.name}: old text found {found} times in {m.file}, not once")
+    if problems:
+        print("\n".join(problems))
+        return 1
+    with tempfile.TemporaryDirectory() as root:
+        clean = _copy(root)
+        for selector in dict.fromkeys(m.selector for m in MUTATIONS):
+            failed, secs = _pytest_fails(clean, selector)
+            print(f"baseline {'FAILS' if failed else 'passes'} {secs:5.1f} s  {selector}")
+            if failed:
+                problems.append(f"{selector} fails on the unmutated copy")
+        if _verify_fails(clean):
+            problems.append("riordan verify all fails on the unmutated copy")
+        if problems:
+            print("\n".join(problems))
+            return 1
+        survivors = []
+        for m in MUTATIONS:
+            src = _copy(root, m)
+            killed, secs = _pytest_fails(src, m.selector)
+            verify_fails = _verify_fails(src)
+            print(
+                f"{'killed' if killed else 'SURVIVED'} {secs:5.1f} s  {m.name}; "
+                f"verify all {'fails' if verify_fails else 'passes'}"
+            )
+            if not killed:
+                problems.append(f"{m.name}: {m.selector} still passes")
+            if verify_fails != m.verify_fails:
+                recorded = "fail" if m.verify_fails else "pass"
+                problems.append(f"{m.name}: verify all was recorded to {recorded}")
+            if not verify_fails:
+                survivors.append(m.name)
+    print("survivors of riordan verify all: " + ("; ".join(survivors) or "none"))
+    if problems:
+        print("\n".join(problems))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,6 @@ from riordan.array import (
     inverse,
     matrix,
     product,
-    rational_pair,
 )
 from riordan.bivar import ONE, X, Y, BivariateRational, expand, gf_identity_check
 from riordan.families import (
@@ -108,8 +107,7 @@ def test_criterion_6_robbins_identities():
     S1 = symmetrize(make_R(1, 28), 12)
     ok = S1 == expand(BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y)), 12)
     ok = ok and list(principal_minors(classical_asm_matrix(5), 5)) == [1, 2, 7, 42, 429]
-    mult = rational_pair(([1], [1, -1, 1]), ([0, 1], [1]), 12)
-    out = gf_right_transform(classical_asm_gf(), mult)
+    out = gf_right_transform(classical_asm_gf(), ([1], [1, -1, 1]), ([0, 1], [1]))
     target = BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y))
     ok = ok and gf_identity_check(out, target)
     ex1 = symmetrize(make_example1(12), 4)

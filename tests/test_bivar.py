@@ -183,7 +183,6 @@ def test_coeff_matrix_operations():
     assert CoeffMatrix([[1, 2], [2, 5]]).is_symmetric()
     C = CoeffMatrix([[1, 2, 3], [2, 5, 0], [9, 9, 9]])
     assert C.is_symmetric(2) and C.is_symmetric(0) and not C.is_symmetric()
-    assert CoeffMatrix([[1, 0], [7, 2]]).is_lower_triangular()
 
 
 # The matrix product and the expansion run on int over common denominators;

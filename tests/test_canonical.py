@@ -20,7 +20,7 @@ from riordan import series
 from riordan.array import RiordanPair, matrix
 from riordan.bivar import BivarPoly, BivariateRational, CoeffMatrix, expand
 from riordan.series import Series
-from riordan.symmetry import symmetrize_matrix
+from riordan.symmetry import symmetrize
 
 LEADS = (1, -1, 2, -3, F(3, 2))
 KINDS = ("int", "integral", "rational")
@@ -87,8 +87,9 @@ def test_matrix_kernels_return_canonical_form(kind, lead):
     rng = random.Random(311)
     for N in range(1, 8):
         _, b, f, _ = _operands(rng, N + 1, kind, lead)
-        T = matrix(RiordanPair(b, f), N)
-        S = symmetrize_matrix(T)
+        a = RiordanPair(b, f)
+        T = matrix(a, N)
+        S = symmetrize(a, N)
         assert type(S) is CoeffMatrix
         products = (T * T.transpose(), S * T)
         for M in (T, S, *products, T.transpose()):

@@ -143,19 +143,34 @@ def test_tilde_inverse_variant_denominator_only_matches_at_r1():
     assert inverse(make_tilde_R(0, 12)) != variant(0, 12)
 
 
+def _rinv_forms(r):
+    return ([1, -r - 2, 3 * r, -2 * r], [1]), ([0, 1, -1], [1])
+
+
+def _tilde_inv_forms(r):
+    g_num = [1, r - 3, 3 - 3 * r, -(r * r - r + 2), -r]
+    return (g_num, [1, 2 * r, r * r]), ([0, 1, -1], [1, r])
+
+
+# each family's constructor with its forms, written out here
 RATIONAL_FAMILIES = {
-    "identity": identity_pair,
-    "pascal": pascal_pair,
-    "example1": make_example1,
-    **{f"Rinv:{r}": partial(make_R_inverse_closed, r) for r in range(-2, 6)},
-    **{f"tildeInv:{r}": partial(tilde_inverse_closed, r) for r in range(-3, 7)},
+    "identity": (identity_pair, (([1], [1]), ([0, 1], [1]))),
+    "pascal": (pascal_pair, (([1], [1, -1]), ([0, 1], [1, -1]))),
+    "example1": (make_example1, (([1], [1, 1, 1]), ([0, 1], [1, 1]))),
+    **{f"Rinv:{r}": (partial(make_R_inverse_closed, r), _rinv_forms(r)) for r in range(-2, 6)},
+    **{
+        f"tildeInv:{r}": (partial(tilde_inverse_closed, r), _tilde_inv_forms(r))
+        for r in range(-3, 7)
+    },
 }
 
 
 @pytest.mark.parametrize("name", RATIONAL_FAMILIES)
 def test_rational_families_expand_from_their_forms(name):
-    a = RATIONAL_FAMILIES[name](30)
-    assert expand(bivariate_gf(a), 30) == matrix(a, 30)
+    constructor, forms = RATIONAL_FAMILIES[name]
+    a = constructor(30)
+    assert a == rational_pair(*forms, 30)
+    assert expand(bivariate_gf(*forms), 30) == matrix(a, 30)
 
 
 def _R_written_out(r, order):

@@ -6,7 +6,7 @@ import pytest
 
 from riordan import series
 from riordan.array import RiordanPair, identity_pair, matrix
-from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
+from riordan.bivar import ONE, X, Y, BivariateRational, expand
 from riordan.families import (
     catalan_pair,
     make_A361654_embed,
@@ -18,13 +18,11 @@ from riordan.families import (
 )
 from riordan.series import InsufficientOrder
 from riordan.symmetry import (
-    NotLowerTriangular,
     closed_form_rows,
     closed_form_sym_rows,
     closed_form_tilde_rows,
     symmetrize,
     symmetrize_gf,
-    symmetrize_matrix,
 )
 
 F = Fraction
@@ -96,27 +94,21 @@ def test_symmetrize_gf_at_order_exactly_N():
 
 
 def test_symmetrize_matrix_examples():
-    T = matrix(make_R(1, 8), 6)
-    assert symmetrize_matrix(T) == symmetrize_gf(make_R(1, 12), 6)
-    assert ints(symmetrize_matrix(CoeffMatrix.identity(4))) == [
+    assert symmetrize(make_R(1, 8), 6) == symmetrize_gf(make_R(1, 12), 6)
+    assert ints(symmetrize(identity_pair(4), 4)) == [
         [1, 1, 1, 1],
         [1, 0, 0, 0],
         [1, 0, 0, 0],
         [1, 0, 0, 0],
     ]
-    two = symmetrize_matrix(matrix(make_R(2, 4), 2))
+    two = symmetrize(make_R(2, 4), 2)
     assert ints(two) == [[1, 1], [1, 4]]
-
-
-def test_symmetrize_matrix_rejects_non_triangular():
-    with pytest.raises(NotLowerTriangular):
-        symmetrize_matrix(CoeffMatrix([[1, 2], [3, 4]]))
 
 
 def test_route_equivalence_named_families():
     for pair in (make_R(0, 24), make_R(1, 24), make_R(2, 24), make_R(5, 24),
                  make_tilde_R(0, 24), make_tilde_R(3, 24), make_example1(24)):
-        assert symmetrize_gf(pair, 12) == symmetrize_matrix(matrix(pair, 12))
+        assert symmetrize_gf(pair, 12) == symmetrize(pair, 12)
 
 
 def test_route_equivalence_randomized():
@@ -131,7 +123,7 @@ def test_route_equivalence_randomized():
         if rng.random() < 0.3:
             g[2] = F(rng.randint(-3, 3), 2)
         pair = RiordanPair(series.Series(g, 16), series.Series(f, 16))
-        assert symmetrize_gf(pair, 8) == symmetrize_matrix(matrix(pair, 8))
+        assert symmetrize_gf(pair, 8) == symmetrize(pair, 8)
 
 
 def test_symmetrization_is_symmetric_and_diagonal_is_g():
