@@ -27,7 +27,7 @@ from itertools import accumulate
 
 from . import series
 from .bivar import ONE, X, Y, BivarPoly, BivariateRational, CoeffMatrix, from_univariate
-from .series import InsufficientOrder, Series
+from .series import Series
 
 
 class RiordanPair:
@@ -38,7 +38,7 @@ class RiordanPair:
     def __init__(self, g: Series, f: Series):
         order = min(g.order, f.order)
         if order < 2:
-            raise InsufficientOrder("a Riordan pair needs order >= 2")
+            raise ValueError("a Riordan pair needs order >= 2")
         g = g.truncate(order)
         f = f.truncate(order)
         if g.nums[0] == 0:
@@ -98,7 +98,7 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
       denominator dg * df^(N-1).
     """
     if N > a.order:
-        raise InsufficientOrder(f"order {a.order} cannot fill an {N}x{N} matrix")
+        raise ValueError(f"order {a.order} cannot fill an {N}x{N} matrix")
     rows = [[0] * N for _ in range(N)]
     s = _relation_s(a.f, N)
     if s is not None:

@@ -22,14 +22,6 @@ from operator import mul
 from .series import _exact, _scaled
 
 
-class ZeroConstant(ValueError):
-    """Denominator vanishes at the origin, so no power series expansion exists."""
-
-
-class DimensionError(ValueError):
-    """Matrix shapes do not match the request."""
-
-
 class BivarPoly:
     """Sparse bivariate polynomial with exact coefficients, each an int when
     integral and a Fraction otherwise."""
@@ -147,7 +139,7 @@ class CoeffMatrix:
         rows = [[_exact(c) for c in row] for row in rows]
         n = len(rows)
         if any(len(row) != n for row in rows):
-            raise DimensionError("matrix must be square and fully populated")
+            raise ValueError("matrix must be square and fully populated")
         flat, den = _scaled([c for row in rows for c in row])
         self._set([flat[i * n : (i + 1) * n] for i in range(n)], den)
 
@@ -204,7 +196,7 @@ class CoeffMatrix:
         if not isinstance(other, CoeffMatrix):
             return NotImplemented
         if self.n != other.n:
-            raise DimensionError("size mismatch in matrix product")
+            raise ValueError("size mismatch in matrix product")
         cols = list(zip(*other.ints))
         out = [[sum(map(mul, row, col)) for col in cols] for row in self.ints]
         return CoeffMatrix._of(out, self.den * other.den)
@@ -226,7 +218,7 @@ class BivariateRational:
 
     def __init__(self, num: BivarPoly, den: BivarPoly):
         if den.coefficient(0, 0) == 0:
-            raise ZeroConstant("denominator vanishes at the origin")
+            raise ValueError("denominator vanishes at the origin")
         self.num = num
         self.den = den
 
@@ -266,7 +258,7 @@ def expand(r: BivariateRational, N: int) -> CoeffMatrix:
     the numerators.
     """
     if r.den.coefficient(0, 0) == 0:
-        raise ZeroConstant("denominator vanishes at the origin")
+        raise ValueError("denominator vanishes at the origin")
     pv, dp = _scaled(list(r.num.coeffs.values()))
     qv, dq = _scaled(list(r.den.coeffs.values()))
     num = dict(zip(r.num.coeffs, pv))

@@ -27,10 +27,6 @@ from .bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
 from .series import Series
 
 
-class TooLarge(ValueError):
-    """Brute force enumeration guard."""
-
-
 def catalan_shift(order: int) -> Series:
     """x times the Catalan generating function, (1 - sqrt(1 - 4x)) / 2; fixed
     point of reversion tests.  The root is taken one order up, since sqrt
@@ -200,7 +196,7 @@ def asm_count_bruteforce(n: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 5:
-        raise TooLarge("brute force enumeration is capped at n = 5")
+        raise ValueError("brute force enumeration is capped at n = 5")
     rows = _alternating_rows(n)
     full = (1 << n) - 1
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bivar import CoeffMatrix, DimensionError
+from .bivar import CoeffMatrix
 from .series import _exact
 
 
@@ -157,7 +157,7 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
 def principal_minors(M: CoeffMatrix, count: int) -> list:
     """First `count` leading principal minors, exactly; entry n is the (n+1) x (n+1) one."""
     if count < 0 or count > M.n:
-        raise DimensionError(f"requested {count} minors of a {M.n}x{M.n} matrix")
+        raise ValueError(f"requested {count} minors of a {M.n}x{M.n} matrix")
     return _exact_minors(M, count)
 
 

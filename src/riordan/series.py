@@ -31,26 +31,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 
-class ZeroConstantTerm(ValueError):
-    """Division by a series whose constant term is zero."""
-
-
-class NonzeroLowOrder(ValueError):
-    """compose(g, f) needs f(0) = 0."""
-
-
-class NotReversible(ValueError):
-    """revert(f) needs f(0) = 0 and a nonzero linear coefficient."""
-
-
-class BadConstantTerm(ValueError):
-    """sqrt(g) needs g(0) = 1."""
-
-
-class InsufficientOrder(ValueError):
-    """The stored truncation order is too small for the request."""
-
-
 def _exact(c):
     """An exact number in normal form: an int when integral, else a Fraction.
     A float is refused, not rounded."""
@@ -166,12 +146,6 @@ class Series:
         body = ", ".join(str(c) for c in self.coeffs)
         return f"Series([{body}]; order={self.order})"
 
-    def __len__(self):
-        return self.order
-
-    def __getitem__(self, n: int) -> int | Fraction:
-        return self.coeffs[n]
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -181,7 +155,7 @@ class Series:
 
     def truncate(self, n: int) -> "Series":
         if n > self.order:
-            raise InsufficientOrder(f"cannot extend order {self.order} to {n}")
+            raise ValueError(f"cannot extend order {self.order} to {n}")
         return _series(self.nums[:n], self.den, n)
 
     def _coerce(self, other):
@@ -283,7 +257,7 @@ def div(a: Series, b: Series) -> Series:
 
     With a = A / da and b = B / db, q = (A / B) * db / da."""
     if b.order == 0 or b.nums[0] == 0:
-        raise ZeroConstantTerm("divisor has zero constant term")
+        raise ValueError("divisor has zero constant term")
     n = min(a.order, b.order)
     nums, d = _div_lists(a.nums, b.nums, n)
     return _series([v * b.den for v in nums], a.den * d, n)
@@ -301,7 +275,7 @@ def compose(g: Series, f: Series) -> Series:
     polynomial f costs O(deg f) a coefficient.
     """
     if f.order == 0 or f.nums[0] != 0:
-        raise NonzeroLowOrder("inner series must have zero constant term")
+        raise ValueError("inner series must have zero constant term")
     n = min(g.order, f.order)
     if n == 0:
         return _series([], 1, 0)
@@ -330,7 +304,7 @@ def revert(f: Series) -> Series:
     """
     n = f.order
     if n < 2 or f.nums[0] != 0 or f.nums[1] == 0:
-        raise NotReversible("need f(0) = 0 and a nonzero linear coefficient")
+        raise ValueError("revert needs f(0) = 0 and a nonzero linear coefficient")
     one = [1] + [0] * (n - 2)
     q, d = _div_lists(one, f.nums[1:], n - 1)
     h = _series([v * f.den for v in q], d, n - 1)
@@ -372,7 +346,7 @@ def sqrt(g: Series) -> Series:
     """
     n = g.order
     if n == 0 or g.nums[0] != g.den:
-        raise BadConstantTerm("sqrt needs constant term 1")
+        raise ValueError("sqrt needs constant term 1")
     gs, d = _trim(g.nums), g.den
     c = 1 if d == 1 else 4 * d
     h = [gj * c**j // d for j, gj in enumerate(gs)]  # g(c x), integral

@@ -21,7 +21,6 @@ from math import comb
 
 from .array import RiordanPair, matrix
 from .bivar import ONE, BivarPoly, BivariateRational, CoeffMatrix, expand
-from .series import InsufficientOrder
 
 
 def symmetrize_gf(a: RiordanPair, N: int) -> CoeffMatrix:
@@ -33,7 +32,7 @@ def symmetrize_gf(a: RiordanPair, N: int) -> CoeffMatrix:
     the diagonal.
     """
     if a.order < N:
-        raise InsufficientOrder(f"symmetrization to {N}x{N} needs order >= {N}, have {a.order}")
+        raise ValueError(f"symmetrization to {N}x{N} needs order >= {N}, have {a.order}")
     f, g = a.f.coeffs, a.g
     u = BivarPoly({(k, k - 1): f[k] for k in range(1, N)})
     gxy = BivarPoly({(j, j): g.coeffs[j] for j in range(N)})

@@ -71,6 +71,54 @@ MUTATIONS = [
         True,
     ),
     Mutation(
+        "expand without the sign flip for a negative denominator",
+        "bivar.py",
+        "m = -dq if d < 0 else dq",
+        "m = dq",
+        "tests/test_bivar.py::test_expand_times_denominator_recovers_numerator",
+        False,
+    ),
+    Mutation(
+        "sqrt without the c = 4 rescale of h",
+        "series.py",
+        "            h = [gj << 2 * j for j, gj in enumerate(gs)]\n",
+        "",
+        "tests/test_series.py::test_sqrt_roundtrip_randomized",
+        True,
+    ),
+    Mutation(
+        "sqrt one term short in its loop bound",
+        "series.py",
+        "for j in range(1, min(m, len(h) - 1) + 1):",
+        "for j in range(1, min(m, len(h) - 1)):",
+        "tests/test_series.py::test_sqrt_matches_recurrence_randomized",
+        True,
+    ),
+    Mutation(
+        "_div_lists one term short in its loop bound",
+        "series.py",
+        "for j in range(1, min(k, deg) + 1):",
+        "for j in range(1, min(k, deg)):",
+        "tests/test_series.py::test_div_partial_fraction_oracle",
+        True,
+    ),
+    Mutation(
+        "cubic of _quadratic_pair with c - ab for c + ab",
+        "families.py",
+        "Series([1, -a - b, c + a * b, -a * c], order)",
+        "Series([1, -a - b, c - a * b, -a * c], order)",
+        "tests/test_families.py::test_make_R",
+        True,
+    ),
+    Mutation(
+        "make_A361654_embed dividing by (1 - 2x)(1 - 3x) for (1 - x)(1 - 4x)",
+        "families.py",
+        "Series([1, -5, 4], order)",
+        "Series([1, -5, 6], order)",
+        "tests/test_families.py::test_make_A361654_embed",
+        False,
+    ),
+    Mutation(
         "symmetrize_gf without the - g(xy) diagonal",
         "symmetry.py",
         " - (g.nums[n] * d if n == k else 0)",
@@ -84,6 +132,22 @@ MUTATIONS = [
         "row_k[j] += u * (a[j][t] if j < t else row_t[j])",
         "row_k[j] += u * a[t][j]",
         "tests/test_minors.py::test_zero_pivot_fold_on_sparse_matrices_randomized",
+        True,
+    ),
+    Mutation(
+        "two-step sweep with the sign of f flipped",
+        "minors.py",
+        "f = (p * y - b * x) // prev",
+        "f = (b * x - p * y) // prev",
+        "tests/test_minors.py::test_two_step_sweep_matches_the_one_step_sweep_randomized",
+        True,
+    ),
+    Mutation(
+        "two-step update divided by q for prev",
+        "minors.py",
+        "row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * q) // prev",
+        "row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * q) // q",
+        "tests/test_minors.py::test_two_step_sweep_matches_the_one_step_sweep_randomized",
         True,
     ),
     Mutation(

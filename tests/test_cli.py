@@ -10,7 +10,7 @@ import pytest
 from minors_mod_p import PRIMES, leading_minors_mod
 
 import riordan
-from riordan import cli
+from riordan import cli, verify
 from riordan.cli import FAMILIES, _build_pair, _parse_family, _render_sequence, build_parser, main
 from riordan.families import reference_B20, robbins, twenty_vertex_matrix
 from riordan.minors import principal_minors
@@ -143,6 +143,7 @@ def test_usage_errors(capsys, monkeypatch):
     for argv, message in (
         (("matrix", "nosuch", "4"), "unknown family spec 'nosuch'"),
         (("matrix", "R:x", "4"), "bad family parameter 'x'"),
+        (("matrix", "catalan:1", "3"), "family 'catalan' does not take a parameter"),
         (("symmetrize", "vertex20", "4"), "vertex20 is already a full matrix; it has no symmetrization"),
         (
             ("minors", "asm-classical", "4", "--symmetrize"),
@@ -280,6 +281,18 @@ def test_oeis_check_robbins(capsys, tmp_path):
     )
     assert rc == 0
     assert "match" in out
+
+
+def test_oeis_check_vertex20(capsys, tmp_path):
+    (tmp_path / "b358069.txt").write_text(
+        "\n".join(f"{n + 1} {v}" for n, v in enumerate(reference_B20())) + "\n"
+    )
+    rc, out = run(
+        capsys, "oeis", "A358069", "--check", "vertex20",
+        "--offline", "--cache-dir", str(tmp_path),
+    )
+    assert rc == 0
+    assert out == "A358069 vs vertex20: match (9/9 terms, offset 0)\n"
 
 
 def test_oeis_print_values(capsys, tmp_path):
@@ -472,6 +485,7 @@ def test_minors_print_under_a_lowered_digit_limit(capsys):
 OUTPUT_SHA256 = {
     "verify all --json": "67d566bfb156965e23c053deb244b739756e47164def74173c62006d46458295",
     "verify group-laws --json": "329fcda653c4fe09138f34245b7deae76a46dfa066faf0e57a5be194b96006f7",
+    "verify all": "37985e91344761a20cb7ab4cbe5637ddc471e5f6a59e8fee5f5a2b74ff6e1a9c",
     "matrix tildeR:1 12 --format csv": "02464bcad8dcb1210856dd13b4affaf4e894f1ca0984a37f2e4131b2a9de408c",
     "matrix vertex20 8 --format json": "3561a862b48c38ecdd065f23bc1b6b045c0d9cae72ad78b0b3c7da6783ef2914",
     "symmetrize example1 8": "26a23c936600d6ee46ba619c4d0bebb2660d9ac1c3cbc2d45d3bed4932d03a5f",
@@ -506,9 +520,25 @@ def _assert_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]
 
 
-@pytest.mark.parametrize("suite", ["all", "group-laws"])
-def test_verify_json_output_is_pinned(capsys, suite):
-    _assert_pinned(capsys, f"verify {suite} --json")
+# the JSON reports, and the text report with its REPORTED lines
+@pytest.mark.parametrize(
+    "command",
+    ["verify all --json", "verify group-laws --json", "verify all"],
+    ids=["all", "group-laws", "all-text"],
+)
+def test_verify_json_output_is_pinned(capsys, command):
+    _assert_pinned(capsys, command)
+
+
+def test_verify_text_report_prints_a_failed_check(capsys, monkeypatch):
+    check = verify.Check("robbins/minor-0", "fail", expected=1, actual=2)
+    monkeypatch.setattr(verify, "run_suite", lambda name, seed: verify.SuiteResult(name, [check]))
+    rc, out = run(capsys, "verify", "robbins")
+    assert rc == 1
+    assert out == (
+        "FAIL     robbins/minor-0  expected=1 actual=2\n"
+        "suite robbins: 0 passed, 1 failed, 0 reported\n"
+    )
 
 
 @pytest.mark.parametrize("command", [c for c in OUTPUT_SHA256 if not c.startswith("verify ")])

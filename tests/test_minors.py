@@ -7,7 +7,7 @@ from minors_mod_p import det_int
 
 from riordan import minors, series
 from riordan.array import RiordanPair, conjugate, matrix
-from riordan.bivar import CoeffMatrix, DimensionError
+from riordan.bivar import CoeffMatrix
 from riordan.families import (
     classical_asm_matrix,
     make_R,
@@ -57,7 +57,7 @@ def test_minors_and_det_keep_the_exact_rule():
 
 
 def test_count_guard():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="requested 2 minors of a 1x1 matrix"):
         principal_minors(CoeffMatrix([[1]]), 2)
 
 

@@ -41,7 +41,6 @@ from riordan.families import (
     twenty_vertex_matrix,
 )
 from riordan.minors import principal_minors
-from riordan.series import InsufficientOrder
 from riordan.symmetry import closed_form_rows
 
 F = Fraction
@@ -88,7 +87,7 @@ def test_matrix_R2_display():
 
 def test_matrix_identity_and_order_guard():
     assert matrix(identity_pair(5), 5) == CoeffMatrix.identity(5)
-    with pytest.raises(InsufficientOrder):
+    with pytest.raises(ValueError, match="order 4 cannot fill an 6x6 matrix"):
         matrix(identity_pair(4), 6)
 
 

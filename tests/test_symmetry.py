@@ -16,7 +16,6 @@ from riordan.families import (
     make_tilde_R,
     pascal_pair,
 )
-from riordan.series import InsufficientOrder
 from riordan.symmetry import (
     closed_form_rows,
     closed_form_sym_rows,
@@ -63,7 +62,7 @@ def test_symmetrize_gf_example1_display():
 
 
 def test_symmetrize_gf_order_guard():
-    with pytest.raises(InsufficientOrder):
+    with pytest.raises(ValueError, match="symmetrization to 6x6 needs order >= 6, have 5"):
         symmetrize_gf(make_R(1, 5), 6)
 
 
