@@ -2,8 +2,9 @@
 
 Each family is built once from its defining forms: a rational pair from its
 (numerator, denominator) coefficient lists by ``array.rational_pair``, R_r
-and tilde-R_r from one quadratic shape with one square root
-(``_quadratic_pair``), the Catalan pairs from one Catalan root.  Every
+and tilde-R_r as the lines Q(r, 0) and Q(1, r) of one two-parameter family
+with one square root (``quadratic_pair``, inverted in closed form by
+``quadratic_inverse``), the Catalan pairs from one Catalan root.  Every
 divisor and radicand a constructor hands to a kernel is a polynomial of
 degree at most 3, and a quotient by, or the root of, a polynomial of degree
 d costs O(n d) coefficient products (see ``series``), so each pair builds
@@ -52,45 +53,46 @@ def pascal_pair(order: int) -> RiordanPair:
     return rational_pair(([1], [1, -1]), ([0, 1], [1, -1]), order)
 
 
-def _quadratic_pair(a: int, b: int, c: int, order: int) -> RiordanPair:
-    """The pair (1/((1-ax) sqrt(1-bx+cx^2)), (1 - (b/2-2)x - sqrt(1-bx+cx^2))/2)
-    for even b, with g and f built from one square root: the shape of both
-    make_R and make_tilde_R.
+def quadratic_pair(a: int, s: int, order: int) -> RiordanPair:
+    """Q(a, s) = (1/((1-ax) sqrt(D_s)), (1 - sx - sqrt(D_s))/2), with
+    D_s = 1 - 2(s+2)x + s^2 x^2, built from one square root; f - f^2 =
+    x(1 + sf).  R_r = Q(r, 0) and tilde-R_r = Q(1, r).
 
-    root^2 = 1 - bx + cx^2, so g = root / ((1-ax)(1-bx+cx^2)), a division by
-    the cubic 1 - (a+b)x + (c+ab)x^2 - ac x^3 written out here.  The root of
-    a quadratic and the quotient by a cubic each cost O(order) products."""
-    root = series.sqrt(Series([1, -b, c], order))
-    g = root / Series([1, -a - b, c + a * b, -a * c], order)
-    return RiordanPair(g, (Series([1, 2 - b // 2], order) - root) / 2)
+    g = root / ((1-ax) D_s), a division by the cubic written out here.  The
+    root of a quadratic and the quotient by a cubic each cost O(order)
+    products."""
+    root = series.sqrt(Series([1, -2 * (s + 2), s * s], order))
+    cubic = [1, -a - 2 * (s + 2), s * s + 2 * a * (s + 2), -a * s * s]
+    return RiordanPair(root / Series(cubic, order), (Series([1, -s], order) - root) / 2)
+
+
+def quadratic_inverse(a: int, s: int, order: int) -> RiordanPair:
+    """The inverse of Q(a, s) from its rational forms: fbar = x(1-x)/(1+sx),
+    and sqrt(D_s)(fbar) = 1 - s fbar - 2x, so 1/g(fbar) =
+    (1 - a fbar)(1 - s fbar - 2x) =
+    (1 + (s-a)x + ax^2)(1 - 2x - sx^2)/(1+sx)^2, written out here."""
+    g_num = [1, s - a - 2, 3 * (a - s), a * s - 2 * a - s * s, -a * s]
+    return rational_pair((g_num, [1, 2 * s, s * s]), ([0, 1, -1], [1, s]), order)
 
 
 def make_R(r: int, order: int) -> RiordanPair:
-    """The one-parameter family (1/((1-rx) sqrt(1-4x)), x c(x)), with
-    x c(x) = (1 - sqrt(1-4x)) / 2: the quadratic shape at (a, b, c) = (r, 4, 0)."""
-    return _quadratic_pair(r, 4, 0, order)
+    """The family (1/((1-rx) sqrt(1-4x)), x c(x)): Q(r, 0)."""
+    return quadratic_pair(r, 0, order)
 
 
 def make_R_inverse_closed(r: int, order: int) -> RiordanPair:
-    """Closed form of the inverse of make_R(r): ((1-2x)(1-rx+rx^2), x(1-x)),
-    a polynomial pair built from its forms."""
-    return rational_pair(([1, -r - 2, 3 * r, -2 * r], [1]), ([0, 1, -1], [1]), order)
+    """The inverse ((1-2x)(1-rx+rx^2), x(1-x)) of make_R(r) = Q(r, 0)."""
+    return quadratic_inverse(r, 0, order)
 
 
 def make_tilde_R(r: int, order: int) -> RiordanPair:
-    """The companion family with g = 1/((1-x) sqrt(1-2(r+2)x+r^2 x^2))
-    and f = (1 - rx - sqrt(1-2(r+2)x+r^2 x^2)) / 2: the quadratic shape at
-    (a, b, c) = (1, 2(r+2), r^2)."""
-    return _quadratic_pair(1, 2 * (r + 2), r * r, order)
+    """The companion family (1/((1-x) sqrt(D_r)), (1 - rx - sqrt(D_r))/2): Q(1, r)."""
+    return quadratic_pair(1, r, order)
 
 
 def tilde_inverse_closed(r: int, order: int) -> RiordanPair:
-    """Inverse of make_tilde_R in closed form, built from its rational forms:
-    f = x(1-x)/(1+rx) and g = (1-x+rx+x^2) f' with
-    f' = (1-2x-rx^2)/(1+rx)^2, so
-    g = (1 + (r-3)x + (3-3r)x^2 - (r^2-r+2)x^3 - rx^4)/(1+rx)^2."""
-    g_num = [1, r - 3, 3 - 3 * r, -(r * r - r + 2), -r]
-    return rational_pair((g_num, [1, 2 * r, r * r]), ([0, 1, -1], [1, r]), order)
+    """The inverse of make_tilde_R(r) = Q(1, r)."""
+    return quadratic_inverse(1, r, order)
 
 
 def make_example1(order: int) -> RiordanPair:

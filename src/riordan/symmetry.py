@@ -55,42 +55,29 @@ def symmetrize(a: RiordanPair, N: int) -> CoeffMatrix:
     return CoeffMatrix._of(rows, T.den)
 
 
-def closed_form_rows(r: int, N: int) -> list:
-    """N x N rows of the r-parameter array, T[n][k] = sum_j r^(n-k-j) C(k+2j, j).
+def closed_form_rows(a: int, s: int, N: int) -> list:
+    """N x N rows of Q(a, s) (``families.quadratic_pair``), by Lagrange
+    inversion and Horner's rule in a.
 
-    The sum is evaluated column by column by Horner's rule in r:
-    T[n][k] = r T[n-1][k] + C(2n-k, n-k), from T[k-1][k] = 0.
+    At a = 0, fbar = x(1 - x)/(1 + sx) gives f = x phi(f) with
+    phi(t) = (1 + st)/(1 - t), and 1 - x phi'(f) = sqrt(D_s)/(1 - f), so
+    g f^k = H(f)/(1 - x phi'(f)) with H(t) = t^k/(1 - t), whence
+    T0[n][k] = [t^(n-k)] (1 + st)^n/(1 - t)^(n+1)
+             = sum over i <= n-k of C(n, i) s^i C(2n-k-i, n).
+    The factor 1/(1 - ax) sums down each column: T[n][k] = a T[n-1][k] +
+    T0[n][k], from T[k-1][k] = 0.  At s = 0, R_a's case, the sum is the
+    single C(2n-k, n), and T[n][k] = sum_j a^(n-k-j) C(k+2j, j).
     """
     rows = [[0] * N for _ in range(N)]
     for k in range(N):
         t = 0
         for n in range(k, N):
-            t = r * t + comb(2 * n - k, n - k)
+            if s:
+                t0 = sum(comb(n, i) * s**i * comb(2 * n - k - i, n) for i in range(n - k + 1))
+            else:
+                t0 = comb(2 * n - k, n)
+            t = a * t + t0
             rows[n][k] = t
-    return rows
-
-
-def closed_form_tilde_rows(r: int, N: int) -> list:
-    """N x N rows of the companion array tilde-R_r, by Lagrange inversion.
-
-    fbar = x(1 - x)/(1 + rx), so f = x phi(f) with phi(t) = (1 + rt)/(1 - t);
-    1 - x phi'(f) = sqrt(1 - 2(r+2)x + r^2 x^2)/(1 - f) and 1 - x = (1 + (r-1)f + f^2)/(1 + rf)
-    give g f^k = H(f)/(1 - x phi'(f)), H(t) = t^k phi(t)/(1 + (r-1)t + t^2), whence by
-    Lagrange T[n][k] = [t^(n-k)] (1 + rt)^(n+1) / ((1 - t)^(n+1) (1 + (r-1)t + t^2)).
-    """
-    # e = 1/(1 + (r-1)t + t^2), expanded once
-    e = [1, 1 - r]
-    for _ in range(N - 2):
-        e.append((1 - r) * e[-1] - e[-2])
-    rows = [[0] * N for _ in range(N)]
-    for n in range(N):
-        # [t^j] (1 + rt)^(n+1)/(1 - t)^(n+1) = sum_i C(n+1, i) r^i C(n+j-i, n)
-        a = [
-            sum(comb(n + 1, i) * r**i * comb(n + j - i, n) for i in range(j + 1))
-            for j in range(n + 1)
-        ]
-        for k in range(n + 1):
-            rows[n][k] = sum(a[j] * e[n - k - j] for j in range(n - k + 1))
     return rows
 
 

@@ -217,7 +217,7 @@ def suite_closed_forms():
     checks = []
     for r in range(6):
         M = matrix(make_R(r, 21), 21)
-        checks.append(_true(f"closed-forms/entry-r{r}", M.rows == closed_form_rows(r, 21)))
+        checks.append(_true(f"closed-forms/entry-r{r}", M.rows == closed_form_rows(r, 0, 21)))
     S = symmetrize(make_R(1, 15), 15)
     checks.append(_true("closed-forms/sym-entry", S.rows == closed_form_sym_rows(15)))
     for r in range(-2, 6):

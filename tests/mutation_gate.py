@@ -59,7 +59,7 @@ MUTATIONS = [
         "array.py",
         "above = [u + s * v for u, v in zip(above, prev[n:0:-1])]",
         "above = [u for u, v in zip(above, prev[n:0:-1])]",
-        "tests/test_symmetry.py::test_closed_form_tilde_rows",
+        "tests/test_symmetry.py::test_closed_form_rows_on_the_plane",
         True,
     ),
     Mutation(
@@ -103,11 +103,27 @@ MUTATIONS = [
         True,
     ),
     Mutation(
-        "cubic of _quadratic_pair with c - ab for c + ab",
+        "cubic of quadratic_pair with s^2 - 2a(s + 2) for s^2 + 2a(s + 2)",
         "families.py",
-        "Series([1, -a - b, c + a * b, -a * c], order)",
-        "Series([1, -a - b, c - a * b, -a * c], order)",
+        "cubic = [1, -a - 2 * (s + 2), s * s + 2 * a * (s + 2), -a * s * s]",
+        "cubic = [1, -a - 2 * (s + 2), s * s - 2 * a * (s + 2), -a * s * s]",
         "tests/test_families.py::test_make_R",
+        True,
+    ),
+    Mutation(
+        "quadratic_pair with the radicand's 2(s + 1) for 2(s + 2)",
+        "families.py",
+        "Series([1, -2 * (s + 2), s * s], order)",
+        "Series([1, -2 * (s + 1), s * s], order)",
+        "tests/test_families.py::test_make_R",
+        True,
+    ),
+    Mutation(
+        "quadratic_inverse with (a - s) for (s - a)",
+        "families.py",
+        "g_num = [1, s - a - 2,",
+        "g_num = [1, a - s - 2,",
+        "tests/test_families.py::test_tilde_inverse_closed_form",
         True,
     ),
     Mutation(
@@ -116,6 +132,14 @@ MUTATIONS = [
         "Series([1, -5, 4], order)",
         "Series([1, -5, 6], order)",
         "tests/test_families.py::test_make_A361654_embed",
+        False,
+    ),
+    Mutation(
+        "closed_form_rows with s^(i+1) for s^i",
+        "symmetry.py",
+        "comb(n, i) * s**i * comb(",
+        "comb(n, i) * s**(i + 1) * comb(",
+        "tests/test_symmetry.py::test_closed_form_rows_on_the_plane",
         False,
     ),
     Mutation(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -9,13 +10,14 @@ from riordan import cli, series
 from riordan.array import (
     RiordanPair,
     bivariate_gf,
+    conjugate,
     identity_pair,
     inverse,
     matrix,
     product,
     rational_pair,
 )
-from riordan.bivar import CoeffMatrix, expand
+from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
 from riordan.families import (
     _alternating_rows,
     asm_count_bruteforce,
@@ -30,6 +32,8 @@ from riordan.families import (
     make_R_inverse_closed,
     make_tilde_R,
     pascal_pair,
+    quadratic_inverse,
+    quadratic_pair,
     reference_B20,
     robbins,
     tilde_inverse_closed,
@@ -127,6 +131,9 @@ def test_make_tilde_R():
 def test_tilde_inverse_closed_form():
     for r in range(4):
         assert inverse(make_tilde_R(r, 14)) == tilde_inverse_closed(r, 14)
+    for a in range(-3, 5):
+        for s in range(-3, 5):
+            assert inverse(quadratic_pair(a, s, 40)) == quadratic_inverse(a, s, 40)
 
 
 def test_tilde_inverse_variant_denominator_only_matches_at_r1():
@@ -171,15 +178,10 @@ def test_rational_families_expand_from_their_forms(name):
     assert expand(bivariate_gf(*forms), 30) == matrix(a, 30)
 
 
-def _R_written_out(r, order):
-    root = series.sqrt(series.Series([1, -4], order))
-    return RiordanPair(1 / (series.Series([1, -r], order) * root), (1 - root) / 2)
-
-
-def _tilde_R_written_out(r, order):
-    root = series.sqrt(series.Series([1, -2 * (r + 2), r * r], order))
-    g = 1 / (series.Series([1, -1], order) * root)
-    return RiordanPair(g, (series.Series([1, -r], order) - root) / 2)
+def _Q_written_out(a, s, order):
+    root = series.sqrt(series.Series([1, -2 * (s + 2), s * s], order))
+    g = 1 / (series.Series([1, -a], order) * root)
+    return RiordanPair(g, (series.Series([1, -s], order) - root) / 2)
 
 
 def _A361654_written_out(order):
@@ -188,19 +190,23 @@ def _A361654_written_out(order):
     return RiordanPair((1 - xc) / (one_minus_x * (1 - 2 * xc)), xc)
 
 
-def _tilde_inverse_written_out(r, order):
-    # (1 - x + rx + x^2) * d/dx(x(1-x)/(1+rx)), the derivative termwise
-    inner = series.rational([0, 1, -1], [1, r], order + 1)
+def _Q_inverse_written_out(a, s, order):
+    # (1 + (s-a)x + ax^2) * d/dx(x(1-x)/(1+sx)), the derivative termwise
+    inner = series.rational([0, 1, -1], [1, s], order + 1)
     derivative = series.Series([k * c for k, c in enumerate(inner.coeffs)][1:], order)
-    g = series.Series([1, r - 1, 1], order) * derivative
-    return RiordanPair(g, series.rational([0, 1, -1], [1, r], order))
+    g = series.Series([1, s - a, a], order) * derivative
+    return RiordanPair(g, series.rational([0, 1, -1], [1, s], order))
 
 
 @pytest.mark.parametrize("r", range(-3, 7))
 def test_constructors_match_their_formulas_written_out(r):
-    assert make_R(r, 200) == _R_written_out(r, 200)
-    assert make_tilde_R(r, 200) == _tilde_R_written_out(r, 200)
-    assert tilde_inverse_closed(r, 200) == _tilde_inverse_written_out(r, 200)
+    assert make_R(r, 200) == _Q_written_out(r, 0, 200)
+    assert make_tilde_R(r, 200) == _Q_written_out(1, r, 200)
+    assert make_R_inverse_closed(r, 200) == _Q_inverse_written_out(r, 0, 200)
+    assert tilde_inverse_closed(r, 200) == _Q_inverse_written_out(1, r, 200)
+    # Q(2r, 2r + 1) is on neither line: a != 1 and s != 0
+    assert quadratic_pair(2 * r, 2 * r + 1, 60) == _Q_written_out(2 * r, 2 * r + 1, 60)
+    assert quadratic_inverse(2 * r, 2 * r + 1, 60) == _Q_inverse_written_out(2 * r, 2 * r + 1, 60)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 17, 200])
@@ -344,11 +350,45 @@ def test_inverse_family_symmetrization_minors():
     assert list(got1) == [1, -4, -33, 427, 5046, -56241, -316626, 7178034, 26671624]
 
 
+def _involution(N, g_den=(1, -2, 1), f_num=(0, -1)):
+    # A = (1/(1-x)^2, -x/(1-x)); the keywords build the variants that must fail
+    return rational_pair(([1], list(g_den)), (list(f_num), [1, -1]), N)
+
+
+def _sym_q(a, s, N):
+    return symmetrize(quadratic_pair(a, s, N), N)
+
+
 def test_minor_transfer_between_families():
     for r in range(1, 5):
         a = principal_minors(symmetrize(make_R(r, 18), 7), 7)
         b = principal_minors(symmetrize(make_tilde_R(r - 1, 18), 7), 7)
         assert list(a) == list(b)
+    # A is an involution: A A = I
+    assert product(_involution(40), _involution(40)) == identity_pair(40)
+    # Sym(Q(a, s)) expands 1/((1 - axy)(1 - x - y - sxy)), and A Sym(Q(a, s)) A^T
+    # is Sym(Q(s + 1, a - 1)): R_r = Q(r, 0) and tilde-R_(r-1) = Q(1, r - 1)
+    # are one such pair, and so are Q(2, 2) and Q(3, 1)
+    A = _involution(12)
+    for a in range(-3, 5):
+        for s in range(-3, 5):
+            S = _sym_q(a, s, 12)
+            gf = BivariateRational(ONE, (ONE - a * X * Y) * (ONE - X - Y - s * X * Y))
+            assert S == expand(gf, 12)
+            image = _sym_q(s + 1, a - 1, 12)
+            assert conjugate(S, A) == image
+            assert principal_minors(S, 12) == principal_minors(image, 12)
+    rng = random.Random(31)
+    for _ in range(12):
+        a, s, N = rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(2, 20)
+        S, image = _sym_q(a, s, N), _sym_q(s + 1, a - 1, N)
+        assert conjugate(S, _involution(N)) == image
+        assert principal_minors(S, N) == principal_minors(image, N)
+    # neither the f nor the g of A can be simplified away
+    S, image = _sym_q(2, 2, 12), _sym_q(3, 1, 12)
+    assert conjugate(S, _involution(12, f_num=(0, 1))) != image
+    assert conjugate(S, _involution(12, g_den=(1, -1))) != image
+    assert list(principal_minors(S, 6)) == [1, 5, 101, 7753, 2207593, 2304818765]
 
 
 def test_tilde2_minors():

@@ -349,7 +349,7 @@ def _fraction_triangle(a, N):
 def test_matrix_R_matches_closed_form_entry(r):
     M = matrix(make_R(r, 60), 60)
     assert all(type(c) is int for row in M.rows for c in row)
-    assert M.rows == closed_form_rows(r, 60)
+    assert M.rows == closed_form_rows(r, 0, 60)
 
 
 @pytest.mark.parametrize(

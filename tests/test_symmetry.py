@@ -15,11 +15,11 @@ from riordan.families import (
     make_R_inverse_closed,
     make_tilde_R,
     pascal_pair,
+    quadratic_pair,
 )
 from riordan.symmetry import (
     closed_form_rows,
     closed_form_sym_rows,
-    closed_form_tilde_rows,
     symmetrize,
     symmetrize_gf,
 )
@@ -173,22 +173,25 @@ def _sym_entry_sum(n, k):
 
 
 def test_closed_form_entry():
-    T = closed_form_rows(1, 8)
+    T = closed_form_rows(1, 0, 8)
     assert T[4][1] == 49 and T[7][7] == 1 and T[2][5] == 0
-    assert closed_form_rows(2, 6)[5][2] == 110
+    assert closed_form_rows(2, 0, 6)[5][2] == 110
     for r in range(-3, 7):
         for N in (0, 1, 2, 25):
             want = [[_entry_sum(r, n, k) for k in range(N)] for n in range(N)]
-            assert closed_form_rows(r, N) == want
+            assert closed_form_rows(r, 0, N) == want
 
 
-def test_closed_form_tilde_rows():
-    # column 0 at r = 1: partial sums of the central Delannoy numbers 1, 3, 13, 63
-    assert closed_form_tilde_rows(1, 4) == [[1, 0, 0, 0], [4, 1, 0, 0], [17, 6, 1, 0], [80, 31, 8, 1]]
+def test_closed_form_rows_on_the_plane():
+    # tilde-R_1 = Q(1, 1); column 0: partial sums of the central Delannoy numbers 1, 3, 13, 63
+    assert closed_form_rows(1, 1, 4) == [[1, 0, 0, 0], [4, 1, 0, 0], [17, 6, 1, 0], [80, 31, 8, 1]]
     for N in (0, 1, 2):
-        assert closed_form_tilde_rows(3, N) == matrix(make_tilde_R(3, 2), N).rows
+        assert closed_form_rows(1, 3, N) == matrix(make_tilde_R(3, 2), N).rows
     for r in range(-3, 7):
-        assert closed_form_tilde_rows(r, 60) == matrix(make_tilde_R(r, 60), 60).rows
+        assert closed_form_rows(1, r, 60) == matrix(make_tilde_R(r, 60), 60).rows
+    for a in range(-3, 5):
+        for s in range(-3, 5):
+            assert closed_form_rows(a, s, 25) == matrix(quadratic_pair(a, s, 25), 25).rows
 
 
 def test_closed_form_sym_entry():
