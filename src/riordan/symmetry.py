@@ -66,16 +66,13 @@ def closed_form_rows(a: int, s: int, N: int) -> list:
              = sum over i <= n-k of C(n, i) s^i C(2n-k-i, n).
     The factor 1/(1 - ax) sums down each column: T[n][k] = a T[n-1][k] +
     T0[n][k], from T[k-1][k] = 0.  At s = 0, R_a's case, the sum is the
-    single C(2n-k, n), and T[n][k] = sum_j a^(n-k-j) C(k+2j, j).
+    single C(2n-k, n) (0**0 = 1), and T[n][k] = sum_j a^(n-k-j) C(k+2j, j).
     """
     rows = [[0] * N for _ in range(N)]
     for k in range(N):
         t = 0
         for n in range(k, N):
-            if s:
-                t0 = sum(comb(n, i) * s**i * comb(2 * n - k - i, n) for i in range(n - k + 1))
-            else:
-                t0 = comb(2 * n - k, n)
+            t0 = sum(comb(n, i) * s**i * comb(2 * n - k - i, n) for i in range(n - k + 1))
             t = a * t + t0
             rows[n][k] = t
     return rows

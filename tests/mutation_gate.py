@@ -140,7 +140,7 @@ MUTATIONS = [
         "comb(n, i) * s**i * comb(",
         "comb(n, i) * s**(i + 1) * comb(",
         "tests/test_symmetry.py::test_closed_form_rows_on_the_plane",
-        False,
+        True,
     ),
     Mutation(
         "symmetrize_gf without the - g(xy) diagonal",

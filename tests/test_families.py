@@ -129,8 +129,6 @@ def test_make_tilde_R():
 
 
 def test_tilde_inverse_closed_form():
-    for r in range(4):
-        assert inverse(make_tilde_R(r, 14)) == tilde_inverse_closed(r, 14)
     for a in range(-3, 5):
         for s in range(-3, 5):
             assert inverse(quadratic_pair(a, s, 40)) == quadratic_inverse(a, s, 40)
