@@ -3,10 +3,13 @@
 Each family is built once from its defining forms: a rational pair from its
 (numerator, denominator) coefficient lists by ``array.rational_pair``, R_r
 and tilde-R_r as the lines Q(r, 0) and Q(1, r) of one two-parameter family
-with one square root (``quadratic_pair``, inverted in closed form by
-``quadratic_inverse``), the Catalan pairs from one Catalan root.  Every
+(``quadratic_pair``, inverted in closed form by ``quadratic_inverse``), the
+Catalan pairs from one Catalan root.  Q(a, s) runs its own integer
+recurrences: 1/sqrt(D_s) by the three-term recurrence of its differential
+equation, g by a running sum and f by a three-term combination, O(1)
+products a coefficient and no square root or series division.  Every other
 divisor and radicand a constructor hands to a kernel is a polynomial of
-degree at most 3, and a quotient by, or the root of, a polynomial of degree
+degree at most 2, and a quotient by, or the root of, a polynomial of degree
 d costs O(n d) coefficient products (see ``series``), so each pair builds
 in O(n) products at order n.
 
@@ -20,6 +23,7 @@ needs order 2 or more.
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial
 
 from . import series
@@ -55,15 +59,29 @@ def pascal_pair(order: int) -> RiordanPair:
 
 def quadratic_pair(a: int, s: int, order: int) -> RiordanPair:
     """Q(a, s) = (1/((1-ax) sqrt(D_s)), (1 - sx - sqrt(D_s))/2), with
-    D_s = 1 - 2(s+2)x + s^2 x^2, built from one square root; f - f^2 =
-    x(1 + sf).  R_r = Q(r, 0) and tilde-R_r = Q(1, r).
+    D_s = 1 - 2(s+2)x + s^2 x^2, so that f - f^2 = x(1 + sf).
+    R_r = Q(r, 0) and tilde-R_r = Q(1, r).
 
-    g = root / ((1-ax) D_s), a division by the cubic written out here.  The
-    root of a quadratic and the quotient by a cubic each cost O(order)
-    products."""
-    root = series.sqrt(Series([1, -2 * (s + 2), s * s], order))
-    cubic = [1, -a - 2 * (s + 2), s * s + 2 * a * (s + 2), -a * s * s]
-    return RiordanPair(root / Series(cubic, order), (Series([1, -s], order) - root) / 2)
+    Built on int by three recurrences, with no square root and no division
+    by a series.  h = 1/sqrt(D_s) satisfies 2 D_s h' = -D_s' h, whose
+    x^(m-1) coefficient reads
+
+        m h_m = (s+2)(2m-1) h_(m-1) - s^2 (m-1) h_(m-2),  h_0 = 1, h_1 = s+2.
+
+    The division by m is exact: h_m = sum over k of
+    C(m, 2k) C(2k, k) (s+2)^(m-2k) (s+1)^k.  Then g = h/(1-ax) is the
+    running sum g_m = a g_(m-1) + h_m, and since sqrt(D_s) = D_s h,
+    f = (1 - sx - D_s h)/2: f_1 = 1 and, for m >= 2,
+    f_m = -(h_m - 2(s+2) h_(m-1) + s^2 h_(m-2))/2, an exact halving as f
+    is integral.  Each coefficient costs O(1) products.  Below order 2 the
+    pair is refused by ``RiordanPair``."""
+    b, c = s + 2, s * s
+    h = [1, b]
+    for m in range(2, order):
+        h.append(((2 * m - 1) * b * h[m - 1] - (m - 1) * c * h[m - 2]) // m)
+    g = list(accumulate(h, lambda t, v: a * t + v))
+    f = [0, 1] + [(2 * b * u - c * w - v) // 2 for w, u, v in zip(h, h[1:], h[2:])]
+    return RiordanPair(series._series(g, 1, order), series._series(f, 1, order))
 
 
 def quadratic_inverse(a: int, s: int, order: int) -> RiordanPair:

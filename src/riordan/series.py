@@ -370,5 +370,17 @@ def sqrt(g: Series) -> Series:
 
 
 def rational(p, q, order: int) -> Series:
-    """Expansion of the rational function p(x)/q(x); needs q(0) != 0."""
-    return div(Series(p, order), Series(q, order))
+    """Expansion of the rational function p(x)/q(x) to ``order`` terms; needs
+    q(0) != 0.
+
+    The short forms are scaled to ints once, p = P / dp and q = Q / dq, and
+    one quotient P / Q of the padded P by the unpadded Q gives
+    p/q = (P / Q) * dq / dp."""
+    pn, dp = _scaled([_exact(c) for c in p])
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    qn, dq = _scaled([_exact(c) for c in q])
+    if order == 0 or not qn or qn[0] == 0:
+        raise ValueError("divisor has zero constant term")
+    nums, d = _div_lists(pn + [0] * (order - len(pn)), qn, order)
+    return _series([v * dq for v in nums], dp * d, order)

@@ -18,6 +18,7 @@ one triangle entry, the gf route adds an expansion to its own transpose.
 from __future__ import annotations
 
 from math import comb
+from operator import add, mul
 
 from .array import RiordanPair, matrix
 from .bivar import ONE, BivarPoly, BivariateRational, CoeffMatrix, expand
@@ -57,24 +58,30 @@ def symmetrize(a: RiordanPair, N: int) -> CoeffMatrix:
 
 def closed_form_rows(a: int, s: int, N: int) -> list:
     """N x N rows of Q(a, s) (``families.quadratic_pair``), by Lagrange
-    inversion and Horner's rule in a.
+    inversion, the Vandermonde form of its sum and Horner's rule in a.
 
     At a = 0, fbar = x(1 - x)/(1 + sx) gives f = x phi(f) with
     phi(t) = (1 + st)/(1 - t), and 1 - x phi'(f) = sqrt(D_s)/(1 - f), so
     g f^k = H(f)/(1 - x phi'(f)) with H(t) = t^k/(1 - t), whence
-    T0[n][k] = [t^(n-k)] (1 + st)^n/(1 - t)^(n+1)
-             = sum over i <= n-k of C(n, i) s^i C(2n-k-i, n).
-    The factor 1/(1 - ax) sums down each column: T[n][k] = a T[n-1][k] +
-    T0[n][k], from T[k-1][k] = 0.  At s = 0, R_a's case, the sum is the
-    single C(2n-k, n) (0**0 = 1), and T[n][k] = sum_j a^(n-k-j) C(k+2j, j).
+    T0[n][k] = [t^(n-k)] (1 + st)^n/(1 - t)^(n+1).  Writing
+    (1 + st)^n = ((1 - t) + (1 + s)t)^n turns this into
+    T0[n][k] = sum over i <= n-k of C(n, i) C(n-k, i) (1+s)^i, one dot
+    product of Pascal row n, scaled by the powers of 1 + s, with Pascal
+    row n - k.  The factor 1/(1 - ax) sums down each column:
+    T[n][k] = a T[n-1][k] + T0[n][k], from T[k-1][k] = 0.  At s = 0, R_a's
+    case, T[n][k] = sum_j a^(n-k-j) C(k+2j, j).
     """
-    rows = [[0] * N for _ in range(N)]
-    for k in range(N):
-        t = 0
-        for n in range(k, N):
-            t0 = sum(comb(n, i) * s**i * comb(2 * n - k - i, n) for i in range(n - k + 1))
-            t = a * t + t0
-            rows[n][k] = t
+    pascal = [[1]]
+    for _ in range(1, N):
+        last = pascal[-1]
+        pascal.append([1, *map(add, last, last[1:]), 1])
+    powers = [(s + 1) ** i for i in range(N)]
+    rows, above = [], [0] * N
+    for n in range(N):
+        scaled = list(map(mul, pascal[n], powers))
+        row = [a * above[k] + sum(map(mul, scaled, pascal[n - k])) for k in range(n + 1)]
+        above = row + [0] * (N - 1 - n)
+        rows.append(above)
     return rows
 
 

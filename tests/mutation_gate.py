@@ -103,18 +103,42 @@ MUTATIONS = [
         True,
     ),
     Mutation(
-        "cubic of quadratic_pair with s^2 - 2a(s + 2) for s^2 + 2a(s + 2)",
+        "rational without the divisor's denominator dq",
+        "series.py",
+        "return _series([v * dq for v in nums], dp * d, order)",
+        "return _series(nums, dp * d, order)",
+        "tests/test_series.py::test_rational_matches_the_padded_div_route_randomized",
+        False,
+    ),
+    Mutation(
+        "quadratic_pair recurrence with (2m + 1) for (2m - 1)",
         "families.py",
-        "cubic = [1, -a - 2 * (s + 2), s * s + 2 * a * (s + 2), -a * s * s]",
-        "cubic = [1, -a - 2 * (s + 2), s * s - 2 * a * (s + 2), -a * s * s]",
+        "h.append(((2 * m - 1) * b * h[m - 1]",
+        "h.append(((2 * m + 1) * b * h[m - 1]",
         "tests/test_families.py::test_make_R",
         True,
     ),
     Mutation(
-        "quadratic_pair with the radicand's 2(s + 1) for 2(s + 2)",
+        "quadratic_pair with the radicand's s + 1 for s + 2",
         "families.py",
-        "Series([1, -2 * (s + 2), s * s], order)",
-        "Series([1, -2 * (s + 1), s * s], order)",
+        "b, c = s + 2, s * s",
+        "b, c = s + 1, s * s",
+        "tests/test_families.py::test_make_R",
+        True,
+    ),
+    Mutation(
+        "quadratic_pair's f with b for 2b",
+        "families.py",
+        "f = [0, 1] + [(2 * b * u - c * w - v) // 2",
+        "f = [0, 1] + [(b * u - c * w - v) // 2",
+        "tests/test_families.py::test_make_R",
+        True,
+    ),
+    Mutation(
+        "quadratic_pair's running sum without its factor a",
+        "families.py",
+        "accumulate(h, lambda t, v: a * t + v)",
+        "accumulate(h, lambda t, v: t + v)",
         "tests/test_families.py::test_make_R",
         True,
     ),
@@ -135,10 +159,10 @@ MUTATIONS = [
         False,
     ),
     Mutation(
-        "closed_form_rows with s^(i+1) for s^i",
+        "closed_form_rows with powers of s + 2 for s + 1",
         "symmetry.py",
-        "comb(n, i) * s**i * comb(",
-        "comb(n, i) * s**(i + 1) * comb(",
+        "powers = [(s + 1) ** i for i in range(N)]",
+        "powers = [(s + 2) ** i for i in range(N)]",
         "tests/test_symmetry.py::test_closed_form_rows_on_the_plane",
         True,
     ),

@@ -69,11 +69,18 @@ def test_catalan_gf():
 
 
 @pytest.mark.parametrize(
-    "build",
-    [lambda n: make_R(2, n), catalan_pair, catalan_gf, make_A361654_embed],
-    ids=["make_R", "catalan_pair", "catalan_gf", "make_A361654_embed"],
+    "build, roots",
+    [
+        (lambda n: make_R(2, n), 0),
+        (lambda n: make_tilde_R(2, n), 0),
+        (catalan_pair, 1),
+        (catalan_gf, 1),
+        (make_A361654_embed, 1),
+    ],
+    ids=["make_R", "make_tilde_R", "catalan_pair", "catalan_gf", "make_A361654_embed"],
 )
-def test_one_square_root_per_pair(monkeypatch, build):
+def test_one_square_root_per_pair(monkeypatch, build, roots):
+    # Q(a, s) runs its own recurrences; the Catalan pairs take one root
     calls = 0
     sqrt = series.sqrt
 
@@ -84,7 +91,7 @@ def test_one_square_root_per_pair(monkeypatch, build):
 
     monkeypatch.setattr(series, "sqrt", counting_sqrt)
     build(12)
-    assert calls == 1
+    assert calls == roots
 
 
 def test_make_R():
@@ -205,6 +212,13 @@ def test_constructors_match_their_formulas_written_out(r):
     # Q(2r, 2r + 1) is on neither line: a != 1 and s != 0
     assert quadratic_pair(2 * r, 2 * r + 1, 60) == _Q_written_out(2 * r, 2 * r + 1, 60)
     assert quadratic_inverse(2 * r, 2 * r + 1, 60) == _Q_inverse_written_out(2 * r, 2 * r + 1, 60)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 33, 200])
+def test_quadratic_pair_matches_the_root_construction(order):
+    for a in range(-4, 6):
+        for s in range(-4, 6):
+            assert quadratic_pair(a, s, order) == _Q_written_out(a, s, order)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 17, 200])

@@ -149,6 +149,44 @@ def test_rational_examples():
         series.rational([1], [0, 1], 4)
 
 
+def _rational_by_div(p, q, order):
+    # the padded-Series route: both forms padded to order, then one div
+    return series.div(Series(p, order), Series(q, order))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_rational_matches_the_padded_div_route_randomized():
+    rng = random.Random(113)
+
+    def form():
+        return [
+            rng.choice([rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 6))])
+            for _ in range(rng.randint(0, 6))
+        ]
+
+    for _ in range(600):
+        p, q, order = form(), form(), rng.randint(0, 9)
+        assert _outcome(series.rational, p, q, order) == _outcome(_rational_by_div, p, q, order)
+    for p, q, order in [
+        ([1], [1, -1], 0),
+        ([1, 2], [0, 1], 5),
+        ([F(1, 2)], [F(0), F(1, 3)], 3),
+        ([1], [], 4),
+        ([1.0], [1, -1], 4),
+        ([1], [1, 0.5], 4),
+        ([1], [1, -1], -1),
+    ]:
+        got = _outcome(series.rational, p, q, order)
+        assert not isinstance(got, Series)
+        assert got == _outcome(_rational_by_div, p, q, order)
+
+
 def _random_series(rng, order, zero_const=False, nonzero_const=False):
     c = [F(rng.randint(-4, 4)) for _ in range(order)]
     if rng.random() < 0.3:

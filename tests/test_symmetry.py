@@ -182,6 +182,24 @@ def test_closed_form_entry():
             assert closed_form_rows(r, 0, N) == want
 
 
+def _lagrange_rows(a, s, N):
+    # the Lagrange sum T0[n][k] = sum over i of C(n, i) s^i C(2n-k-i, n), then Horner in a
+    rows = [[0] * N for _ in range(N)]
+    for k in range(N):
+        t = 0
+        for n in range(k, N):
+            t = a * t + sum(comb(n, i) * s**i * comb(2 * n - k - i, n) for i in range(n - k + 1))
+            rows[n][k] = t
+    return rows
+
+
+def test_closed_form_rows_match_the_lagrange_sum():
+    for a in range(-3, 5):
+        for s in range(-3, 5):
+            for N in (0, 1, 2, 25):
+                assert closed_form_rows(a, s, N) == _lagrange_rows(a, s, N)
+
+
 def test_closed_form_rows_on_the_plane():
     # tilde-R_1 = Q(1, 1); column 0: partial sums of the central Delannoy numbers 1, 3, 13, 63
     assert closed_form_rows(1, 1, 4) == [[1, 0, 0, 0], [4, 1, 0, 0], [17, 6, 1, 0], [80, 31, 8, 1]]
