@@ -8,11 +8,13 @@ g * f^k.  The group product is (g, f) . (u, v) = (g * u(f), v(f)), inverse
 ``matrix`` and ``inverse`` each take one of two routes, read from f.  On the
 relation route, an integral f with f - f^2 = x(1 + s f) mod x^n, the map
 phi(y) = (y - y^2)/(1 + s y) has phi(f) = x, so fbar = x(1 - x)/(1 + s x)
-in closed form; the triangle is filled by running sums with no series
-product, and the inverse's g, 1/g(fbar), is column 0 of the inverse
-triangle, read by one forward substitution.  Every other pair takes the
-product route: series products for the triangle, reversion and composition
-for the inverse.
+in closed form.  One generator yields the triangle's rows, each built from
+the row before by running sums with no series product: ``matrix`` pads each
+row to N, and ``inverse`` reads 1/g(fbar), column 0 of the inverse
+triangle, by one forward substitution that takes each row as it comes, so
+only two rows are alive at once and the route needs O(n) memory.  Every
+other pair takes the product route: series products for the triangle,
+reversion and composition for the inverse.
 
 The gf functions ``gf_right_transform``, ``gf_conjugate`` and
 ``bivariate_gf`` act on rational bivariate gfs, so they take a pair as its
@@ -23,7 +25,7 @@ g and f, not as truncated series.
 from __future__ import annotations
 
 import operator
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from . import series
 from .bivar import ONE, X, Y, BivarPoly, BivariateRational, CoeffMatrix, from_univariate
@@ -88,10 +90,11 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
       C_k - C_(k+1) = x (C_(k-1) + s C_k), i.e. for k >= 1
       T[n][k] = T[n-1][k-1] + s T[n-1][k] + T[n][k+1].  T[n][n+1] = 0 above
       the diagonal, so row n is g_n followed by running sums, right to
-      left, of terms from row n-1: O(N^2) int steps and no series product.
-      Only the first N coefficients are read, so at small N a pair such as
-      (g, x - x^2) may take this route; the entries are the same on either
-      route.
+      left, of terms from row n-1: ``_relation_rows`` yields each row up to
+      the diagonal and it is padded to N, O(N^2) int steps and no series
+      product.  Only the first N coefficients are read, so at small N a
+      pair such as (g, x - x^2) may take this route; the entries are the
+      same on either route.
     * Product route, for every other pair: one series product per column,
       O(N^3).  With g = G / dg and f = F / df over the integers, column k is
       G * F^k / (dg * df^k), written as G * F^k * df^(N-1-k) over the one
@@ -99,11 +102,11 @@ def matrix(a: RiordanPair, N: int) -> CoeffMatrix:
     """
     if N > a.order:
         raise ValueError(f"order {a.order} cannot fill an {N}x{N} matrix")
-    rows = [[0] * N for _ in range(N)]
     s = _relation_s(a.f, N)
     if s is not None:
-        _fill_from_relation(rows, a.g.nums, s)
+        rows = [row + [0] * (N - len(row)) for row in _relation_rows(a.g.nums, s, N)]
         return CoeffMatrix._of(rows, a.g.den)
+    rows = [[0] * N for _ in range(N)]
     f, df = series._trim(a.f.nums), a.f.den
     col = a.g.nums[:N]
     for k in range(N):
@@ -136,19 +139,24 @@ def _relation_s(f: Series, n: int) -> int | None:
     return s
 
 
-def _fill_from_relation(rows, g, s):
-    """Write row n as g[n] followed by
-    rows[n][k] = rows[n-1][k-1] + s rows[n-1][k] + rows[n][k+1] for k = n..1,
-    starting from rows[n][n+1] = 0: the terms from row n-1 in one pass, the
-    running sum along row n by accumulate."""
-    rows[0][0] = g[0]
-    for n in range(1, len(rows)):
-        prev, row = rows[n - 1], rows[n]
-        row[0] = g[n]
-        above = prev[n - 1 :: -1]
+def _relation_rows(g, s, n):
+    """Rows 0..n-1 of the relation-route triangle, row m as its m + 1 entries
+    up to the diagonal, each built from the row before alone.
+
+    Row m is g[m] followed by T[m][k] = T[m-1][k-1] + s T[m-1][k] + T[m][k+1]
+    for k = m..1, from T[m][m+1] = 0: row m-1 reversed gives the T[m-1][k-1]
+    terms right to left, the same list shifted by one the T[m-1][k] terms
+    (T[m-1][m] = 0), and accumulate the running sum along row m."""
+    row = [g[0]]
+    yield row
+    for m in range(1, n):
+        above = row[::-1]
         if s:
-            above = [u + s * v for u, v in zip(above, prev[n:0:-1])]
-        row[n:0:-1] = accumulate(above)
+            above = [u + s * v for u, v in zip(above, [0, *above])]
+        row = list(accumulate(above))
+        row.append(g[m])
+        row.reverse()
+        yield row
 
 
 def product(a: RiordanPair, b: RiordanPair) -> RiordanPair:
@@ -162,14 +170,18 @@ def inverse(a: RiordanPair) -> RiordanPair:
     * Relation route, when ``matrix`` at order n would take it: f is
       integral with f - f^2 = x(1 + s f) mod x^n, s = f_2 - 1.  Then
       phi(y) = (y - y^2)/(1 + s y) has phi(f) = x mod x^n, so
-      fbar = x(1 - x)/(1 + s x), one rational expansion.  The inverse
-      matrix is the matrix of the inverse pair, so 1/g(fbar) is column 0 of
-      T^(-1), T the n x n triangle (filled from the relation, all int over
-      the denominator of g).  T has the constant diagonal d = g_0 (f_1 = 1),
-      and T y = e_0 is solved fraction-free with y_j = z_j / p: y_0 = 1/d,
-      and row m > 0 gives t_m = -(sum over j < m of T[m][j] z_j) and
-      y_m = t_m / (d p), so when d != 1 every z is scaled by d and p by d
-      before z_m = t_m.  O(n^2) int steps.
+      fbar = x(1 - x)/(1 + s x) = x - (s + 1) * sum over m >= 2 of
+      (-s)^(m-2) x^m, written out term by term (n > 2 on this route).  The
+      inverse matrix is the matrix of the inverse pair, so 1/g(fbar) is
+      column 0 of T^(-1), T the n x n triangle (from the relation, all int
+      over the denominator of g).  T has the constant diagonal d = g_0
+      (f_1 = 1), and T y = e_0 is solved fraction-free with y_j = z_j / p:
+      y_0 = 1/d, and row m > 0 gives t_m = -(sum over j < m of T[m][j] z_j)
+      and y_m = t_m / (d p), so when d != 1 every z is scaled by d and p by
+      d before z_m = t_m.  Row m is taken from ``_relation_rows`` as it is
+      built from row m - 1, and no n x n table is held: two rows and z are
+      alive at once, O(n) memory beside the entries' bits, and O(n^2) int
+      steps.
     * Product route, for every other pair: fbar by ``series.revert`` and
       g(fbar) by ``series.compose``.
     """
@@ -178,17 +190,17 @@ def inverse(a: RiordanPair) -> RiordanPair:
     if s is None:
         fbar = series.revert(a.f)
         return RiordanPair(1 / series.compose(a.g, fbar), fbar)
-    rows = [[0] * n for _ in range(n)]
-    _fill_from_relation(rows, a.g.nums, s)
-    d = a.g.nums[0]
+    rows = _relation_rows(a.g.nums, s, n)
+    d = next(rows)[0]
     p, z = d, [1]
-    for row in rows[1:]:
+    for row in rows:
         t = -sum(map(operator.mul, row, z))
         if d != 1:
             z = [v * d for v in z]
             p *= d
         z.append(t)
-    fbar = series.rational([0, 1, -1], [1, s], n)
+    tail = accumulate(repeat(-s, n - 3), operator.mul, initial=-s - 1)
+    fbar = series._series([0, 1, *tail], 1, n)
     return RiordanPair(series._series([a.g.den * v for v in z], p, n), fbar)
 
 

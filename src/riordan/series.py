@@ -154,8 +154,12 @@ class Series:
     __hash__ = None
 
     def truncate(self, n: int) -> "Series":
+        """The first n coefficients, reduced; the series itself when n is its
+        order, as no kernel writes to ``nums``."""
         if n > self.order:
             raise ValueError(f"cannot extend order {self.order} to {n}")
+        if n == self.order:
+            return self
         return _series(self.nums[:n], self.den, n)
 
     def _coerce(self, other):

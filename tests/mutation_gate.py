@@ -55,12 +55,36 @@ MUTATIONS = [
         True,
     ),
     Mutation(
-        "relation fill without its s term",
+        "relation rows without their s term",
         "array.py",
-        "above = [u + s * v for u, v in zip(above, prev[n:0:-1])]",
-        "above = [u for u, v in zip(above, prev[n:0:-1])]",
+        "above = [u + s * v for u, v in zip(above, [0, *above])]",
+        "above = [u for u, v in zip(above, [0, *above])]",
         "tests/test_symmetry.py::test_closed_form_rows_on_the_plane",
         True,
+    ),
+    Mutation(
+        "relation rows shifting the s term the wrong way",
+        "array.py",
+        "zip(above, [0, *above])",
+        "zip(above, [*above, 0])",
+        "tests/test_riordan.py::test_relation_rows_match_the_closed_form",
+        True,
+    ),
+    Mutation(
+        "relation-route fbar with -s + 1 for -s - 1",
+        "array.py",
+        "initial=-s - 1)",
+        "initial=-s + 1)",
+        "tests/test_riordan.py::test_relation_route_fbar_is_the_rational_expansion",
+        True,
+    ),
+    Mutation(
+        "forward substitution without scaling z by the diagonal",
+        "array.py",
+        "            z = [v * d for v in z]\n",
+        "",
+        "tests/test_riordan.py::test_relation_route_inverse_matches_reversion_randomized",
+        False,
     ),
     Mutation(
         "expand with q^(i+j) for q^(i+j-1)",

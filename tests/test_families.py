@@ -141,6 +141,13 @@ def test_tilde_inverse_closed_form():
             assert inverse(quadratic_pair(a, s, 40)) == quadratic_inverse(a, s, 40)
 
 
+@pytest.mark.parametrize("order", [3, 4, 5, 33, 300])
+def test_relation_route_inverse_of_Q_matches_its_closed_form(order):
+    for a in range(-3, 5):
+        for s in range(-3, 5):
+            assert inverse(quadratic_pair(a, s, order)) == quadratic_inverse(a, s, order)
+
+
 def test_tilde_inverse_variant_denominator_only_matches_at_r1():
     # a variant keeping (1+x) instead of (1+rx) inside the derivative factor,
     # g = (1 + (r-1)x + x^2)(1 - 2x - x^2)/(1+x)^2, only reproduces the

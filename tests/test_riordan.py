@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -8,6 +9,7 @@ import pytest
 from riordan import cli, series, verify
 from riordan.array import (
     RiordanPair,
+    _relation_rows,
     _relation_s,
     bivariate_gf,
     conjugate,
@@ -36,6 +38,7 @@ from riordan.families import (
     make_R_inverse_closed,
     make_tilde_R,
     pascal_pair,
+    quadratic_pair,
     tilde_inverse_closed,
     twenty_vertex_gf,
     twenty_vertex_matrix,
@@ -61,6 +64,12 @@ def test_pair_validation():
         RiordanPair(series.Series([1], 4), series.Series([1, 1], 4))
     with pytest.raises(ValueError):
         RiordanPair(series.Series([1], 4), series.Series([0, 0, 1], 4))
+
+
+def test_pair_keeps_series_of_its_order():
+    g, f = series.Series([1, 2, 3], 3), series.Series([0, 1, 1, 4], 4)
+    a = RiordanPair(g, f)
+    assert a.g is g and a.f == series.Series([0, 1, 1], 3)
 
 
 def test_matrix_R1_display():
@@ -557,6 +566,43 @@ def test_relation_route_inverse_matches_reversion_randomized(spec):
         inv = inverse(a)
         assert inv == _inverse_by_reversion(a)
         assert inverse(inv) == a
+
+
+@pytest.mark.parametrize("spec", ["tildeR:2", "R:1"])
+def test_relation_route_inverse_matches_reversion_at_order_300(spec):
+    a = RiordanPair(_random_g(random.Random(spec), 300), _relation_f(spec, 300))
+    assert inverse(a) == _inverse_by_reversion(a)
+
+
+def test_relation_route_fbar_is_the_rational_expansion():
+    # x - (s + 1) (x^2 - s x^3 + s^2 x^4 - ...), written out, is x(1 - x)/(1 + sx)
+    for s in range(-5, 6):
+        for n in range(3, 41):
+            a = quadratic_pair(0, s, n)
+            assert _relation_s(a.f, n) == s
+            assert inverse(a).f == series.rational([0, 1, -1], [1, s], n)
+
+
+def test_relation_rows_match_the_closed_form():
+    for a in range(-3, 5):
+        for s in range(-3, 5):
+            g = quadratic_pair(a, s, 30).g.nums
+            closed = [row[: m + 1] for m, row in enumerate(closed_form_rows(a, s, 30))]
+            for N in (1, 2, 3, 30):
+                assert list(_relation_rows(g, s, N)) == closed[:N]
+
+
+def test_relation_route_inverse_holds_no_n_by_n_table():
+    a = make_tilde_R(1, 600)
+    tracemalloc.start()
+    try:
+        inv = inverse(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inv == tilde_inverse_closed(1, 600)
+    # the 600 x 600 table of the triangle took 22.6 MB; two rows take 0.3 MB
+    assert peak < 2_000_000
 
 
 def test_inverse_routes():

@@ -29,6 +29,16 @@ def test_poly_pads_and_truncates():
         s.truncate(4)
 
 
+def test_truncate_to_its_order_is_the_series_itself():
+    s = Series([F(1, 2), 3, 5])
+    assert s.truncate(s.order) is s
+    # a shorter truncation is reduced by its own gcd: 2/2 is 1 over 1
+    t = (Series([2, 1], 2) / 2).truncate(1)
+    assert (t.nums, t.den, t.order) == ([1], 1, 1)
+    with pytest.raises(ValueError, match="cannot extend order 3 to 4"):
+        s.truncate(4)
+
+
 def test_scalar_division_is_exact():
     # int / int would be a float: the coefficients must come back as Fractions
     assert (Series([1, 3]) / 2).coeffs == [F(1, 2), F(3, 2)]
