@@ -1,17 +1,15 @@
 """Constructors for the specific arrays under study, plus reference oracles.
 
 Each family is built once from its defining forms: a rational pair from its
-(numerator, denominator) coefficient lists by ``array.rational_pair``, R_r
-and tilde-R_r as the lines Q(r, 0) and Q(1, r) of one two-parameter family
-(``quadratic_pair``, inverted in closed form by ``quadratic_inverse``), the
-Catalan pairs from one Catalan root.  Q(a, s) runs its own integer
-recurrences: 1/sqrt(D_s) by the three-term recurrence of its differential
-equation, g by a running sum and f by a three-term combination, O(1)
-products a coefficient and no square root or series division.  Every other
-divisor and radicand a constructor hands to a kernel is a polynomial of
-degree at most 2, and a quotient by, or the root of, a polynomial of degree
-d costs O(n d) coefficient products (see ``series``), so each pair builds
-in O(n) products at order n.
+(numerator, denominator) coefficient lists by ``array.rational_pair``, every
+other pair from one two-parameter family Q(a, s) (``quadratic_pair``,
+inverted in closed form by ``quadratic_inverse``).  R_r and tilde-R_r are
+its lines Q(r, 0) and Q(1, r), the Catalan pairs read x c(x) off the f of
+Q(0, 0), and the A361654 pair reads both series off R_1 = Q(1, 0).  Q(a, s)
+runs its own integer recurrences: 1/sqrt(D_s) by the three-term recurrence
+of its differential equation, g by a running sum and f by a three-term
+combination, O(1) products a coefficient and no square root or series
+division, so each pair builds in O(n) products at order n.
 
 Every constructor takes an explicit truncation order.  The matrix route to
 an N x N block (``array.matrix``, ``symmetry.symmetrize``, the minors) needs
@@ -33,11 +31,10 @@ from .series import Series
 
 
 def catalan_shift(order: int) -> Series:
-    """x times the Catalan generating function, (1 - sqrt(1 - 4x)) / 2; fixed
-    point of reversion tests.  The root is taken one order up, since sqrt
-    needs a stored constant term, so order 0 works too."""
-    root = series.sqrt(Series([1, -4], order + 1))
-    return ((1 - root) / 2).truncate(order)
+    """x times the Catalan generating function, (1 - sqrt(1 - 4x)) / 2: the f
+    of Q(0, 0), built at order 2 or more so that order 0 and 1 work too;
+    fixed point of reversion tests."""
+    return quadratic_pair(0, 0, max(order, 2)).f.truncate(order)
 
 
 def catalan_gf(order: int) -> Series:
@@ -47,7 +44,7 @@ def catalan_gf(order: int) -> Series:
 
 
 def catalan_pair(order: int) -> RiordanPair:
-    """The Catalan matrix pair (c(x), x c(x)), from one square root."""
+    """The Catalan matrix pair (c(x), x c(x)), read off x c(x) one order up."""
     xc = catalan_shift(order + 1)
     return RiordanPair(Series(xc.coeffs[1:], order), xc)
 
@@ -149,16 +146,18 @@ def twenty_vertex_matrix(N: int) -> CoeffMatrix:
 
 def make_A361654_embed(order: int) -> RiordanPair:
     """Inverse of (((1-x)^3 - x^3)/(1-x), x(1-x)), the triangle the r=1
-    array embeds into (OEIS A361654), from one Catalan root.
+    array embeds into (OEIS A361654): ((g_R1 + 1/(1-x))/2, f_R1) with
+    R_1 = Q(1, 0).
 
     The inverse is (1/h(u), u) with h = (1-3x+3x^2-2x^3)/(1-x) and
-    u = x c(x) = (1 - sqrt(1-4x))/2.  Since 1-3u+3u^2-2u^3 = (1-x)(1-2u),
-    g = (1-u)/((1-x)(1-2u)).  Multiplying through by 1-2u = sqrt(1-4x),
-    with (1-u)(1-2u) = 1 - 3u + 2u^2 = 1 - 2x - u (as u^2 = u - x), gives
-    g = (1 - 2x - u)/((1-x)(1-4x)), a division by a quadratic."""
-    xc = catalan_shift(order)
-    g = (Series([1, -2], order) - xc) / Series([1, -5, 4], order)
-    return RiordanPair(g, xc)
+    u = x c(x), the f of R_1.  Since 1-3u+3u^2-2u^3 = (1-x)(1-2u), with
+    1-2u = sqrt(1-4x) and 2(1-u) = 1 + (1-2u),
+    g = (1-u)/((1-x)(1-2u)) = (1 + 1/sqrt(1-4x))/(2(1-x)), and
+    g_R1 = 1/((1-x) sqrt(1-4x)).  Each halving (v + 1) // 2 is exact: a
+    coefficient of g_R1 is 1 plus a sum of even central binomials, so odd."""
+    r1 = quadratic_pair(1, 0, order)
+    g = [(v + 1) // 2 for v in r1.g.nums]
+    return RiordanPair(series._series(g, 1, order), r1.f)
 
 
 def robbins(n: int) -> int:

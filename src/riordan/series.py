@@ -18,8 +18,8 @@ on first read, and is ``nums`` itself when ``den == 1``.
 The kernels whose operand is often a polynomial read it without its
 trailing zeros: the divisor of :func:`div`, the radicand of :func:`sqrt`
 and the inner series of :func:`compose`.  A quotient or a square root at
-order n then costs O(n deg) coefficient products, O(n) for the
-low-degree polynomials the family constructors divide by and take roots of.
+order n then costs O(n deg) coefficient products, O(n) for a polynomial
+of bounded degree.
 """
 
 from __future__ import annotations

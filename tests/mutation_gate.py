@@ -175,12 +175,20 @@ MUTATIONS = [
         True,
     ),
     Mutation(
-        "make_A361654_embed dividing by (1 - 2x)(1 - 3x) for (1 - x)(1 - 4x)",
+        "make_A361654_embed halving v + 3 for v + 1",
         "families.py",
-        "Series([1, -5, 4], order)",
-        "Series([1, -5, 6], order)",
+        "g = [(v + 1) // 2 for v in r1.g.nums]",
+        "g = [(v + 3) // 2 for v in r1.g.nums]",
         "tests/test_families.py::test_make_A361654_embed",
         False,
+    ),
+    Mutation(
+        "catalan_shift from Q(0, 1) for Q(0, 0)",
+        "families.py",
+        "quadratic_pair(0, 0, max(order, 2))",
+        "quadratic_pair(0, 1, max(order, 2))",
+        "tests/test_families.py::test_catalan_gf",
+        True,
     ),
     Mutation(
         "closed_form_rows with powers of s + 2 for s + 1",

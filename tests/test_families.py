@@ -68,32 +68,6 @@ def test_catalan_gf():
             catalan_pair(n)
 
 
-@pytest.mark.parametrize(
-    "build, roots",
-    [
-        (lambda n: make_R(2, n), 0),
-        (lambda n: make_tilde_R(2, n), 0),
-        (catalan_pair, 1),
-        (catalan_gf, 1),
-        (make_A361654_embed, 1),
-    ],
-    ids=["make_R", "make_tilde_R", "catalan_pair", "catalan_gf", "make_A361654_embed"],
-)
-def test_one_square_root_per_pair(monkeypatch, build, roots):
-    # Q(a, s) runs its own recurrences; the Catalan pairs take one root
-    calls = 0
-    sqrt = series.sqrt
-
-    def counting_sqrt(g):
-        nonlocal calls
-        calls += 1
-        return sqrt(g)
-
-    monkeypatch.setattr(series, "sqrt", counting_sqrt)
-    build(12)
-    assert calls == roots
-
-
 def test_make_R():
     assert seq(make_R(0, 6).g) == [comb(2 * n, n) for n in range(6)]
     M1 = matrix(make_R(1, 8), 6)
@@ -102,7 +76,8 @@ def test_make_R():
     assert [int(M2[n][0]) for n in range(6)] == [1, 4, 14, 48, 166, 584]
     for r in range(-2, 6):
         for n in (2, 9, 30):
-            assert make_R(r, n).f == catalan_shift(n)
+            cat = [comb(2 * k, k) // (k + 1) for k in range(n - 1)]
+            assert make_R(r, n).f == series.Series([0] + cat, n)
 
 
 def test_make_R_inverse_closed():
@@ -266,12 +241,21 @@ def test_make_A361654_embed():
         series.rational([1, -3, 3, -2], [1, -1], 12), series.Series([0, 1, -1], 12)
     )
     assert inverse(emb) == pre
+
+
+@pytest.mark.parametrize("N", [8, 60, 200])
+def test_R1_sits_inside_A361654(N):
     # columns k >= 1 carry the r=1 array shifted one step down the diagonal
-    M = matrix(emb, 8)
-    R1 = matrix(make_R(1, 8), 8)
-    for n in range(1, 8):
+    M = matrix(make_A361654_embed(N), N)
+    R1 = matrix(make_R(1, N), N)
+    for n in range(1, N):
         for k in range(1, n + 1):
             assert M[n][k] == R1[n - 1][k - 1]
+
+
+def test_R1_g_is_odd_so_the_embedding_halves_exactly():
+    # g_R1 = sum over k <= n of C(2k, k), 1 plus even central binomials
+    assert all(v % 2 == 1 for v in make_R(1, 200).g.coeffs)
 
 
 @pytest.mark.parametrize("n", [*range(2, 61), 200])
@@ -280,13 +264,31 @@ def test_make_A361654_embed_inverts_its_preimage(n):
     assert make_A361654_embed(n) == inverse(pre)
 
 
-def test_no_family_is_built_by_reversion(monkeypatch):
+# every command line family, plus the Catalan series and both inverse closed forms
+KERNEL_FREE_BUILDS = {
+    **{
+        name: partial(cli._build_matrix, name, 1 if family.takes_r else None)
+        for name, family in cli.FAMILIES.items()
+    },
+    "catalan_gf": catalan_gf,
+    "catalan_shift": catalan_shift,
+    "make_R_inverse_closed": partial(make_R_inverse_closed, 1),
+    "tilde_inverse_closed": partial(tilde_inverse_closed, 1),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_FREE_BUILDS)
+def test_no_family_takes_a_root_divides_reverts_or_composes(monkeypatch, name):
+    # Q(a, s) runs its own recurrences and every rational form goes through
+    # series.rational, so no constructor reaches the general kernels
     calls = []
-    revert = series.revert
-    monkeypatch.setattr(series, "revert", lambda f: calls.append(f) or revert(f))
-    for name, family in cli.FAMILIES.items():
-        cli._build_matrix(name, 1 if family.takes_r else None, 40)
-    tilde_inverse_closed(1, 40)
+
+    def counting(kernel, run):
+        return lambda *args: calls.append(kernel) or run(*args)
+
+    for kernel in ("sqrt", "div", "revert", "compose"):
+        monkeypatch.setattr(series, kernel, counting(kernel, getattr(series, kernel)))
+    KERNEL_FREE_BUILDS[name](40)
     assert calls == []
 
 
