@@ -10,8 +10,10 @@ A series is stored as integers over one denominator: ``nums`` (ints) and
 equal to ``nums[k] / den``.  The public constructor scales its input once
 (:func:`_scaled`); every kernel reads ``nums`` and ``den``, runs its inner
 loops on ``int`` and returns through :func:`_series`, which divides out one
-gcd and makes ``den`` positive.  The read-only ``coeffs`` follows the
-package rule for every stored value (:func:`_exact`): an ``int`` when it is
+gcd and makes ``den`` positive.  :func:`sqrt` and :func:`revert` fix their
+result's denominator before their loop, for integral and rational input
+alike, so each has one path.  The read-only ``coeffs`` follows the package
+rule for every stored value (:func:`_exact`): an ``int`` when it is
 integral, a ``Fraction`` otherwise, and a float is refused.  It is derived
 on first read, and is ``nums`` itself when ``den == 1``.
 
@@ -302,9 +304,8 @@ def revert(f: Series) -> Series:
     products to order n - 1, then one dot product per coefficient, so
     O(n^2.5) coefficient products in all.  The powers are taken of the
     integers H = h * dh, dh the denominator of h, and
-    v_m = [x^(m-1)] H^m / (m * dh^m), all over lcm(1..n-1) * dh^(n-1).  When
-    h is integral (dh = 1), so is v, since v = x h(v); each division by m is
-    then exact (checked).
+    v_m = [x^(m-1)] H^m / (m * dh^m), all over den = lcm(1..n-1) * dh^(n-1),
+    which m * dh^m divides for every m < n.
     """
     n = f.order
     if n < 2 or f.nums[0] != 0 or f.nums[1] == 0:
@@ -313,7 +314,7 @@ def revert(f: Series) -> Series:
     q, d = _div_lists(one, f.nums[1:], n - 1)
     h = _series([v * f.den for v in q], d, n - 1)
     hs, dh = h.nums, h.den
-    den = 1 if dh == 1 else lcm(*range(1, n)) * dh ** (n - 1)
+    den = lcm(*range(1, n)) * dh ** (n - 1)
     s = isqrt(n - 1)
     baby = [one]
     for _ in range(s):
@@ -325,13 +326,7 @@ def revert(f: Series) -> Series:
         if j == 0:
             giant = _mul_lists(giant, baby[s], n - 1)
         c = sum(map(operator.mul, giant[:m], reversed(baby[j][:m])))
-        if dh == 1:
-            vm, rem = divmod(c, m)
-            if rem:
-                raise ArithmeticError(f"Lagrange coefficient {c} is not divisible by {m}")
-            v[m] = vm
-        else:
-            v[m] = c * (den // (m * dh**m))
+        v[m] = c * (den // (m * dh**m))
     return _series(v, den, n)
 
 
@@ -342,34 +337,25 @@ def sqrt(g: Series) -> Series:
     reads 2m s_m = sum over 0 < j <= m of (3j - 2m) g_j s_(m-j).  g loses
     its trailing zeros first, so each coefficient costs O(deg g) products:
     O(n) for a polynomial radicand, O(n^2) for a dense one.  The recurrence
-    runs for t(x) = s(c x), the root of g(c x), on int.  With g = G / d,
-    c = 4d makes g(c x) = 1 + 4u with u integral, so t is integral and each
-    division by 2m is exact.  For integral g it starts at c = 1 and stays
-    there while each division is exact; a remainder (1 + x has the root
-    1 + x/2 - ...) rescales t_k by 4^k and goes on at c = 4.
+    runs on int for t(x) = s(c x), the root of g(c x), with c = 4d for
+    g = G / d: g(c x) = 1 + 4u with u integral, and the root of 1 + 4u has
+    integer coefficients (2 (-1)^(k-1) C_(k-1) at u^k, C the Catalan
+    numbers), so each division by 2m is exact.
     """
     n = g.order
     if n == 0 or g.nums[0] != g.den:
         raise ValueError("sqrt needs constant term 1")
     gs, d = _trim(g.nums), g.den
-    c = 1 if d == 1 else 4 * d
+    c = 4 * d
     h = [gj * c**j // d for j, gj in enumerate(gs)]  # g(c x), integral
     t = [1] + [0] * (n - 1)
-    m = 1
-    while m < n:
+    for m in range(1, n):
         acc = 0
         for j in range(1, min(m, len(h) - 1) + 1):
             acc += (3 * j - 2 * m) * h[j] * t[m - j]
-        tm, rem = divmod(acc, 2 * m)
+        t[m], rem = divmod(acc, 2 * m)
         if rem:
-            if c != 1:
-                raise ArithmeticError(f"root coefficient {acc} is not divisible by {2 * m}")
-            c = 4
-            h = [gj << 2 * j for j, gj in enumerate(gs)]
-            t = [tk << 2 * k for k, tk in enumerate(t)]
-            continue
-        t[m] = tm
-        m += 1
+            raise ArithmeticError(f"root coefficient {acc} is not divisible by {2 * m}")
     return _series([tm * c ** (n - 1 - m) for m, tm in enumerate(t)], c ** (n - 1), n)
 
 

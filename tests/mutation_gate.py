@@ -103,11 +103,19 @@ MUTATIONS = [
         False,
     ),
     Mutation(
-        "sqrt without the c = 4 rescale of h",
+        "sqrt with c = 2d for 4d",
         "series.py",
-        "            h = [gj << 2 * j for j, gj in enumerate(gs)]\n",
-        "",
-        "tests/test_series.py::test_sqrt_roundtrip_randomized",
+        "c = 4 * d",
+        "c = 2 * d",
+        "tests/test_series.py::test_sqrt_matches_recurrence_randomized",
+        True,
+    ),
+    Mutation(
+        "revert without the lcm factor",
+        "series.py",
+        "den = lcm(*range(1, n)) * dh ** (n - 1)",
+        "den = dh ** (n - 1)",
+        "tests/test_series.py::test_kernels_match_reference_randomized",
         True,
     ),
     Mutation(

@@ -172,7 +172,9 @@ def _Q_written_out(a, s, order):
 
 
 def _A361654_written_out(order):
-    xc = catalan_shift(order)
+    # u = x c(x) from the Catalan numbers' closed form, not from the
+    # recurrence of quadratic_pair that builds the pair under test
+    xc = series.Series([0] + [comb(2 * m - 2, m - 1) // m for m in range(1, order)], order)
     one_minus_x = series.Series([1, -1], order)
     return RiordanPair((1 - xc) / (one_minus_x * (1 - 2 * xc)), xc)
 
@@ -205,8 +207,9 @@ def test_quadratic_pair_matches_the_root_construction(order):
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 17, 200])
 def test_make_A361654_embed_matches_its_formula_written_out(order):
-    a = make_A361654_embed(order)
-    assert a == _A361654_written_out(order)
+    a, want = make_A361654_embed(order), _A361654_written_out(order)
+    assert a.f == want.f
+    assert a.g == want.g
     assert a.g.den == 1
 
 

@@ -483,12 +483,14 @@ def test_sqrt_matches_recurrence_randomized():
 
 
 def test_sqrt_leaves_int_path_partway():
+    # integral radicands whose roots leave Z: the result must come out in
+    # lowest terms however late the first fraction appears
     # 1 + x: the root's x coefficient is already 1/2
     s = series.sqrt(Series([1, 1], 12))
     assert s == _oracle_sqrt(Series([1, 1], 12))
     assert s.coeffs[:3] == [1, F(1, 2), F(-1, 8)]
     # (1 - 2x)^2 + x^k: the root is 1 - 2x exactly up to x^(k-1), and its
-    # x^k coefficient is 1/2, so the int path ends at x^k
+    # x^k coefficient is 1/2, so the root leaves Z at x^k
     for k in (3, 4, 5, 8, 13, 30):
         g = Series([1, -4, 4] + [0] * (k - 3) + [1], k + 12)
         s = series.sqrt(g)
