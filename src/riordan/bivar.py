@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import gcd
-from operator import mul
+from operator import eq, mul
 
 from .series import _exact, _scaled
 
@@ -206,9 +206,9 @@ class CoeffMatrix:
 
     def is_symmetric(self, m: int | None = None) -> bool:
         """Whether the leading m x m block (the whole matrix by default) is symmetric."""
-        a = self.ints
-        m = self.n if m is None else m
-        return all(a[i][j] == a[j][i] for i in range(m) for j in range(i))
+        block = [row[:m] for row in self.ints[:m]]
+        # row by row against the columns; stops at the first row that differs
+        return all(map(eq, map(list, zip(*block)), block))
 
 
 class BivariateRational:

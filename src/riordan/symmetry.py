@@ -49,10 +49,17 @@ def symmetrize_gf(a: RiordanPair, N: int) -> CoeffMatrix:
 def symmetrize(a: RiordanPair, N: int) -> CoeffMatrix:
     """Production route: mirror the reversed rows of the pair's N x N
     triangle across the diagonal, s[n][k] = T[n][n-k] for k <= n and
-    T[k][k-n] above it."""
+    T[k][k-n] above it.
+
+    T is lower triangular, so reversing the head of row n up to the
+    diagonal gives the lower triangle L[n][k] = T[n][n-k], zero past k = n;
+    row n of the result is L's row n up to the diagonal, then L's column n
+    below it.  Both are slices, with no per-entry test.
+    """
     T = matrix(a, N)
-    t = T.ints
-    rows = [[t[n][n - k] if k <= n else t[k][k - n] for k in range(N)] for n in range(N)]
+    lower = [row[n::-1] + row[n + 1 :] for n, row in enumerate(T.ints)]
+    cols = list(zip(*lower))
+    rows = [lower[n][: n + 1] + list(cols[n][n + 1 :]) for n in range(N)]
     return CoeffMatrix._of(rows, T.den)
 
 

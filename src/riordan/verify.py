@@ -409,17 +409,30 @@ GROUP_LAWS = (
 )
 
 
+def _law_check(check_id, law, rng, cases):
+    """The check of one law over `cases` cases drawn from `rng`.  It stops
+    at the first case that fails or raises; an Exception fails the law with
+    its type, message and case number as the actual value."""
+    note = f"{cases} cases"
+    ok = True
+    for case in range(1, cases + 1):
+        try:
+            ok = law(rng)
+        except Exception as exc:
+            actual = f"{type(exc).__name__} at case {case}: {exc}"
+            return Check(check_id, "fail", "true", actual, note)
+        if not ok:
+            break
+    return _true(check_id, ok, note=note)
+
+
 def suite_group_laws(seed=DEFAULT_SEED, cases=100):
     """Each law on `cases` random cases in turn, from one seeded generator; a
-    law stops drawing at its first failing case."""
+    law stops drawing at its first failing case, and a law that raises
+    fails while the others still run."""
     rng = random.Random(seed)
     checks = [
-        _true(
-            "group-laws/" + check_id,
-            all(law(rng) for _ in range(cases)),
-            note=f"{cases} cases",
-        )
-        for check_id, law in GROUP_LAWS
+        _law_check("group-laws/" + check_id, law, rng, cases) for check_id, law in GROUP_LAWS
     ]
     return SuiteResult("group-laws", checks)
 

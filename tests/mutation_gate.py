@@ -215,6 +215,22 @@ MUTATIONS = [
         True,
     ),
     Mutation(
+        "symmetrize mirror duplicating the diagonal",
+        "symmetry.py",
+        "list(cols[n][n + 1 :])",
+        "list(cols[n][n:])",
+        "tests/test_symmetry.py::test_symmetrize_matches_the_entrywise_mirror",
+        True,
+    ),
+    Mutation(
+        "is_symmetric comparing the block with itself",
+        "bivar.py",
+        "all(map(eq, map(list, zip(*block)), block))",
+        "all(map(eq, block, block))",
+        "tests/test_bivar.py::test_is_symmetric_matches_the_pairwise_test_randomized",
+        True,
+    ),
+    Mutation(
         "symmetric fold reading a[t][j] for every j",
         "minors.py",
         "row_k[j] += u * (a[j][t] if j < t else row_t[j])",

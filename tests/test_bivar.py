@@ -184,6 +184,38 @@ def test_coeff_matrix_operations():
     assert C.is_symmetric(2) and C.is_symmetric(0) and not C.is_symmetric()
 
 
+def _symmetric_by_pairs(a, m):
+    # the test is_symmetric replaced: one pair of entries at a time
+    return all(a[i][j] == a[j][i] for i in range(m) for j in range(i))
+
+
+def test_is_symmetric_matches_the_pairwise_test_randomized():
+    # random int and Fraction matrices, and symmetric ones with one entry
+    # changed at a random position (on the diagonal it stays symmetric);
+    # every leading block m and the default
+    rng = random.Random(59)
+
+    def entry(rational):
+        v = rng.randint(-3, 3)
+        return Fraction(v, rng.randint(1, 4)) if rational and rng.random() < 0.5 else v
+
+    for trial in range(300):
+        n = rng.randint(0, 9)
+        rational = trial % 2 == 1
+        rows = [[entry(rational) for _ in range(n)] for _ in range(n)]
+        if trial % 3:
+            for i in range(n):
+                for j in range(i):
+                    rows[j][i] = rows[i][j]
+            if trial % 3 == 2 and n:
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] += rng.choice([1, -1, Fraction(1, 2)])
+        M = CoeffMatrix(rows)
+        for m in range(n + 1):
+            assert M.is_symmetric(m) == _symmetric_by_pairs(M.rows, m), (rows, m)
+        assert M.is_symmetric() == _symmetric_by_pairs(M.rows, n)
+
+
 # The matrix product and the expansion run on int over common denominators;
 # the oracles are the naive Fraction matmul and the Fraction recurrence.
 

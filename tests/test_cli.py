@@ -224,15 +224,44 @@ def test_command_parser_behaves_as_the_full_parser(capsys, monkeypatch, argv):
 )
 def test_parser_adds_the_invoked_command_only(capsys, monkeypatch, argv, subparsers):
     add_parser = argparse._SubParsersAction.add_parser
-    added = []
+    init = argparse.ArgumentParser.__init__
+    added, constructed = [], []
     monkeypatch.setattr(
         argparse._SubParsersAction,
         "add_parser",
         lambda self, name, **kwargs: added.append(name) or add_parser(self, name, **kwargs),
     )
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *args, **kwargs: constructed.append(self) or init(self, *args, **kwargs),
+    )
+    cli.build_parser.cache_clear()
     assert main(argv) == 0
-    capsys.readouterr()
+    first = capsys.readouterr()
     assert len(added) == subparsers
+    assert len(constructed) == subparsers + 1
+    # the same call again reuses that parser: nothing is added or constructed
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+    assert len(added) == subparsers
+    assert len(constructed) == subparsers + 1
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES, ids=" ".join)
+def test_reused_parser_prints_what_a_fresh_parser_prints(capsys, monkeypatch, argv):
+    # the first run builds the parser at 80 columns and the second reuses it
+    # at 100; each gives the exit code, stdout and stderr of a parser built
+    # afresh under the same COLUMNS, so help and usage follow the width at
+    # print time
+    cli.build_parser.cache_clear()
+    for columns in ("80", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = main(list(argv)), *capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = main(list(argv)), *capsys.readouterr()
+        assert reused == fresh, columns
 
 
 def test_output_determinism(capsys):
@@ -539,6 +568,42 @@ def test_verify_text_report_prints_a_failed_check(capsys, monkeypatch):
         "FAIL     robbins/minor-0  expected=1 actual=2\n"
         "suite robbins: 0 passed, 1 failed, 0 reported\n"
     )
+
+
+def _raising_at_case_3(law):
+    calls = []
+
+    def raising(rng):
+        calls.append(rng)
+        if len(calls) == 3:
+            raise ArithmeticError("remainder 1 dividing by 2")
+        return law(rng)
+
+    return raising
+
+
+def test_verify_reports_every_check_when_a_group_law_raises(capsys, monkeypatch):
+    laws = [
+        (check_id, _raising_at_case_3(law) if check_id == "sqrt-roundtrip" else law)
+        for check_id, law in verify.GROUP_LAWS
+    ]
+    monkeypatch.setattr(verify, "GROUP_LAWS", tuple(laws))
+    assert main(["verify", "all", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    checks = [c for suite in report["suites"] for c in suite["checks"]]
+    assert len(checks) == 86
+    assert report["exit_status"] == 1
+    assert [c for c in checks if c["status"] == "fail"] == [
+        {
+            "id": "group-laws/sqrt-roundtrip",
+            "status": "fail",
+            "expected": "true",
+            "actual": "ArithmeticError at case 3: remainder 1 dividing by 2",
+            "note": "100 cases",
+        }
+    ]
 
 
 @pytest.mark.parametrize("command", [c for c in OUTPUT_SHA256 if not c.startswith("verify ")])

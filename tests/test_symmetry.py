@@ -4,9 +4,9 @@ from math import comb
 
 import pytest
 
-from riordan import series
+from riordan import cli, families, series
 from riordan.array import RiordanPair, identity_pair, matrix
-from riordan.bivar import ONE, X, Y, BivariateRational, expand
+from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
 from riordan.families import (
     catalan_pair,
     make_A361654_embed,
@@ -123,6 +123,37 @@ def test_route_equivalence_randomized():
             g[2] = F(rng.randint(-3, 3), 2)
         pair = RiordanPair(series.Series(g, 16), series.Series(f, 16))
         assert symmetrize_gf(pair, 8) == symmetrize(pair, 8)
+
+
+def _mirror_by_entry(a, N):
+    # the mirror symmetrize replaced: one conditional per entry,
+    # s[n][k] = T[n][n-k] for k <= n and T[k][k-n] above it
+    T = matrix(a, N)
+    t = T.ints
+    rows = [[t[n][n - k] if k <= n else t[k][k - n] for k in range(N)] for n in range(N)]
+    return CoeffMatrix._of(rows, T.den)
+
+
+def _pair_family_cases():
+    for name, family in cli.FAMILIES.items():
+        if not family.full_matrix:
+            for r in range(-3, 5) if family.takes_r else (None,):
+                yield name, r
+
+
+@pytest.mark.parametrize("name, r", list(_pair_family_cases()))
+def test_symmetrize_matches_the_entrywise_mirror(name, r):
+    # every pair family of the CLI, built at the order the CLI builds and
+    # above N, and as a rational pair with g/3 and f/2 (den > 1, so the
+    # triangle comes from the product route over a common denominator)
+    build = getattr(families, cli.FAMILIES[name].constructor)
+    for N in (0, 1, 2, 3, 17, 60):
+        for order in (max(N, 2), N + 5):
+            pair = build(r, order) if r is not None else build(order)
+            scaled = RiordanPair(pair.g / 3, pair.f / 2)
+            assert scaled.g.den > 1 and scaled.f.den > 1
+            for a in (pair, scaled):
+                assert symmetrize(a, N) == _mirror_by_entry(a, N), (N, order)
 
 
 def test_symmetrization_is_symmetric_and_diagonal_is_g():

@@ -56,3 +56,21 @@ def test_run_suite_looks_up_each_suite_at_call_time(monkeypatch):
         monkeypatch.setattr(verify, attr, lambda name=name, **kw: calls.append((name, kw)) or name)
     assert [run_suite(name, seed=5) for name in SUITE_NAMES] == list(SUITE_NAMES)
     assert calls == [(name, {"seed": 5} if name == "group-laws" else {}) for name in SUITE_NAMES]
+
+
+@pytest.mark.parametrize("raised", [ValueError("bad case"), KeyboardInterrupt(), SystemExit(3)])
+def test_group_law_that_raises(monkeypatch, raised):
+    # an Exception fails its law at that case and the later laws still run;
+    # KeyboardInterrupt and SystemExit stop the suite
+    def law(rng):
+        raise raised
+
+    monkeypatch.setattr(verify, "GROUP_LAWS", (("raises", law), verify.GROUP_LAWS[0]))
+    if not isinstance(raised, Exception):
+        with pytest.raises(type(raised)):
+            verify.suite_group_laws(cases=5)
+        return
+    failed, later = verify.suite_group_laws(cases=5).checks
+    actual = "ValueError at case 1: bad case"
+    assert failed == Check("group-laws/raises", "fail", "true", actual, "5 cases")
+    assert later.id == "group-laws/div-mul-roundtrip" and later.status == "pass"
