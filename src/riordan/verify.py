@@ -1,10 +1,16 @@
 """Named verification suites behind the `verify` command.
 
-Each suite runs a fixed list of exact-equality checks and returns a
-:class:`SuiteResult`.  Statuses are "pass", "fail", or "reported"; the last
-is reserved for conjectural identities whose outcome is recorded without
-affecting the exit status.  All randomized checks draw from a seeded
-generator, so identical invocations produce identical reports.
+Each ``suite_<name>`` lists its checks as rows (check id, expected, thunk,
+note) and hands them to `_run`, the one place that decides a status.  A check
+passes when the thunk's value equals `expected`; an `expected` that program
+code computes is itself a zero-argument function.  Rows under ``conjecture/``
+are "reported": the outcome is recorded without affecting the exit status.
+Building the rows calls no package code, so an Exception raised by any check
+fails that check, with actual value ``<Type>: <message>``, and the next check
+still runs; KeyboardInterrupt and SystemExit propagate.  Work that several
+checks read runs once per suite call, under `functools.cache`.  Randomized
+checks draw from a seeded generator, so identical invocations produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache, partial
 
 from . import series
 from .array import (
@@ -58,17 +65,7 @@ SUITE_NAMES = (
 )
 
 ROBBINS_MINORS = [
-    1,
-    2,
-    7,
-    42,
-    429,
-    7436,
-    218348,
-    10850216,
-    911835460,
-    129534272700,
-    31095744852375,
+    1, 2, 7, 42, 429, 7436, 218348, 10850216, 911835460, 129534272700, 31095744852375
 ]
 
 TABLE6 = [
@@ -90,7 +87,8 @@ class Check(namedtuple("Check", "id status expected actual note")):
     __slots__ = ()
 
     def __new__(cls, check_id, status, expected="", actual="", note=""):
-        return tuple.__new__(cls, (check_id, status, str(expected), str(actual), note))
+        texts = (str(v).lower() if isinstance(v, bool) else str(v) for v in (expected, actual))
+        return tuple.__new__(cls, (check_id, status, *texts, note))
 
 
 class SuiteResult:
@@ -123,177 +121,180 @@ class SuiteResult:
         }
 
 
-def _eq(check_id, expected, actual):
-    status = "pass" if expected == actual else "fail"
-    return Check(check_id, status, expected, actual)
+def _run(suite, rows):
+    """Check each row (check id, expected, thunk, note); see the module docstring."""
+    checks = []
+    for check_id, expected, thunk, note in rows:
+        want = ""
+        try:
+            want = expected() if callable(expected) else expected
+            actual = thunk()
+            reported = check_id.startswith("conjecture/")
+            status = "reported" if reported else "pass" if actual == want else "fail"
+        except Exception as exc:
+            status, actual = "fail", f"{type(exc).__name__}: {exc}"
+        checks.append(Check(check_id, status, want, actual, note))
+    return SuiteResult(suite, checks)
 
 
-def _true(check_id, ok, note=""):
-    return Check(check_id, "pass" if ok else "fail", "true", str(bool(ok)).lower(), note)
+def _sym_minors(family, r, n):
+    """The n leading principal minors of Sym(family(r, n))."""
+    return principal_minors(symmetrize(family(r, n), n), n)
+
+
+def _sym_gf_holds(family, r, n, a, s):
+    """Whether Sym(family(r, n)) expands 1/((1 - a xy)(1 - x - y - s xy)) to order n."""
+    gf = BivariateRational(ONE, (ONE - a * X * Y) * (ONE - X - Y - s * X * Y))
+    return symmetrize(family(r, n), n) == expand(gf, n)
 
 
 def suite_robbins():
-    pair = make_R(1, 11)
-    values = principal_minors(symmetrize(pair, 11), 11)
-    checks = []
-    for n in range(11):
-        expected = ROBBINS_MINORS[n]
-        ok = values[n] == expected and values[n] == robbins(n + 1)
-        checks.append(
-            Check(
-                f"robbins/minor-{n}",
-                "pass" if ok else "fail",
-                expected,
-                values[n],
-                note="minor equals both the reference list and the product formula",
-            )
-        )
-    for n in range(1, 6):
-        checks.append(_eq(f"robbins/asm-bruteforce-{n}", robbins(n), asm_count_bruteforce(n)))
-    return SuiteResult("robbins", checks)
+    minors = cache(partial(_sym_minors, make_R, 1, 11))
+
+    def minor(n):
+        v, formula = minors()[n], robbins(n + 1)
+        return v if v == formula else f"{v} (product formula {formula})"
+
+    note = "minor equals both the reference list and the product formula"
+    rows = [(f"robbins/minor-{n}", ROBBINS_MINORS[n], partial(minor, n), note) for n in range(11)]
+    rows += [
+        (f"robbins/asm-bruteforce-{n}", partial(robbins, n), partial(asm_count_bruteforce, n), "")
+        for n in range(1, 6)
+    ]
+    return _run("robbins", rows)
 
 
 def suite_vertex20():
-    ref = reference_B20()
-    via_family = principal_minors(symmetrize(make_R(2, 9), 9), 9)
-    via_gf = principal_minors(twenty_vertex_matrix(9), 9)
-    checks = [
-        _eq("vertex20/family-minors", ref, via_family),
-        _eq("vertex20/gf-minors", ref, via_gf),
+    def gf_minors():
+        return principal_minors(twenty_vertex_matrix(9), 9)
+
+    def forms_agree():
+        num = (ONE - X) * (ONE + Y * Y)
+        den = (ONE - Y) * (ONE - X * Y) * (ONE - X - Y - X * Y)
+        return gf_identity_check(twenty_vertex_gf(), BivariateRational(num, den))
+
+    note = "sum form vs factored form with denominator (1-y)(1-xy)(1-x-y-xy)"
+    rows = [
+        ("vertex20/family-minors", reference_B20, partial(_sym_minors, make_R, 2, 9), ""),
+        ("vertex20/gf-minors", reference_B20, gf_minors, ""),
+        ("vertex20/gf-forms-agree", True, forms_agree, note),
     ]
-    factored = BivariateRational(
-        (ONE - X) * (ONE + Y * Y), (ONE - Y) * (ONE - X * Y) * (ONE - X - Y - X * Y)
-    )
-    checks.append(
-        _true(
-            "vertex20/gf-forms-agree",
-            gf_identity_check(twenty_vertex_gf(), factored),
-            note="sum form vs factored form with denominator (1-y)(1-xy)(1-x-y-xy)",
-        )
-    )
-    return SuiteResult("vertex20", checks)
+    return _run("vertex20", rows)
 
 
 def suite_table6():
-    table = [principal_minors(symmetrize(make_R(r, 6), 6), 6) for r in range(6)]
-    checks = []
-    for r in range(6):
-        checks.append(_eq(f"table6/row-r{r}", TABLE6[r], table[r]))
+    table = [cache(partial(_sym_minors, make_R, r, 6)) for r in range(6)]
+    rows = [(f"table6/row-r{r}", TABLE6[r], table[r], "") for r in range(6)]
     for r in range(6):
         polys = [
             r + 1,
             r**3 + 2 * r**2 + 3 * r + 1,
             r**6 + 3 * r**5 + 7 * r**4 + 13 * r**3 + 11 * r**2 + 6 * r + 1,
         ]
-        checks.append(_eq(f"table6/polynomials-r{r}", polys, table[r][1:4]))
-    return SuiteResult("table6", checks)
+        rows.append((f"table6/polynomials-r{r}", polys, lambda r=r: table[r]()[1:4], ""))
+    return _run("table6", rows)
 
 
 def suite_inverse6():
-    checks = []
-    for r, expected in ((0, INVERSE6_R0), (1, INVERSE6_R1)):
-        got = principal_minors(symmetrize(make_R_inverse_closed(r, 9), 9), 9)
-        checks.append(_eq(f"inverse6/minors-r{r}", expected, got))
-    return SuiteResult("inverse6", checks)
+    rows = [
+        (f"inverse6/minors-r{r}", expected, partial(_sym_minors, make_R_inverse_closed, r, 9), "")
+        for r, expected in ((0, INVERSE6_R0), (1, INVERSE6_R1))
+    ]
+    return _run("inverse6", rows)
 
 
 def suite_tilde():
-    checks = []
-    for r in range(5):
-        S = symmetrize(make_tilde_R(r, 10), 10)
-        gf = expand(BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y - r * X * Y)), 10)
-        checks.append(_true(f"tilde/sym-gf-r{r}", S == gf))
+    rows = [
+        (f"tilde/sym-gf-r{r}", True, partial(_sym_gf_holds, make_tilde_R, r, 10, 1, r), "")
+        for r in range(5)
+    ]
     # by the transfer identity, tilde-R_2 has the minors of R_3
-    got = principal_minors(symmetrize(make_tilde_R(2, 6), 6), 6)
-    checks.append(_eq("tilde/tilde2-minors", TABLE6[3], got))
+    rows.append(("tilde/tilde2-minors", TABLE6[3], partial(_sym_minors, make_tilde_R, 2, 6), ""))
     for r in range(1, 5):
-        a = principal_minors(symmetrize(make_R(r, 7), 7), 7)
-        b = principal_minors(symmetrize(make_tilde_R(r - 1, 7), 7), 7)
-        checks.append(_eq(f"tilde/transfer-r{r}", a, b))
-    return SuiteResult("tilde", checks)
+        sides = partial(_sym_minors, make_R, r, 7), partial(_sym_minors, make_tilde_R, r - 1, 7)
+        rows.append((f"tilde/transfer-r{r}", *sides, ""))
+    return _run("tilde", rows)
 
 
 def suite_closed_forms():
-    checks = []
-    for r in range(6):
-        M = matrix(make_R(r, 21), 21)
-        checks.append(_true(f"closed-forms/entry-r{r}", M.rows == closed_form_rows(r, 0, 21)))
-    S = symmetrize(make_R(1, 15), 15)
-    checks.append(_true("closed-forms/sym-entry", S.rows == closed_form_sym_rows(15)))
-    for r in range(-2, 6):
-        checks.append(
-            _true(
-                f"closed-forms/inverse-r{r}",
-                inverse(make_R(r, 20)) == make_R_inverse_closed(r, 20),
-            )
-        )
-    return SuiteResult("closed-forms", checks)
+    def entry(r):
+        return matrix(make_R(r, 21), 21).rows == closed_form_rows(r, 0, 21)
+
+    def sym_entry():
+        return symmetrize(make_R(1, 15), 15).rows == closed_form_sym_rows(15)
+
+    def inverse_closed(r):
+        return inverse(make_R(r, 20)) == make_R_inverse_closed(r, 20)
+
+    rows = [(f"closed-forms/entry-r{r}", True, partial(entry, r), "") for r in range(6)]
+    rows.append(("closed-forms/sym-entry", True, sym_entry, ""))
+    rows += [
+        (f"closed-forms/inverse-r{r}", True, partial(inverse_closed, r), "") for r in range(-2, 6)
+    ]
+    return _run("closed-forms", rows)
 
 
 def suite_factorization():
-    checks = []
-    cat = catalan_pair(20)
-    for r in range(6):
+    cat = cache(partial(catalan_pair, 20))
+
+    def factors(r):
         right = rational_pair(([1, -1], [1, -r - 2, 3 * r, -2 * r]), ([0, 1], [1]), 20)
-        checks.append(_true(f"factorization/r{r}", product(cat, right) == make_R(r, 20)))
-    return SuiteResult("factorization", checks)
+        return product(cat(), right) == make_R(r, 20)
+
+    rows = [(f"factorization/r{r}", True, partial(factors, r), "") for r in range(6)]
+    return _run("factorization", rows)
 
 
 def suite_gf_identities():
-    checks = []
-    S1 = symmetrize(make_R(1, 12), 12)
-    checks.append(
-        _true(
-            "gf-identities/sym-R1",
-            S1 == expand(BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y)), 12),
-        )
-    )
-    checks.append(
-        _eq(
-            "gf-identities/asm-classical-minors",
-            [1, 2, 7, 42, 429],
-            principal_minors(classical_asm_matrix(5), 5),
-        )
-    )
-    out = gf_right_transform(classical_asm_gf(), ([1], [1, -1, 1]), ([0, 1], [1]))
-    target = BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y))
-    checks.append(_true("gf-identities/right-transform", gf_identity_check(out, target)))
-    ex1 = symmetrize(make_example1(12), 4)
-    signs_ok = principal_minors(ex1, 4) == [
-        (-1) ** (m * (m - 1) // 2) * v for m, v in enumerate([1, 2, 7, 42], 1)
-    ]
-    checks.append(_true("gf-identities/example1-signed-minors", signs_ok))
-    # the twenty-vertex conjugation chain, decided on the rational gfs
-    g0 = BivariateRational((ONE - X) * (ONE - Y), (ONE - X * Y) * (ONE - X - Y - X * Y))
-    step1 = gf_conjugate(g0, ([1], [1, 1]), ([0, 1], [1, 1]))
-    target1 = BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE + X + Y))
-    checks.append(_true("gf-identities/chain-step1", gf_identity_check(step1, target1)))
     negation = ([1], [1]), ([0, -1], [1])
-    step2 = gf_conjugate(step1, *negation)
-    target2 = BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE - X - Y))
-    checks.append(_true("gf-identities/chain-step2", gf_identity_check(step2, target2)))
-    checks.append(
-        _eq(
-            "gf-identities/negation-minors",
-            [(-1) ** ((n + 1) * n // 2) for n in range(6)],
-            principal_minors(matrix(rational_pair(*negation, 6), 6), 6),
-        )
-    )
+    negation_signs = [(-1) ** ((n + 1) * n // 2) for n in range(6)]
+
+    def asm_minors():
+        return principal_minors(classical_asm_matrix(5), 5)
+
+    def right_transform():
+        out = gf_right_transform(classical_asm_gf(), ([1], [1, -1, 1]), ([0, 1], [1]))
+        return gf_identity_check(out, BivariateRational(ONE, (ONE - X * Y) * (ONE - X - Y)))
+
+    def signed_minors():
+        signs = [(-1) ** (m * (m - 1) // 2) * v for m, v in enumerate([1, 2, 7, 42], 1)]
+        return principal_minors(symmetrize(make_example1(12), 4), 4) == signs
+
+    # the twenty-vertex conjugation chain, decided on the rational gfs
+    @cache
+    def step1():
+        g0 = BivariateRational((ONE - X) * (ONE - Y), (ONE - X * Y) * (ONE - X - Y - X * Y))
+        return gf_conjugate(g0, ([1], [1, 1]), ([0, 1], [1, 1]))
+
+    def chain_step1():
+        return gf_identity_check(step1(), BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE + X + Y)))
+
+    def chain_step2():
+        step2 = gf_conjugate(step1(), *negation)
+        return gf_identity_check(step2, BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE - X - Y)))
+
+    def negation_minors():
+        return principal_minors(matrix(rational_pair(*negation, 6), 6), 6)
+
+    def conjecture(r):
+        return "holds" if _sym_gf_holds(make_R, r, 10, r, 0) else "differs"
+
+    rows = [
+        ("gf-identities/sym-R1", True, partial(_sym_gf_holds, make_R, 1, 12, 1, 0), ""),
+        ("gf-identities/asm-classical-minors", [1, 2, 7, 42, 429], asm_minors, ""),
+        ("gf-identities/right-transform", True, right_transform, ""),
+        ("gf-identities/example1-signed-minors", True, signed_minors, ""),
+        ("gf-identities/chain-step1", True, chain_step1, ""),
+        ("gf-identities/chain-step2", True, chain_step2, ""),
+        ("gf-identities/negation-minors", negation_signs, negation_minors, ""),
+    ]
     # conjectural general-r symmetrization gf: reported, never failing
-    for r in range(6):
-        S = symmetrize(make_R(r, 10), 10)
-        gf = expand(BivariateRational(ONE, (ONE - r * X * Y) * (ONE - X - Y)), 10)
-        holds = S == gf
-        checks.append(
-            Check(
-                f"conjecture/sym-gf-r{r}",
-                "reported",
-                "conjectured equal",
-                "holds" if holds else "differs",
-                note="general-r symmetrization gf is conjectural; outcome recorded only",
-            )
-        )
-    return SuiteResult("gf-identities", checks)
+    note = "general-r symmetrization gf is conjectural; outcome recorded only"
+    rows += [
+        (f"conjecture/sym-gf-r{r}", "conjectured equal", partial(conjecture, r), note)
+        for r in range(6)
+    ]
+    return _run("gf-identities", rows)
 
 
 def _random_series(rng, order, nonzero_const=False, zero_const=False):
@@ -409,32 +410,28 @@ GROUP_LAWS = (
 )
 
 
-def _law_check(check_id, law, rng, cases):
-    """The check of one law over `cases` cases drawn from `rng`.  It stops
-    at the first case that fails or raises; an Exception fails the law with
-    its type, message and case number as the actual value."""
-    note = f"{cases} cases"
-    ok = True
+def _law_cases(law, rng, cases):
+    """True when `law` holds on `cases` cases drawn from `rng` in turn, else
+    the text of the first case that fails or raises an Exception."""
     for case in range(1, cases + 1):
         try:
-            ok = law(rng)
+            if not law(rng):
+                return f"false at case {case}"
         except Exception as exc:
-            actual = f"{type(exc).__name__} at case {case}: {exc}"
-            return Check(check_id, "fail", "true", actual, note)
-        if not ok:
-            break
-    return _true(check_id, ok, note=note)
+            return f"{type(exc).__name__} at case {case}: {exc}"
+    return True
 
 
 def suite_group_laws(seed=DEFAULT_SEED, cases=100):
-    """Each law on `cases` random cases in turn, from one seeded generator; a
-    law stops drawing at its first failing case, and a law that raises
-    fails while the others still run."""
+    """Each law on `cases` random cases in turn, from one seeded generator.  A
+    law that fails or raises at a case stops there and names the case, and
+    the laws after it still run."""
     rng = random.Random(seed)
-    checks = [
-        _law_check("group-laws/" + check_id, law, rng, cases) for check_id, law in GROUP_LAWS
+    rows = [
+        ("group-laws/" + law_id, True, partial(_law_cases, law, rng, cases), f"{cases} cases")
+        for law_id, law in GROUP_LAWS
     ]
-    return SuiteResult("group-laws", checks)
+    return _run("group-laws", rows)
 
 
 def run_suite(name, seed=DEFAULT_SEED):

@@ -15,6 +15,8 @@ Run from anywhere with ``python tests/mutation_gate.py``.  The file is not a
   exits 1.  A row that survives the report is listed as a survivor; the gate
   fails only when the outcome differs from the recorded one, so the record
   stays true as checks are added.
+* ``riordan verify all`` must never print a traceback, on the unmutated copy
+  or on any mutated one: a check that raises fails in the report instead.
 
 ``pyproject.toml`` sets ``pythonpath = ["src"]``, which pytest puts ahead of
 ``PYTHONPATH``; the copy is selected with ``-o pythonpath=<copy>/src``.
@@ -223,6 +225,14 @@ MUTATIONS = [
         True,
     ),
     Mutation(
+        "closed_form_sym_rows writing one row too low",
+        "symmetry.py",
+        "rows[d + k][k] = rows[k][d + k] = t",
+        "rows[d + k + 1][k] = rows[k][d + k] = t",
+        "tests/test_symmetry.py::test_closed_form_sym_entry",
+        True,
+    ),
+    Mutation(
         "is_symmetric comparing the block with itself",
         "bivar.py",
         "all(map(eq, map(list, zip(*block)), block))",
@@ -282,25 +292,27 @@ def _env(src=None):
 
 
 def _run(cmd, cwd, env):
-    """(failed, seconds): a run past TIMEOUT_S counts as failed."""
+    """(failed, seconds, stderr): a run past TIMEOUT_S counts as failed."""
     start = time.perf_counter()
     try:
         run = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT_S)
-        code = run.returncode
+        code, err = run.returncode, run.stderr
     except subprocess.TimeoutExpired:
-        code = -1
-    return code != 0, time.perf_counter() - start
+        code, err = -1, b""
+    return code != 0, time.perf_counter() - start, err
 
 
 def _pytest_fails(src, selector):
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     cmd += ["-o", f"pythonpath={src}", selector]
-    return _run(cmd, REPO, _env())
+    return _run(cmd, REPO, _env())[:2]
 
 
 def _verify_fails(src):
+    """(exits nonzero, prints a traceback) for ``riordan verify all`` on `src`."""
     cmd = [sys.executable, "-m", "riordan.cli", "verify", "all"]
-    return _run(cmd, src.parent, _env(src))[0]
+    failed, _, err = _run(cmd, src.parent, _env(src))
+    return failed, b"Traceback" in err
 
 
 def _copy(root, mutation=None):
@@ -329,7 +341,7 @@ def main():
             print(f"baseline {'FAILS' if failed else 'passes'} {secs:5.1f} s  {selector}")
             if failed:
                 problems.append(f"{selector} fails on the unmutated copy")
-        if _verify_fails(clean):
+        if any(_verify_fails(clean)):
             problems.append("riordan verify all fails on the unmutated copy")
         if problems:
             print("\n".join(problems))
@@ -338,16 +350,19 @@ def main():
         for m in MUTATIONS:
             src = _copy(root, m)
             killed, secs = _pytest_fails(src, m.selector)
-            verify_fails = _verify_fails(src)
+            verify_fails, traceback = _verify_fails(src)
             print(
                 f"{'killed' if killed else 'SURVIVED'} {secs:5.1f} s  {m.name}; "
                 f"verify all {'fails' if verify_fails else 'passes'}"
+                f"{' with a traceback' if traceback else ''}"
             )
             if not killed:
                 problems.append(f"{m.name}: {m.selector} still passes")
             if verify_fails != m.verify_fails:
                 recorded = "fail" if m.verify_fails else "pass"
                 problems.append(f"{m.name}: verify all was recorded to {recorded}")
+            if traceback:
+                problems.append(f"{m.name}: verify all printed a traceback")
             if not verify_fails:
                 survivors.append(m.name)
     print("survivors of riordan verify all: " + ("; ".join(survivors) or "none"))

@@ -606,6 +606,59 @@ def test_verify_reports_every_check_when_a_group_law_raises(capsys, monkeypatch)
     ]
 
 
+def _injected(*args, **kwargs):
+    raise ValueError("injected")
+
+
+# for each suite, one name it reads from verify's namespace: a kernel, a
+# closed form, an expected value computed by program code, shared work, a law
+INJECTED = {
+    "robbins": "robbins",
+    "vertex20": "twenty_vertex_gf",
+    "table6": "principal_minors",
+    "inverse6": "make_R_inverse_closed",
+    "tilde": "make_tilde_R",
+    "closed-forms": "closed_form_sym_rows",
+    "factorization": "catalan_pair",
+    "gf-identities": "gf_conjugate",
+    "group-laws": "GROUP_LAWS",
+}
+
+
+@pytest.fixture(scope="module")
+def verify_all_ids():
+    # the ids of the unpatched report, in order (the pinned digests fix them)
+    return [c.id for name in verify.SUITE_NAMES for c in verify.run_suite(name).checks]
+
+
+@pytest.mark.parametrize("suite", INJECTED)
+def test_verify_reports_every_check_when_any_check_raises(
+    capsys, monkeypatch, verify_all_ids, suite
+):
+    # each check that reads the faulty name fails with the exception's text,
+    # and every other check of every suite is still reported
+    name = INJECTED[suite]
+    if name == "GROUP_LAWS":
+        laws = list(verify.GROUP_LAWS)
+        laws[3] = (laws[3][0], _injected)
+        monkeypatch.setattr(verify, name, tuple(laws))
+    else:
+        monkeypatch.setattr(verify, name, _injected)
+    assert main(["verify", "all", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["exit_status"] == 1
+    checks = [c for s in report["suites"] for c in s["checks"]]
+    assert len(checks) == 86
+    assert [c["id"] for c in checks] == verify_all_ids
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert any(c["id"].startswith(suite + "/") for c in failed)
+    for c in failed:
+        law = c["id"].startswith("group-laws/")
+        assert c["actual"] == ("ValueError at case 1: injected" if law else "ValueError: injected")
+
+
 @pytest.mark.parametrize("command", [c for c in OUTPUT_SHA256 if not c.startswith("verify ")])
 def test_output_is_pinned(capsys, command):
     _assert_pinned(capsys, command)

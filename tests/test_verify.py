@@ -74,3 +74,69 @@ def test_group_law_that_raises(monkeypatch, raised):
     actual = "ValueError at case 1: bad case"
     assert failed == Check("group-laws/raises", "fail", "true", actual, "5 cases")
     assert later.id == "group-laws/div-mul-roundtrip" and later.status == "pass"
+
+
+@pytest.mark.parametrize("raised", [ValueError("bad rows"), KeyboardInterrupt(), SystemExit(3)])
+def test_check_that_raises_outside_the_laws(monkeypatch, raised):
+    # the same policy holds for every row: an Exception fails the checks that
+    # read the faulty name, here the shared Catalan pair of all six rows
+    def catalan_pair(order):
+        raise raised
+
+    monkeypatch.setattr(verify, "catalan_pair", catalan_pair)
+    if not isinstance(raised, Exception):
+        with pytest.raises(type(raised)):
+            run_suite("factorization")
+        return
+    checks = run_suite("factorization").checks
+    assert checks == [
+        Check(f"factorization/r{r}", "fail", "true", "ValueError: bad rows") for r in range(6)
+    ]
+
+
+def test_expected_value_computed_by_program_code_runs_under_the_guard(monkeypatch):
+    # robbins(n) is the expected side of asm-bruteforce-n and the formula side
+    # of minor-(n - 1): exactly the two checks that read robbins(3) fail
+    original = verify.robbins
+    monkeypatch.setattr(verify, "robbins", lambda n: original(n) // (n != 3))
+    failed = [c for c in suite_robbins().checks if c.status == "fail"]
+    zero = "ZeroDivisionError: integer division or modulo by zero"
+    assert [(c.id, c.expected, c.actual) for c in failed] == [
+        ("robbins/minor-2", "7", zero),
+        ("robbins/asm-bruteforce-3", "", zero),
+    ]
+
+
+def test_shared_work_runs_once_per_suite_call(monkeypatch):
+    calls = []
+    original = verify.principal_minors
+
+    def counting(m, n):
+        calls.append(n)
+        return original(m, n)
+
+    monkeypatch.setattr(verify, "principal_minors", counting)
+    assert verify.suite_table6().exit_status == 0
+    assert calls == [6] * 6
+    calls.clear()
+    assert suite_robbins().exit_status == 0
+    assert calls == [11]
+    calls.clear()
+    assert suite_robbins().exit_status == 0  # nothing is cached between calls
+    assert calls == [11]
+
+
+def test_failing_law_names_its_case(monkeypatch):
+    # a law that returns false stops drawing at that case and names it; the
+    # laws after it still run
+    cases = []
+
+    def law(rng):
+        cases.append(rng.random())
+        return len(cases) != 3
+
+    monkeypatch.setattr(verify, "GROUP_LAWS", (("fails", law), verify.GROUP_LAWS[0]))
+    failed, later = verify.suite_group_laws(cases=5).checks
+    assert failed == Check("group-laws/fails", "fail", "true", "false at case 3", "5 cases")
+    assert len(cases) == 3
+    assert later.status == "pass"
