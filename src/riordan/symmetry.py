@@ -13,11 +13,16 @@ The matrix route is the production path; the gf route is the definitional
 oracle the tests hold it against.  Both return a plain ``CoeffMatrix``,
 symmetric by construction: the matrix route writes s[n][k] and s[k][n] from
 one triangle entry, the gf route adds an expansion to its own transpose.
+
+The closed forms of Q(a, s) (``families.quadratic_pair``) read one table,
+Del_s(p, q) = sum_j C(p, j) C(q, j) (1 + s)^j, by Horner's rule in a: down
+each column for the triangle, and down each diagonal for the symmetrization,
+whose entry at (n, k) is sum over i <= min(n, k) of a^i Del_s(n - i, k - i),
+a polynomial of total degree <= min(n, k) in (a, s).
 """
 
 from __future__ import annotations
 
-from math import comb
 from operator import add, mul
 
 from .array import RiordanPair, matrix
@@ -47,60 +52,55 @@ def symmetrize_gf(a: RiordanPair, N: int) -> CoeffMatrix:
 
 
 def symmetrize(a: RiordanPair, N: int) -> CoeffMatrix:
-    """Production route: mirror the reversed rows of the pair's N x N
-    triangle across the diagonal, s[n][k] = T[n][n-k] for k <= n and
-    T[k][k-n] above it.
-
-    T is lower triangular, so reversing the head of row n up to the
-    diagonal gives the lower triangle L[n][k] = T[n][n-k], zero past k = n;
-    row n of the result is L's row n up to the diagonal, then L's column n
-    below it.  Both are slices, with no per-entry test.
-    """
+    """Production route: the lower triangle L[n][k] = T[n][n-k] of the pair's
+    N x N triangle T (row n reversed up to the diagonal, zero past it),
+    mirrored across the diagonal."""
     T = matrix(a, N)
     lower = [row[n::-1] + row[n + 1 :] for n, row in enumerate(T.ints)]
+    return CoeffMatrix._of(_mirror(lower), T.den)
+
+
+def _mirror(lower: list) -> list:
+    """Row n: the N x N ``lower``'s row n up to the diagonal, then its column n."""
     cols = list(zip(*lower))
-    rows = [lower[n][: n + 1] + list(cols[n][n + 1 :]) for n in range(N)]
-    return CoeffMatrix._of(rows, T.den)
+    return [row[: n + 1] + list(cols[n][n + 1 :]) for n, row in enumerate(lower)]
 
 
-def closed_form_rows(a: int, s: int, N: int) -> list:
-    """N x N rows of Q(a, s) (``families.quadratic_pair``), by Lagrange
-    inversion, the Vandermonde form of its sum and Horner's rule in a.
-
-    At a = 0, fbar = x(1 - x)/(1 + sx) gives f = x phi(f) with
-    phi(t) = (1 + st)/(1 - t), and 1 - x phi'(f) = sqrt(D_s)/(1 - f), so
-    g f^k = H(f)/(1 - x phi'(f)) with H(t) = t^k/(1 - t), whence
-    T0[n][k] = [t^(n-k)] (1 + st)^n/(1 - t)^(n+1).  Writing
-    (1 + st)^n = ((1 - t) + (1 + s)t)^n turns this into
-    T0[n][k] = sum over i <= n-k of C(n, i) C(n-k, i) (1+s)^i, one dot
-    product of Pascal row n, scaled by the powers of 1 + s, with Pascal
-    row n - k.  The factor 1/(1 - ax) sums down each column:
-    T[n][k] = a T[n-1][k] + T0[n][k], from T[k-1][k] = 0.  At s = 0, R_a's
-    case, T[n][k] = sum_j a^(n-k-j) C(k+2j, j).
-    """
+def _delannoy(s: int, N: int) -> list:
+    """Rows p < N of Del_s(p, q), q <= p: Pascal row p, scaled by the powers
+    of 1 + s, dotted with Pascal row q.  Del_s(p, q) = Del_s(q, p)."""
     pascal = [[1]]
     for _ in range(1, N):
         last = pascal[-1]
         pascal.append([1, *map(add, last, last[1:]), 1])
     powers = [(s + 1) ** i for i in range(N)]
+    scaled = [list(map(mul, row, powers)) for row in pascal[:N]]
+    return [[sum(map(mul, row, q)) for q in pascal[: p + 1]] for p, row in enumerate(scaled)]
+
+
+def closed_form_rows(a: int, s: int, N: int) -> list:
+    """N x N rows of Q(a, s), by Lagrange inversion and Horner's rule in a.
+
+    At a = 0, fbar = x(1 - x)/(1 + sx) gives f = x phi(f) with
+    phi(t) = (1 + st)/(1 - t) and 1 - x phi'(f) = sqrt(D_s)/(1 - f), so
+    g f^k = H(f)/(1 - x phi'(f)) with H(t) = t^k/(1 - t), whence
+    T0[n][k] = [t^(n-k)] (1 + st)^n/(1 - t)^(n+1), which
+    (1 + st)^n = ((1 - t) + (1 + s)t)^n turns into Del_s(n, n - k).  Then
+    T[n][k] = a T[n-1][k] + T0[n][k] down each column, from T[k-1][k] = 0.
+    At s = 0, R_a's case, T[n][k] = sum_j a^(n-k-j) C(k+2j, j)."""
     rows, above = [], [0] * N
-    for n in range(N):
-        scaled = list(map(mul, pascal[n], powers))
-        row = [a * above[k] + sum(map(mul, scaled, pascal[n - k])) for k in range(n + 1)]
-        above = row + [0] * (N - 1 - n)
+    for n, dels in enumerate(_delannoy(s, N)):
+        above = [a * u + d for u, d in zip(above, dels[::-1])] + [0] * (N - 1 - n)
         rows.append(above)
     return rows
 
 
-def closed_form_sym_rows(N: int) -> list:
-    """N x N rows of the symmetrized r=1 array, by the bracketed binomial sum:
-    the entry at (n, k), k <= n, is sum_{j <= k} C(n-k+2j, j), and the matrix
-    is symmetric.  Down the diagonal n - k = d the entries are the running
-    sums of C(d+2j, j)."""
-    rows = [[0] * N for _ in range(N)]
-    for d in range(N):
-        t = 0
-        for k in range(N - d):
-            t += comb(d + 2 * k, k)
-            rows[d + k][k] = rows[k][d + k] = t
-    return rows
+def closed_form_sym_rows(a: int, s: int, N: int) -> list:
+    """N x N rows of Sym(Q(a, s)), the gf 1/((1 - axy)(1 - x - y - sxy)), by Horner in a
+    down each diagonal, S[n][k] = a S[n-1][k-1] + Del_s(n, k) for k <= n, then the mirror.
+    Del_s(p, q) has degree min(p, q) in s: entry (n, k) has degree <= min(n, k) in (a, s)."""
+    lower, up = [], []
+    for n, dels in enumerate(_delannoy(s, N)):
+        up = [a * u + d for u, d in zip([0, *up], dels)] + [0] * (N - 1 - n)
+        lower.append(up)
+    return _mirror(lower)

@@ -221,7 +221,7 @@ def suite_closed_forms():
         return matrix(make_R(r, 21), 21).rows == closed_form_rows(r, 0, 21)
 
     def sym_entry():
-        return symmetrize(make_R(1, 15), 15).rows == closed_form_sym_rows(15)
+        return symmetrize(make_R(1, 15), 15).rows == closed_form_sym_rows(1, 0, 15)
 
     def inverse_closed(r):
         return inverse(make_R(r, 20)) == make_R_inverse_closed(r, 20)

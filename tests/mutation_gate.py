@@ -225,12 +225,20 @@ MUTATIONS = [
         True,
     ),
     Mutation(
-        "closed_form_sym_rows writing one row too low",
+        "diagonal Horner without its shift down the diagonal",
         "symmetry.py",
-        "rows[d + k][k] = rows[k][d + k] = t",
-        "rows[d + k + 1][k] = rows[k][d + k] = t",
+        "zip([0, *up], dels)",
+        "zip(up, dels)",
         "tests/test_symmetry.py::test_closed_form_sym_entry",
         True,
+    ),
+    Mutation(
+        "diagonal Horner with a * a for a",
+        "symmetry.py",
+        "up = [a * u + d for u, d in zip([0, *up]",
+        "up = [a * a * u + d for u, d in zip([0, *up]",
+        "tests/test_symmetry.py::test_closed_form_sym_rows_on_the_plane",
+        False,
     ),
     Mutation(
         "is_symmetric comparing the block with itself",

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from riordan import cli, families, series
-from riordan.array import RiordanPair, identity_pair, matrix
+from riordan.array import RiordanPair, conjugate, identity_pair, matrix, rational_pair
 from riordan.bivar import ONE, X, Y, BivariateRational, CoeffMatrix, expand
 from riordan.families import (
     catalan_pair,
@@ -244,9 +244,71 @@ def test_closed_form_rows_on_the_plane():
 
 
 def test_closed_form_sym_entry():
-    S = closed_form_sym_rows(6)
+    S = closed_form_sym_rows(1, 0, 6)
     assert S[3][2] == 14 and S[0][5] == 1
-    for N in range(26):
+    for N in (*range(26), 60):
         want = [[_sym_entry_sum(n, k) for k in range(N)] for n in range(N)]
-        assert closed_form_sym_rows(N) == want
-    assert symmetrize(make_R(1, 34), 15).rows == closed_form_sym_rows(15)
+        assert closed_form_sym_rows(1, 0, N) == want
+    assert symmetrize(make_R(1, 34), 15).rows == closed_form_sym_rows(1, 0, 15)
+
+
+def _sym_q_rows(a, s, N):
+    return symmetrize(quadratic_pair(a, s, max(N, 2)), N).rows
+
+
+def test_closed_form_sym_rows_on_the_plane():
+    for a in range(-3, 5):
+        for s in range(-3, 5):
+            for N in (0, 1, 2, 3, 14):
+                assert closed_form_sym_rows(a, s, N) == _sym_q_rows(a, s, N)
+    rng = random.Random(39)
+    for _ in range(30):
+        a, s, N = rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(0, 20)
+        assert closed_form_sym_rows(a, s, N) == _sym_q_rows(a, s, N)
+
+
+def _gram(B, w):
+    # B diag(w) B^T
+    return [[sum(u * c * v for u, c, v in zip(x, w, y)) for y in B] for x in B]
+
+
+def test_closed_form_sym_rows_on_the_lines_a_0_and_s_minus_1():
+    # Sym(Q(0, s)) = P diag((1 + s)^j) P^T and Sym(Q(a, -1)) = U^T diag(a^i) U,
+    # P Pascal's triangle and U the all-ones upper triangle
+    N = 12
+    P = [[comb(n, j) for j in range(N)] for n in range(N)]
+    Ut = [[int(i <= n) for i in range(N)] for n in range(N)]
+    for t in range(-4, 6):
+        assert closed_form_sym_rows(0, t, N) == _gram(P, [(1 + t) ** j for j in range(N)])
+        assert closed_form_sym_rows(t, -1, N) == _gram(Ut, [t**i for i in range(N)])
+
+
+def test_closed_form_sym_rows_under_the_involution():
+    # A = (1/(1-x)^2, -x/(1-x)) gives A Sym(Q(a, s)) A^T = Sym(Q(s + 1, a - 1))
+    A = rational_pair(([1], [1, -2, 1]), ([0, -1], [1, -1]), 12)
+    for a in range(-3, 5):
+        for s in range(-3, 5):
+            S = CoeffMatrix(closed_form_sym_rows(a, s, 12))
+            assert conjugate(S, A).rows == closed_form_sym_rows(s + 1, a - 1, 12)
+
+
+def test_closed_form_sym_entries_have_total_degree_min_n_k():
+    # the forward difference of order (i, j) in (a, s) at (0, 0) vanishes for
+    # every i + j > min(n, k); the order (m, 0) one is m!, a^m's coefficient being 1
+    N = 8
+    S = [[closed_form_sym_rows(a, s, N) for s in range(N + 1)] for a in range(N + 1)]
+
+    def diff(n, k, i, j):
+        return sum(
+            (-1) ** (i - t + j - u) * comb(i, t) * comb(j, u) * S[t][u][n][k]
+            for t in range(i + 1)
+            for u in range(j + 1)
+        )
+
+    for n in range(N):
+        for k in range(N):
+            m = min(n, k)
+            assert diff(n, k, m, 0) == factorial(m)
+            for i in range(m + 2):
+                for j in range(m + 1 - i, m + 2):
+                    assert diff(n, k, i, j) == 0
