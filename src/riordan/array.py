@@ -200,8 +200,8 @@ def inverse(a: RiordanPair) -> RiordanPair:
             p *= d
         z.append(t)
     tail = accumulate(repeat(-s, n - 3), operator.mul, initial=-s - 1)
-    fbar = series._series([0, 1, *tail], 1, n)
-    return RiordanPair(series._series([a.g.den * v for v in z], p, n), fbar)
+    fbar = series._series([0, 1, *tail], 1)
+    return RiordanPair(series._series([a.g.den * v for v in z], p), fbar)
 
 
 def bivariate_gf(g_form, f_form) -> BivariateRational:

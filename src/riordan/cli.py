@@ -1,10 +1,8 @@
 """Command line front end.
 
-Subcommands: matrix, symmetrize, minors, verify, oeis.  A call uses the
-parser of the command its first argument names only; any other argv (none,
--h, an unknown command, a leading option) gets the parser of every command.
-Each of these parsers is built once per process, on the first call that
-needs it, and shared by every later call: it must not be mutated.
+Subcommands: matrix, symmetrize, minors, verify, oeis.  One parser serves
+every argv: it is built once per process, on the first call, and shared by
+every later call, so it must not be mutated.
 Exit codes: 0 pass, 1 verification failure, 2 usage, 4 network, 5 parse,
 and 141 (128 + SIGPIPE) from the console script when stdout closes early.
 """
@@ -255,37 +253,26 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser(command=None):
-    """The parser of every command, or of `command` alone.
+def build_parser():
+    """The parser of every command, built once per process.
 
-    Either way the top-level usage line names every command.  It is set
-    after the subparsers are added, because each subparser's prog is taken
-    from the usage line current when `add_subparsers` runs.
-
-    The parser is cached per `command` and shared by every caller, so it
-    must not be mutated.  Reuse is safe: `parse_args` keeps no state between
-    calls, and the terminal width (``COLUMNS``) is read only when help or
-    usage is formatted.
+    It is shared by every caller, so it must not be mutated.  Reuse is safe:
+    `parse_args` keeps no state between calls, and the terminal width
+    (``COLUMNS``) is read only when help or usage is formatted.
     """
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Exact Riordan arrays, symmetrizations, and principal minors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else (command,):
-        help_text, add_arguments = COMMANDS[name]
+    for name, (help_text, add_arguments) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
-    parser.usage = "%(prog)s [-h] {" + ",".join(COMMANDS) + "} ..."
     return parser
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    # only the named command's arguments are declared: the others would be
-    # built and never read
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:

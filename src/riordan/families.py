@@ -78,7 +78,7 @@ def quadratic_pair(a: int, s: int, order: int) -> RiordanPair:
         h.append(((2 * m - 1) * b * h[m - 1] - (m - 1) * c * h[m - 2]) // m)
     g = list(accumulate(h, lambda t, v: a * t + v))
     f = [0, 1] + [(2 * b * u - c * w - v) // 2 for w, u, v in zip(h, h[1:], h[2:])]
-    return RiordanPair(series._series(g, 1, order), series._series(f, 1, order))
+    return RiordanPair(series._series(g, 1), series._series(f, 1))
 
 
 def quadratic_inverse(a: int, s: int, order: int) -> RiordanPair:
@@ -157,7 +157,7 @@ def make_A361654_embed(order: int) -> RiordanPair:
     coefficient of g_R1 is 1 plus a sum of even central binomials, so odd."""
     r1 = quadratic_pair(1, 0, order)
     g = [(v + 1) // 2 for v in r1.g.nums]
-    return RiordanPair(series._series(g, 1, order), r1.f)
+    return RiordanPair(series._series(g, 1), r1.f)
 
 
 def robbins(n: int) -> int:

@@ -99,9 +99,9 @@ def _trim(nums):
     return nums[:end]
 
 
-def _series(nums, den, order):
-    """Kernel constructor: the series nums / den (den != 0, len(nums) ==
-    order), reduced by one gcd and with den made positive."""
+def _series(nums, den):
+    """Kernel constructor: the series nums / den (den != 0) to order
+    len(nums), reduced by one gcd and with den made positive."""
     if den != 1:
         g = gcd(den, *nums)
         if den < 0:
@@ -110,7 +110,7 @@ def _series(nums, den, order):
             nums = [v // g for v in nums]
             den //= g
     s = Series.__new__(Series)
-    s.nums, s.den, s.order, s._coeffs = nums, den, order, None
+    s.nums, s.den, s.order, s._coeffs = nums, den, len(nums), None
     return s
 
 
@@ -162,7 +162,7 @@ class Series:
             raise ValueError(f"cannot extend order {self.order} to {n}")
         if n == self.order:
             return self
-        return _series(self.nums[:n], self.den, n)
+        return _series(self.nums[:n], self.den)
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -175,7 +175,7 @@ class Series:
         d = lcm(self.den, o.den)
         sa, sb = d // self.den, sign * (d // o.den)
         nums = [x * sa + y * sb for x, y in zip(self.nums, o.nums)]
-        return _series(nums, d, min(self.order, o.order))
+        return _series(nums, d)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -186,7 +186,7 @@ class Series:
     __radd__ = __add__
 
     def __neg__(self):
-        return _series([-v for v in self.nums], self.den, self.order)
+        return _series([-v for v in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -203,11 +203,11 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             p = other.numerator
-            return _series([v * p for v in self.nums], self.den * other.denominator, self.order)
+            return _series([v * p for v in self.nums], self.den * other.denominator)
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        return _series(_mul_lists(self.nums, other.nums, n), self.den * other.den, n)
+        return _series(_mul_lists(self.nums, other.nums, n), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -216,7 +216,7 @@ class Series:
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
             q = other.denominator
-            return _series([v * q for v in self.nums], self.den * other.numerator, self.order)
+            return _series([v * q for v in self.nums], self.den * other.numerator)
         if not isinstance(other, Series):
             return NotImplemented
         return div(self, other)
@@ -266,7 +266,7 @@ def div(a: Series, b: Series) -> Series:
         raise ValueError("divisor has zero constant term")
     n = min(a.order, b.order)
     nums, d = _div_lists(a.nums, b.nums, n)
-    return _series([v * b.den for v in nums], a.den * d, n)
+    return _series([v * b.den for v in nums], a.den * d)
 
 
 def compose(g: Series, f: Series) -> Series:
@@ -284,7 +284,7 @@ def compose(g: Series, f: Series) -> Series:
         raise ValueError("inner series must have zero constant term")
     n = min(g.order, f.order)
     if n == 0:
-        return _series([], 1, 0)
+        return _series([], 1)
     gs, fs, df = g.nums, _trim(f.nums), f.den
     acc = [gs[n - 1]]
     scale = 1
@@ -292,7 +292,7 @@ def compose(g: Series, f: Series) -> Series:
         acc = _mul_lists(acc, fs, n - k)
         scale *= df
         acc[0] += gs[k] * scale
-    return _series(acc, g.den * scale, n)
+    return _series(acc, g.den * scale)
 
 
 def revert(f: Series) -> Series:
@@ -312,7 +312,7 @@ def revert(f: Series) -> Series:
         raise ValueError("revert needs f(0) = 0 and a nonzero linear coefficient")
     one = [1] + [0] * (n - 2)
     q, d = _div_lists(one, f.nums[1:], n - 1)
-    h = _series([v * f.den for v in q], d, n - 1)
+    h = _series([v * f.den for v in q], d)
     hs, dh = h.nums, h.den
     den = lcm(*range(1, n)) * dh ** (n - 1)
     s = isqrt(n - 1)
@@ -327,7 +327,7 @@ def revert(f: Series) -> Series:
             giant = _mul_lists(giant, baby[s], n - 1)
         c = sum(map(operator.mul, giant[:m], reversed(baby[j][:m])))
         v[m] = c * (den // (m * dh**m))
-    return _series(v, den, n)
+    return _series(v, den)
 
 
 def sqrt(g: Series) -> Series:
@@ -356,7 +356,7 @@ def sqrt(g: Series) -> Series:
         t[m], rem = divmod(acc, 2 * m)
         if rem:
             raise ArithmeticError(f"root coefficient {acc} is not divisible by {2 * m}")
-    return _series([tm * c ** (n - 1 - m) for m, tm in enumerate(t)], c ** (n - 1), n)
+    return _series([tm * c ** (n - 1 - m) for m, tm in enumerate(t)], c ** (n - 1))
 
 
 def rational(p, q, order: int) -> Series:
@@ -373,4 +373,4 @@ def rational(p, q, order: int) -> Series:
     if order == 0 or not qn or qn[0] == 0:
         raise ValueError("divisor has zero constant term")
     nums, d = _div_lists(pn + [0] * (order - len(pn)), qn, order)
-    return _series([v * dq for v in nums], dp * d, order)
+    return _series([v * dq for v in nums], dp * d)

@@ -139,8 +139,8 @@ MUTATIONS = [
     Mutation(
         "rational without the divisor's denominator dq",
         "series.py",
-        "return _series([v * dq for v in nums], dp * d, order)",
-        "return _series(nums, dp * d, order)",
+        "return _series([v * dq for v in nums], dp * d)",
+        "return _series(nums, dp * d)",
         "tests/test_series.py::test_rational_matches_the_padded_div_route_randomized",
         False,
     ),
@@ -273,19 +273,11 @@ MUTATIONS = [
         True,
     ),
     Mutation(
-        "usage override set before add_subparsers",
+        "build_parser without its cache",
         "cli.py",
-        '    sub = parser.add_subparsers(dest="command", required=True)\n'
-        "    for name in COMMANDS if command is None else (command,):\n"
-        "        help_text, add_arguments = COMMANDS[name]\n"
-        "        add_arguments(sub.add_parser(name, help=help_text))\n"
-        '    parser.usage = "%(prog)s [-h] {" + ",".join(COMMANDS) + "} ..."\n',
-        '    parser.usage = "%(prog)s [-h] {" + ",".join(COMMANDS) + "} ..."\n'
-        '    sub = parser.add_subparsers(dest="command", required=True)\n'
-        "    for name in COMMANDS if command is None else (command,):\n"
-        "        help_text, add_arguments = COMMANDS[name]\n"
-        "        add_arguments(sub.add_parser(name, help=help_text))\n",
-        "tests/test_cli.py::test_command_parser_behaves_as_the_full_parser",
+        "@functools.cache\ndef build_parser():\n",
+        "def build_parser():\n",
+        "tests/test_cli.py::test_parser_is_built_once_for_every_command",
         False,
     ),
 ]

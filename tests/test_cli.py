@@ -11,28 +11,20 @@ from minors_mod_p import PRIMES, leading_minors_mod
 
 import riordan
 from riordan import cli, verify
-from riordan.cli import FAMILIES, _build_pair, _parse_family, _render_sequence, build_parser, main
+from riordan.cli import FAMILIES, _build_pair, _parse_family, _render_sequence, main
 from riordan.families import reference_B20, robbins, twenty_vertex_matrix
 from riordan.minors import principal_minors
 from riordan.symmetry import symmetrize_gf
+
+
+# the top-level usage line, one line from 64 columns up
+USAGE = "usage: riordan [-h] {matrix,symmetrize,minors,verify,oeis} ...\n"
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
-
-
-def _reference_parser(command=None):
-    # a stand-in for build_parser that ignores `command`: the parser of every
-    # command with the usage line argparse writes itself, no override being
-    # set, not even while the subparsers take their prog
-    top = build_parser()
-    parser = argparse.ArgumentParser(prog=top.prog, description=top.description)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in cli.COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
-    return parser
 
 
 def _assert_minors_mod_p(minors, rows):
@@ -160,9 +152,8 @@ def test_usage_errors(capsys, monkeypatch):
     # the printing commands (verify reports with --json), --seed on verify
     # (and minors), --offline and --cache-dir on oeis.  argparse reports an
     # unrecognized argument under the top-level usage line, which names
-    # every command even when only the invoked one was built.
+    # every command.
     monkeypatch.setenv("COLUMNS", "80")
-    usage = _reference_parser().format_usage()
     for argv, unrecognized in (
         (("matrix", "R:1", "8", "--order", "4"), "--order 4"),
         (("verify", "robbins", "--format", "json"), "--format json"),
@@ -176,7 +167,7 @@ def test_usage_errors(capsys, monkeypatch):
         assert main(list(argv)) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"{usage}riordan: error: unrecognized arguments: {unrecognized}\n"
+        assert captured.err == f"{USAGE}riordan: error: unrecognized arguments: {unrecognized}\n"
     # int() takes each of these; the parameter is ASCII digits with an optional sign
     for spec in ("R:1_0", "R: 2", "R:\u0663", "R:2 ", "R:"):
         assert main(["matrix", spec, "4"]) == 2
@@ -209,20 +200,55 @@ ARGV_CASES = [
 ]
 
 
+# COLUMNS -> the top-level usage: one line from 64 columns up, wrapped like
+# the rest of the help below that
+TOP_LEVEL_USAGE = {
+    "40": "usage: riordan [-h]\n"
+    "               {matrix,symmetrize,minors,verify,oeis}\n"
+    "               ...\n",
+    "63": "usage: riordan [-h]\n"
+    "               {matrix,symmetrize,minors,verify,oeis} ...\n",
+    "64": USAGE,
+    "80": USAGE,
+    "100": USAGE,
+}
+
+# the argv of ARGV_CASES that the top-level parser answers, with its help or
+# with an error under its usage line
+TOP_LEVEL_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["min"],
+    ["minors", "R:1", "5", "--zz"],
+    ["matrix", "R:1", "8", "--offline"],
+    ["verify", "robbins", "--format", "json"],
+]
+
+
 @pytest.mark.parametrize("argv", ARGV_CASES, ids=" ".join)
-def test_command_parser_behaves_as_the_full_parser(capsys, monkeypatch, argv):
-    # the parser of the invoked command alone gives the exit code, stdout
-    # and stderr of the parser of every command with argparse's own usage
-    monkeypatch.setenv("COLUMNS", "80")
-    built = main(list(argv)), *capsys.readouterr()
-    monkeypatch.setattr(cli, "build_parser", _reference_parser)
-    assert built == (main(list(argv)), *capsys.readouterr())
+def test_top_level_usage_follows_the_width(capsys, monkeypatch, argv):
+    for columns, usage in TOP_LEVEL_USAGE.items():
+        monkeypatch.setenv("COLUMNS", columns)
+        main(list(argv))
+        printed = "".join(capsys.readouterr())
+        if argv in TOP_LEVEL_ARGV:
+            assert printed.startswith(usage), columns
+        else:
+            assert "usage: riordan [-h]" not in printed, columns
 
 
 @pytest.mark.parametrize(
-    "argv, subparsers", [(["minors", "R:1", "--symmetrize", "8"], 1), (["--help"], 5)]
+    "first, then",
+    [
+        (["minors", "R:1", "--symmetrize", "8"], ["matrix", "R:1", "3"]),
+        (["--help"], ["verify", "--help"]),
+        (["bogus"], ["symmetrize", "R:1", "4"]),
+    ],
+    ids=lambda argv: " ".join(argv),
 )
-def test_parser_adds_the_invoked_command_only(capsys, monkeypatch, argv, subparsers):
+def test_parser_is_built_once_for_every_command(capsys, monkeypatch, first, then):
     add_parser = argparse._SubParsersAction.add_parser
     init = argparse.ArgumentParser.__init__
     added, constructed = [], []
@@ -237,15 +263,14 @@ def test_parser_adds_the_invoked_command_only(capsys, monkeypatch, argv, subpars
         lambda self, *args, **kwargs: constructed.append(self) or init(self, *args, **kwargs),
     )
     cli.build_parser.cache_clear()
-    assert main(argv) == 0
-    first = capsys.readouterr()
-    assert len(added) == subparsers
-    assert len(constructed) == subparsers + 1
-    # the same call again reuses that parser: nothing is added or constructed
-    assert main(argv) == 0
-    assert capsys.readouterr() == first
-    assert len(added) == subparsers
-    assert len(constructed) == subparsers + 1
+    main(first)
+    assert added == list(cli.COMMANDS)
+    assert len(constructed) == 6
+    # a call that names another command reuses that parser: nothing is
+    # added or constructed
+    main(then)
+    assert added == list(cli.COMMANDS)
+    assert len(constructed) == 6
 
 
 @pytest.mark.parametrize("argv", ARGV_CASES, ids=" ".join)
