@@ -63,7 +63,8 @@ def _parse_family(spec):
         # ASCII digits only: int() would also take "1_0", " 2" and other scripts' digits
         if not re.fullmatch(r"[-+]?[0-9]+", arg):
             raise UsageError(f"bad family parameter {arg!r}")
-        return name, int(arg)
+        with unlimited_int_digits():
+            return name, int(arg)
     if family is None or family.takes_r:
         raise UsageError(f"unknown family spec {spec!r}")
     return name, None

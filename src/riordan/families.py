@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate
 from math import comb, factorial
+from operator import index
 
 from . import series
 from .array import RiordanPair, rational_pair
@@ -72,6 +73,7 @@ def quadratic_pair(a: int, s: int, order: int) -> RiordanPair:
     f_m = -(h_m - 2(s+2) h_(m-1) + s^2 h_(m-2))/2, an exact halving as f
     is integral.  Each coefficient costs O(1) products.  Below order 2 the
     pair is refused by ``RiordanPair``."""
+    a, s = index(a), index(s)
     b, c = s + 2, s * s
     h = [1, b]
     for m in range(2, order):

@@ -28,22 +28,26 @@ symmetric mode: a Bareiss step maps a symmetric state to a symmetric state,
 so each step updates only the entries on and above the diagonal and reads
 a[i][k] as a[k][i], about half the big-integer work (the fraction-free
 LDL^T view of the same elimination).  A non-symmetric block takes the
-general mode, which updates the whole active block.
+general mode, which updates the whole active block.  Both modes read
+columns k and k+1 through one rule, as row k and k+1 in the symmetric mode
+and as copies out of the general mode's block, so the row updates differ
+only in their first column: i in the symmetric mode, k+1 or k+2 otherwise.
 
 A zero pivot takes one rule in both modes.  After k steps the active entry
 a[i][j] is the bordered minor det A[K+i, K+j], K = {0..k-1}, and by
 Sylvester's identity the active block on rows and columns k..m-1 has
 determinant D_m prev^(m-k-1), D_m the m x m leading minor (Bareiss, Math.
 Comp. 1968).  At a zero pivot a[k][k] let t be the first j > k with
-a[k][j] != 0 (row k is current in both modes).  With no t, row k of every
-later block is zero: every later minor is 0 and the sweep stops.  Otherwise
-the minors at indices k..t-1 are 0, and column t is added to column k.  The
-symmetric mode adds u row t to row k and u column t to column k, with
-u = +-1 so that the new pivot 2u a[k][t] + a[t][t] is nonzero; it reads
-row t left of the diagonal as column t above it, and of column k it
+a[j][k] != 0, read down column k.  With no t, column k of every later
+block is zero: every later minor is 0 and the sweep stops.  Otherwise the
+minors at indices k..t-1 are 0, and u row t is added to row k, with u = 1
+in the general mode.  The symmetric mode also adds u column t to column k,
+with u = +-1 so that the new pivot 2u a[k][t] + a[t][t] is nonzero; it
+reads row t left of the diagonal as column t above it, and of column k it
 updates only the pivot, the one entry on or above the diagonal.  Bordered
 minors are linear in their border row and column, so this is the Bareiss
-state of a matrix whose leading minors of size > t are unchanged; minors
+state of a matrix changed by row and column operations inside its leading
+(t+1) x (t+1) block, whose leading minors of size > t are unchanged; minors
 are recorded again from the largest such t on.
 
 `det` is the last minor of the same sweep, with no second elimination.  It
@@ -92,9 +96,10 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
     at level k: no later step reads them.
 
     With ``symmetric`` (the caller has checked the block is symmetric) each
-    step updates only the upper half, j >= i, and reads a[i][k] as a[k][i];
+    step updates only the upper half, j >= i, and reads column k as row k;
     the entries below the diagonal go stale and are never read, a zero-pivot
-    fold included.
+    fold included.  Otherwise columns k and k+1 are copied out of ``a``: a
+    fold changes only row k, and no update reads the copy's stale a[k][k].
     """
     a = [row[:count] for row in rows[:count]]
     minors = [0] * count
@@ -103,52 +108,42 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
     k = 0
     while k < count:
         row_k = a[k]
+        col_k = row_k if symmetric else [row[k] for row in a]
         if row_k[k] == 0:
-            t = next((j for j in range(k + 1, count) if row_k[j]), None)
+            t = next((j for j in range(k + 1, count) if col_k[j]), None)
             if t is None:
                 break
             zero_to = max(zero_to, t)
+            row_t = a[t]
+            u = 1 if not symmetric or 2 * row_k[t] + row_t[t] else -1
+            for j in range(k, count):
+                row_k[j] += u * (a[j][t] if symmetric and j < t else row_t[j])
             if symmetric:
-                row_t = a[t]
-                u = 1 if 2 * row_k[t] + row_t[t] else -1
-                for j in range(k, count):
-                    row_k[j] += u * (a[j][t] if j < t else row_t[j])
                 row_k[k] += u * row_k[t]
-            else:
-                for i in range(k, count):
-                    a[i][k] += a[i][t]
         p = row_k[k]
         if k >= zero_to:
             minors[k] = p
         if k + 1 < count:
             row_l = a[k + 1]
-            b, d = row_k[k + 1], row_l[k + 1]
-            c = b if symmetric else row_l[k]
+            b, c, d = row_k[k + 1], col_k[k + 1], row_l[k + 1]
             q = (p * d - c * b) // prev
             if q:
                 if k + 1 >= zero_to:
                     minors[k + 1] = q
+                col_l = row_l if symmetric else [row[k + 1] for row in a]
                 for i in range(k + 2, count):
-                    row_i = a[i]
-                    if symmetric:
-                        x, y, start = row_k[i], row_l[i], i
-                    else:
-                        x, y, start = row_i[k], row_i[k + 1], k + 2
+                    row_i, x, y = a[i], col_k[i], col_l[i]
                     e = (c * y - d * x) // prev
                     f = (p * y - b * x) // prev
-                    for j in range(start, count):
+                    for j in range(i if symmetric else k + 2, count):
                         row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * q) // prev
                 prev = q
                 k += 2
                 continue
         for i in range(k + 1, count):
-            row_i = a[i]
-            if symmetric:
-                aik, start = row_k[i], i
-            else:
-                aik, start = row_i[k], k + 1
-            for j in range(start, count):
-                row_i[j] = (row_i[j] * p - aik * row_k[j]) // prev
+            row_i, x = a[i], col_k[i]
+            for j in range(i if symmetric else k + 1, count):
+                row_i[j] = (row_i[j] * p - x * row_k[j]) // prev
         prev = p
         k += 1
     return minors

@@ -23,7 +23,7 @@ a polynomial of total degree <= min(n, k) in (a, s).
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, index, mul
 
 from .array import RiordanPair, matrix
 from .bivar import ONE, BivarPoly, BivariateRational, CoeffMatrix, expand
@@ -88,6 +88,7 @@ def closed_form_rows(a: int, s: int, N: int) -> list:
     (1 + st)^n = ((1 - t) + (1 + s)t)^n turns into Del_s(n, n - k).  Then
     T[n][k] = a T[n-1][k] + T0[n][k] down each column, from T[k-1][k] = 0.
     At s = 0, R_a's case, T[n][k] = sum_j a^(n-k-j) C(k+2j, j)."""
+    a, s = index(a), index(s)
     rows, above = [], [0] * N
     for n, dels in enumerate(_delannoy(s, N)):
         above = [a * u + d for u, d in zip(above, dels[::-1])] + [0] * (N - 1 - n)
@@ -99,6 +100,7 @@ def closed_form_sym_rows(a: int, s: int, N: int) -> list:
     """N x N rows of Sym(Q(a, s)), the gf 1/((1 - axy)(1 - x - y - sxy)), by Horner in a
     down each diagonal, S[n][k] = a S[n-1][k-1] + Del_s(n, k) for k <= n, then the mirror.
     Del_s(p, q) has degree min(p, q) in s: entry (n, k) has degree <= min(n, k) in (a, s)."""
+    a, s = index(a), index(s)
     lower, up = [], []
     for n, dels in enumerate(_delannoy(s, N)):
         up = [a * u + d for u, d in zip([0, *up], dels)] + [0] * (N - 1 - n)

@@ -251,9 +251,41 @@ MUTATIONS = [
     Mutation(
         "symmetric fold reading a[t][j] for every j",
         "minors.py",
-        "row_k[j] += u * (a[j][t] if j < t else row_t[j])",
-        "row_k[j] += u * a[t][j]",
+        "row_k[j] += u * (a[j][t] if symmetric and j < t else row_t[j])",
+        "row_k[j] += u * row_t[j]",
         "tests/test_minors.py::test_zero_pivot_fold_on_sparse_matrices_randomized",
+        True,
+    ),
+    Mutation(
+        "fold scanning row_k for col_k",
+        "minors.py",
+        "if col_k[j]), None)",
+        "if row_k[j]), None)",
+        "tests/test_minors.py::test_zero_pivot_fold_on_sparse_matrices_randomized",
+        True,
+    ),
+    Mutation(
+        "fold without the symmetric pivot correction",
+        "minors.py",
+        "            if symmetric:\n                row_k[k] += u * row_k[t]\n",
+        "",
+        "tests/test_minors.py::test_zero_pivot_fold",
+        True,
+    ),
+    Mutation(
+        "fold with u = 1 in both modes",
+        "minors.py",
+        "u = 1 if not symmetric or 2 * row_k[t] + row_t[t] else -1",
+        "u = 1",
+        "tests/test_minors.py::test_two_step_sweep_matches_the_one_step_sweep_randomized",
+        False,
+    ),
+    Mutation(
+        "general mode reading column k as row k",
+        "minors.py",
+        "col_k = row_k if symmetric else [row[k] for row in a]",
+        "col_k = row_k",
+        "tests/test_minors.py::test_two_step_sweep_matches_the_one_step_sweep_randomized",
         True,
     ),
     Mutation(

@@ -532,6 +532,25 @@ def test_minors_print_under_a_lowered_digit_limit(capsys):
     assert out.split() == [str(robbins(n + 1)) for n in range(80)]
 
 
+@pytest.mark.parametrize("limit", [None, 640], ids=["default limit", "limit 640"])
+def test_family_parameter_past_the_digit_limit(capsys, limit):
+    # R:r with r = 10^5000 - 1: the triangle's rows are 1, 0 and r + 2, 1
+    if limit is not None and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter has no digit limit")
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        rc = main(["matrix", "R:" + "9" * 5000, "2", "--format", "csv"])
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == (limit or saved)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(saved)
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert captured.out == "1,0\n1" + "0" * 4999 + "1,1\n"
+
+
 # sha256 of stdout.  The verify reports were recorded before the series and
 # matrix kernels moved from Fraction to int over common denominators; the
 # other outputs before every container stored integral values as int.  Any

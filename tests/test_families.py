@@ -41,7 +41,7 @@ from riordan.families import (
     twenty_vertex_matrix,
 )
 from riordan.minors import principal_minors
-from riordan.symmetry import symmetrize
+from riordan.symmetry import closed_form_rows, closed_form_sym_rows, symmetrize
 
 F = Fraction
 
@@ -203,6 +203,27 @@ def test_quadratic_pair_matches_the_root_construction(order):
     for a in range(-4, 6):
         for s in range(-4, 6):
             assert quadratic_pair(a, s, order) == _Q_written_out(a, s, order)
+
+
+NON_INT_PARAMETER_CALLS = {
+    "quadratic_pair a": lambda v: quadratic_pair(v, 0, 5),
+    "quadratic_pair s": lambda v: quadratic_pair(1, v, 5),
+    "make_R": lambda v: make_R(v, 5),
+    "make_tilde_R": lambda v: make_tilde_R(v, 5),
+    "closed_form_rows a": lambda v: closed_form_rows(v, 0, 3),
+    "closed_form_rows s": lambda v: closed_form_rows(1, v, 3),
+    "closed_form_sym_rows a": lambda v: closed_form_sym_rows(v, 0, 3),
+    "closed_form_sym_rows s": lambda v: closed_form_sym_rows(1, v, 3),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, F(1, 2)], ids=["float", "Fraction"])
+@pytest.mark.parametrize("call", NON_INT_PARAMETER_CALLS.values(), ids=NON_INT_PARAMETER_CALLS)
+def test_quadratic_families_and_closed_forms_refuse_a_non_int_parameter(call, value):
+    # the int kernels would otherwise store float or Fraction coefficients,
+    # and a Series its Fraction nums over den 1
+    with pytest.raises(TypeError):
+        call(value)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 17, 200])

@@ -418,12 +418,21 @@ def test_symmetric_mode_with_no_symmetric_pivot_left():
             [3, -3, 0, 0, -63, -315],
             (False,),
         ),
+        # row 1 is twice row 0: after step 0 the active row 1 is zero and
+        # column 1 is not, so the general mode folds row 2 into row 1 and
+        # eliminates on to the zero minors
+        ([[1, 2, 3, 1], [2, 4, 6, 2], [3, 1, 2, 5], [1, 3, 2, 4]], [1, 0, 0, 0], (False,)),
+        # its transpose: the active column 1 is zero and row 1 is not, so
+        # the general mode stops
+        ([[1, 2, 3, 1], [2, 4, 1, 3], [3, 6, 2, 2], [1, 2, 5, 4]], [1, 0, 0, 0], (False,)),
     ],
 )
 def test_zero_pivot_fold(rows, want, modes):
+    n = len(rows)
     assert _block_dets(rows) == want
+    assert want == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
     for symmetric in modes:
-        assert minors._bareiss_minor_sweep(rows, len(rows), symmetric) == want
+        assert minors._bareiss_minor_sweep(rows, n, symmetric) == want
 
 
 def test_zero_pivot_fold_on_sparse_matrices_randomized():
@@ -508,8 +517,9 @@ def test_symmetric_mode_is_taken_only_for_a_symmetric_leading_block(monkeypatch)
 
 
 def _one_step_sweep(rows, count, symmetric=False):
-    # the sweep one pivot per step, as it ran before the two-step update:
-    # the reference the two-step sweep is held against
+    # the sweep one pivot per step, as it ran before the two-step update,
+    # with the general mode's old column fold: the reference the two-step
+    # sweep is held against
     a = [row[:count] for row in rows[:count]]
     out = [0] * count
     zero_to = 0

@@ -8,6 +8,7 @@ from riordan import families
 from riordan.bivar import ONE, X, Y, BivariateRational, expand
 from riordan.cli import main
 from riordan.families import twenty_vertex_matrix
+from riordan.minors import _bareiss_minor_sweep
 from riordan.symmetry import symmetrize_gf
 
 
@@ -97,6 +98,8 @@ ZERO_PIVOT_PAIRS = {
 
 @pytest.mark.parametrize("spec", ZERO_PIVOT_PAIRS)
 def test_zero_pivot_symmetrization_minors_match_elimination_mod_p(capsys, spec):
+    # the CLI takes the symmetric mode; the general mode meets the same real
+    # zero pivots and folds them by rows, read down column k
     rows = symmetrize_gf(ZERO_PIVOT_PAIRS[spec](40), 40).rows
     for N in (16, 40):
         minors = _printed_minors(capsys, "minors", spec, "--symmetrize", str(N))
@@ -104,3 +107,4 @@ def test_zero_pivot_symmetrization_minors_match_elimination_mod_p(capsys, spec):
         block = [row[:N] for row in rows[:N]]
         for p in PRIMES:
             assert [m % p for m in minors] == leading_minors_mod(block, p)
+        assert _bareiss_minor_sweep(block, N, False) == minors
