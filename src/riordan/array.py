@@ -67,8 +67,9 @@ class RiordanPair:
 def rational_pair(g_form, f_form, order: int) -> RiordanPair:
     """The pair (p/q, u/v) from its forms g_form = (p, q) and f_form = (u, v),
     each a (numerator, denominator) pair of coefficient lists, expanded to
-    order by ``series.rational``."""
-    return RiordanPair(series.rational(*g_form, order), series.rational(*f_form, order))
+    order as one quotient per form, Series(p, order) / Series(q, order)."""
+    (p, q), (u, v) = g_form, f_form
+    return RiordanPair(Series(p, order) / Series(q, order), Series(u, order) / Series(v, order))
 
 
 def identity_pair(order: int) -> RiordanPair:

@@ -151,9 +151,11 @@ class CoeffMatrix:
         return M
 
     def _set(self, ints, den):
-        """Store ints / den (den > 0), reduced by one gcd."""
+        """Store ints / den (den != 0), reduced by one gcd and with den made positive."""
         if den != 1:
             g = gcd(den, *chain.from_iterable(ints))
+            if den < 0:
+                g = -g
             if g != 1:
                 ints = [[v // g for v in row] for row in ints]
                 den //= g
@@ -254,8 +256,8 @@ def expand(r: BivariateRational, N: int) -> CoeffMatrix:
         t[n][k] = p'[n][k]*q^(n+k) - sum over (i,j) != (0,0) of q'[i][j]*q^(i+j-1)*t[n-i][k-j]
 
     Row-major order visits every needed earlier entry first.  Every entry
-    is returned over the one denominator dp*q^(2N-1), its sign moved into
-    the numerators.
+    is returned over the one denominator dp*q^(2N-1), which
+    ``CoeffMatrix._of`` makes positive.
     """
     if r.den.coefficient(0, 0) == 0:
         raise ValueError("denominator vanishes at the origin")
@@ -280,12 +282,9 @@ def expand(r: BivariateRational, N: int) -> CoeffMatrix:
             t[n][k] = acc
     if q == dq == 1:
         return CoeffMatrix._of(t, dp)
-    d = dp * pw[-1]
-    m = -dq if d < 0 else dq
     last = 2 * N - 2
-    return CoeffMatrix._of(
-        [[m * pw[last - n - k] * v for k, v in enumerate(row)] for n, row in enumerate(t)], abs(d)
-    )
+    rows = [[dq * pw[last - n - k] * v for k, v in enumerate(row)] for n, row in enumerate(t)]
+    return CoeffMatrix._of(rows, dp * pw[-1])
 
 
 def gf_identity_check(lhs: BivariateRational, rhs: BivariateRational) -> bool:

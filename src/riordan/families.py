@@ -71,8 +71,9 @@ def quadratic_pair(a: int, s: int, order: int) -> RiordanPair:
     running sum g_m = a g_(m-1) + h_m, and since sqrt(D_s) = D_s h,
     f = (1 - sx - D_s h)/2: f_1 = 1 and, for m >= 2,
     f_m = -(h_m - 2(s+2) h_(m-1) + s^2 h_(m-2))/2, an exact halving as f
-    is integral.  Each coefficient costs O(1) products.  Below order 2 the
-    pair is refused by ``RiordanPair``."""
+    is integral.  Each coefficient costs O(1) products.  h starts with two
+    terms, so g and f are cut to ``order`` and ``RiordanPair`` refuses the
+    pair below order 2."""
     a, s = index(a), index(s)
     b, c = s + 2, s * s
     h = [1, b]
@@ -80,7 +81,7 @@ def quadratic_pair(a: int, s: int, order: int) -> RiordanPair:
         h.append(((2 * m - 1) * b * h[m - 1] - (m - 1) * c * h[m - 2]) // m)
     g = list(accumulate(h, lambda t, v: a * t + v))
     f = [0, 1] + [(2 * b * u - c * w - v) // 2 for w, u, v in zip(h, h[1:], h[2:])]
-    return RiordanPair(series._series(g, 1), series._series(f, 1))
+    return RiordanPair(series._series(g[:order], 1), series._series(f[:order], 1))
 
 
 def quadratic_inverse(a: int, s: int, order: int) -> RiordanPair:

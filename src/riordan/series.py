@@ -127,11 +127,8 @@ class Series:
             order = len(coeffs)
         if order < 0:
             raise ValueError("order must be nonnegative")
-        if len(coeffs) < order:
-            coeffs = coeffs + [0] * (order - len(coeffs))
-        else:
-            coeffs = coeffs[:order]
-        self.nums, self.den = _scaled(coeffs)
+        nums, self.den = _scaled(coeffs[:order])
+        self.nums = nums + [0] * (order - len(nums))
         self.order = order
         self._coeffs = None
 
@@ -158,6 +155,8 @@ class Series:
     def truncate(self, n: int) -> "Series":
         """The first n coefficients, reduced; the series itself when n is its
         order, as no kernel writes to ``nums``."""
+        if n < 0:
+            raise ValueError("order must be nonnegative")
         if n > self.order:
             raise ValueError(f"cannot extend order {self.order} to {n}")
         if n == self.order:
@@ -240,8 +239,6 @@ def _div_lists(a, b, n):
     terms past x^(n-1)) first, so the quotient costs O(n deg b) products:
     O(n) for a polynomial divisor, O(n^2) for a dense one.
     """
-    if n == 0:
-        return [], 1
     powers = [1]
     for _ in range(n):
         powers.append(powers[-1] * b[0])
@@ -358,19 +355,3 @@ def sqrt(g: Series) -> Series:
             raise ArithmeticError(f"root coefficient {acc} is not divisible by {2 * m}")
     return _series([tm * c ** (n - 1 - m) for m, tm in enumerate(t)], c ** (n - 1))
 
-
-def rational(p, q, order: int) -> Series:
-    """Expansion of the rational function p(x)/q(x) to ``order`` terms; needs
-    q(0) != 0.
-
-    The short forms are scaled to ints once, p = P / dp and q = Q / dq, and
-    one quotient P / Q of the padded P by the unpadded Q gives
-    p/q = (P / Q) * dq / dp."""
-    pn, dp = _scaled([_exact(c) for c in p])
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    qn, dq = _scaled([_exact(c) for c in q])
-    if order == 0 or not qn or qn[0] == 0:
-        raise ValueError("divisor has zero constant term")
-    nums, d = _div_lists(pn + [0] * (order - len(pn)), qn, order)
-    return _series([v * dq for v in nums], dp * d)

@@ -97,11 +97,11 @@ MUTATIONS = [
         True,
     ),
     Mutation(
-        "expand without the sign flip for a negative denominator",
+        "CoeffMatrix._set without its sign rule",
         "bivar.py",
-        "m = -dq if d < 0 else dq",
-        "m = dq",
-        "tests/test_bivar.py::test_expand_times_denominator_recovers_numerator",
+        "            if den < 0:\n                g = -g\n",
+        "",
+        "tests/test_canonical.py::test_integral_expansion_returns_canonical_form",
         False,
     ),
     Mutation(
@@ -137,11 +137,19 @@ MUTATIONS = [
         True,
     ),
     Mutation(
-        "rational without the divisor's denominator dq",
+        "truncate without its negative-order check",
         "series.py",
-        "return _series([v * dq for v in nums], dp * d)",
-        "return _series(nums, dp * d)",
-        "tests/test_series.py::test_rational_matches_the_padded_div_route_randomized",
+        "        if n < 0:\n            raise ValueError(\"order must be nonnegative\")\n",
+        "",
+        "tests/test_series.py::test_truncate_refuses_a_negative_order",
+        False,
+    ),
+    Mutation(
+        "quadratic_pair without cutting g and f to its order",
+        "families.py",
+        "series._series(g[:order], 1), series._series(f[:order], 1)",
+        "series._series(g, 1), series._series(f, 1)",
+        "tests/test_families.py::test_pair_constructors_build_exactly_their_order",
         False,
     ),
     Mutation(

@@ -15,6 +15,7 @@ from riordan.array import (
     inverse,
     matrix,
     product,
+    rational_pair,
 )
 from riordan.bivar import ONE, X, Y, BivariateRational, expand, gf_identity_check
 from riordan.families import (
@@ -121,7 +122,7 @@ def test_criterion_7_twenty_vertex_chain():
     g0 = expand(
         BivariateRational((ONE - X) * (ONE - Y), (ONE - X * Y) * (ONE - X - Y - X * Y)), N
     )
-    a1 = RiordanPair(series.rational([1], [1, 1], 12), series.rational([0, 1], [1, 1], 12))
+    a1 = rational_pair(([1], [1, 1]), ([0, 1], [1, 1]), 12)
     step1 = conjugate(g0, a1)
     ok = step1 == expand(BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE + X + Y)), N)
     a2 = RiordanPair(series.Series([1], 12), series.Series([0, -1], 12))
@@ -150,10 +151,7 @@ def test_criterion_8_closed_forms():
     )
     cat = catalan_pair(20)
     for r in range(6):
-        right = RiordanPair(
-            series.rational([1, -1], [1, -r - 2, 3 * r, -2 * r], 20),
-            series.Series([0, 1], 20),
-        )
+        right = rational_pair(([1, -1], [1, -r - 2, 3 * r, -2 * r]), ([0, 1], [1]), 20)
         ok = ok and product(cat, right) == make_R(r, 20)
     for r in range(-2, 6):
         ok = ok and inverse(make_R(r, 20)) == make_R_inverse_closed(r, 20)

@@ -96,9 +96,15 @@ def test_matrix_kernels_return_canonical_form(kind, lead):
             _check_matrix(M)
 
 
-@pytest.mark.parametrize("q0", [1, -1])
+@pytest.mark.parametrize("q0", [1, -1, 2, -3])
 def test_integral_expansion_returns_canonical_form(q0):
     x, y = BivarPoly({(1, 0): 1}), BivarPoly({(0, 1): 1})
     r = BivariateRational(BivarPoly({(0, 0): 2, (1, 1): -3}), q0 - x - 2 * y + x * y)
     for N in range(0, 7):
         _check_matrix(expand(r, N))
+
+
+def test_kernel_constructor_makes_the_denominator_positive():
+    M = CoeffMatrix._of([[1, 2], [3, 4]], -2)
+    assert (M.ints, M.den) == ([[-1, -2], [-3, -4]], 2)
+    assert M == CoeffMatrix([[F(-1, 2), -1], [F(-3, 2), -2]])

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from riordan import cli, series
+from riordan import cli, families, series
 from riordan.array import (
     RiordanPair,
     bivariate_gf,
@@ -100,7 +100,7 @@ def test_inverse_matches_closed_form_at_order_100():
 
 def test_revert_tilde_f_at_order_120():
     for r in range(4):
-        fbar = series.rational([0, 1, -1], [1, r], 120)
+        fbar = series.Series([0, 1, -1], 120) / series.Series([1, r], 120)
         assert series.revert(make_tilde_R(r, 120).f) == fbar
 
 
@@ -181,10 +181,10 @@ def _A361654_written_out(order):
 
 def _Q_inverse_written_out(a, s, order):
     # (1 + (s-a)x + ax^2) * d/dx(x(1-x)/(1+sx)), the derivative termwise
-    inner = series.rational([0, 1, -1], [1, s], order + 1)
+    inner = series.Series([0, 1, -1], order + 1) / series.Series([1, s], order + 1)
     derivative = series.Series([k * c for k, c in enumerate(inner.coeffs)][1:], order)
     g = series.Series([1, s - a, a], order) * derivative
-    return RiordanPair(g, series.rational([0, 1, -1], [1, s], order))
+    return RiordanPair(g, series.Series([0, 1, -1], order) / series.Series([1, s], order))
 
 
 @pytest.mark.parametrize("r", range(-3, 7))
@@ -258,12 +258,10 @@ def test_twenty_vertex_matrix():
 
 
 def test_make_A361654_embed():
-    g = series.rational([1, -3, 3, -2], [1, -1], 8)
+    g = series.Series([1, -3, 3, -2], 8) / series.Series([1, -1], 8)
     assert seq(g) == [1, -2, 1, -1, -1, -1, -1, -1]
     emb = make_A361654_embed(12)
-    pre = RiordanPair(
-        series.rational([1, -3, 3, -2], [1, -1], 12), series.Series([0, 1, -1], 12)
-    )
+    pre = rational_pair(([1, -3, 3, -2], [1, -1]), ([0, 1, -1], [1]), 12)
     assert inverse(emb) == pre
 
 
@@ -284,7 +282,7 @@ def test_R1_g_is_odd_so_the_embedding_halves_exactly():
 
 @pytest.mark.parametrize("n", [*range(2, 61), 200])
 def test_make_A361654_embed_inverts_its_preimage(n):
-    pre = RiordanPair(series.rational([1, -3, 3, -2], [1, -1], n), series.Series([0, 1, -1], n))
+    pre = rational_pair(([1, -3, 3, -2], [1, -1]), ([0, 1, -1], [1]), n)
     assert make_A361654_embed(n) == inverse(pre)
 
 
@@ -303,17 +301,51 @@ KERNEL_FREE_BUILDS = {
 
 @pytest.mark.parametrize("name", KERNEL_FREE_BUILDS)
 def test_no_family_takes_a_root_divides_reverts_or_composes(monkeypatch, name):
-    # Q(a, s) runs its own recurrences and every rational form goes through
-    # series.rational, so no constructor reaches the general kernels
-    calls = []
+    # Q(a, s) runs its own recurrences and a rational form is one quotient by
+    # its denominator, so no constructor takes a root, reverts or composes,
+    # and each division is by a polynomial of at most 3 terms: O(n) at order n
+    calls, divisors = [], []
 
     def counting(kernel, run):
         return lambda *args: calls.append(kernel) or run(*args)
 
-    for kernel in ("sqrt", "div", "revert", "compose"):
+    for kernel in ("sqrt", "revert", "compose"):
         monkeypatch.setattr(series, kernel, counting(kernel, getattr(series, kernel)))
+    div = series.div
+    monkeypatch.setattr(series, "div", lambda a, b: divisors.append(b) or div(a, b))
     KERNEL_FREE_BUILDS[name](40)
     assert calls == []
+    assert all(sum(map(bool, b.nums)) <= 3 for b in divisors)
+
+
+def _pair_build(family):
+    build = getattr(families, family.constructor)
+    return partial(build, 1) if family.takes_r else build
+
+
+# every pair constructor: the command line's, Q(a, s) and its inverse
+PAIR_BUILDS = {
+    **{
+        name: _pair_build(family)
+        for name, family in cli.FAMILIES.items()
+        if not family.full_matrix
+    },
+    "quadratic_pair": partial(quadratic_pair, 2, -1),
+    "quadratic_inverse": partial(quadratic_inverse, 2, -1),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_BUILDS)
+def test_pair_constructors_build_exactly_their_order(name):
+    build = PAIR_BUILDS[name]
+    # a rational form refuses order 0 in its quotient, by a divisor with no terms
+    with pytest.raises(ValueError, match="needs order >= 2|divisor has zero constant term"):
+        build(0)
+    with pytest.raises(ValueError, match="a Riordan pair needs order >= 2"):
+        build(1)
+    for n in range(2, 7):
+        a = build(n)
+        assert a.order == a.g.order == a.f.order == n
 
 
 def test_robbins():
@@ -360,10 +392,7 @@ def test_alternating_rows_as_mask_pairs():
 def test_catalan_factorization():
     cat = catalan_pair(20)
     for r in range(6):
-        right = RiordanPair(
-            series.rational([1, -1], [1, -r - 2, 3 * r, -2 * r], 20),
-            series.Series([0, 1], 20),
-        )
+        right = rational_pair(([1, -1], [1, -r - 2, 3 * r, -2 * r]), ([0, 1], [1]), 20)
         assert product(cat, right) == make_R(r, 20)
 
 

@@ -120,9 +120,7 @@ def test_pascal_matrix():
 
 def test_product_catalan_factorization_of_R1():
     cat = catalan_pair(12)
-    right = RiordanPair(
-        series.rational([1, -1], [1, -3, 3, -2], 12), series.Series([0, 1], 12)
-    )
+    right = rational_pair(([1, -1], [1, -3, 3, -2]), ([0, 1], [1]), 12)
     assert product(cat, right) == make_R(1, 12)
 
 
@@ -171,7 +169,7 @@ def test_conjugate_twenty_vertex_chain():
     g0 = expand(
         BivariateRational((ONE - X) * (ONE - Y), (ONE - X * Y) * (ONE - X - Y - X * Y)), N
     )
-    a1 = RiordanPair(series.rational([1], [1, 1], 12), series.rational([0, 1], [1, 1], 12))
+    a1 = rational_pair(([1], [1, 1]), ([0, 1], [1, 1]), 12)
     step1 = conjugate(g0, a1)
     assert step1 == expand(BivariateRational(ONE, (ONE - 2 * X * Y) * (ONE + X + Y)), N)
     a2 = RiordanPair(series.Series([1], 12), series.Series([0, -1], 12))
@@ -207,9 +205,7 @@ def test_conjugate_gf_relation_randomized():
         m = BivariateRational(BivarPoly(P), ONE - X - 2 * Y + rng.randint(-2, 2) * X * Y)
         M = expand(m, 8)
         assert not M.is_symmetric()
-        a = RiordanPair(
-            series.rational([1], [1, 1], 10), series.rational([0, 1], [1, 1], 10)
-        )
+        a = rational_pair(([1], [1, 1]), ([0, 1], [1, 1]), 10)
         A = matrix(a, 8)
         assert conjugate(M, a) == A * M * A.transpose()
         b = _random_forms(rng)
@@ -524,9 +520,7 @@ def test_group_operations_take_the_relation_route():
     # and so has the inverse of (g, x - x^2)
     cat = catalan_pair(30)
     for r in range(6):
-        right = RiordanPair(
-            series.rational([1, -1], [1, -r - 2, 3 * r, -2 * r], 30), series.Series([0, 1], 30)
-        )
+        right = rational_pair(([1, -1], [1, -r - 2, 3 * r, -2 * r]), ([0, 1], [1]), 30)
         R = matrix(make_R(r, 30), 30)
         assert _built(product(cat, right), 30) == (R, 0)
         assert _built(inverse(make_R_inverse_closed(r, 30)), 30) == (R, 0)
@@ -580,7 +574,7 @@ def test_relation_route_fbar_is_the_rational_expansion():
         for n in range(3, 41):
             a = quadratic_pair(0, s, n)
             assert _relation_s(a.f, n) == s
-            assert inverse(a).f == series.rational([0, 1, -1], [1, s], n)
+            assert inverse(a).f == series.Series([0, 1, -1], n) / series.Series([1, s], n)
 
 
 def test_relation_rows_match_the_closed_form():

@@ -39,6 +39,13 @@ def test_truncate_to_its_order_is_the_series_itself():
         s.truncate(4)
 
 
+def test_truncate_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        Series([1, 2, 3]).truncate(-1)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        catalan_shift(-1)
+
+
 def test_scalar_division_is_exact():
     # int / int would be a float: the coefficients must come back as Fractions
     assert (Series([1, 3]) / 2).coeffs == [F(1, 2), F(3, 2)]
@@ -77,7 +84,7 @@ def test_mul_truncates_to_min_order():
 
 
 def test_div_geometric():
-    assert coeffs(series.rational([1], [1, -1], 5)) == [1, 1, 1, 1, 1]
+    assert coeffs(Series([1], 5) / Series([1, -1], 5)) == [1, 1, 1, 1, 1]
     q = series.div(Series([1, 0, 0, -1], 5), Series([1, -1], 5))
     assert coeffs(q) == [1, 1, 1, 0, 0]
 
@@ -95,7 +102,7 @@ def test_div_zero_constant_term():
 
 
 def test_compose_examples():
-    geo = series.rational([1], [1, -1], 4)
+    geo = Series([1], 4) / Series([1, -1], 4)
     doubled = series.compose(geo, Series([0, 2], 4))
     assert coeffs(doubled) == [1, 2, 4, 8]
     g = Series([3, 1, -2, 5], 4)
@@ -122,8 +129,8 @@ def test_revert_catalan_shift():
 
 
 def test_revert_closed_form():
-    v = series.revert(series.rational([0, 1], [1, 1], 6))
-    assert v == series.rational([0, 1], [1, -1], 6)
+    v = series.revert(Series([0, 1], 6) / Series([1, 1], 6))
+    assert v == Series([0, 1], 6) / Series([1, -1], 6)
 
 
 def test_revert_is_involution():
@@ -152,49 +159,25 @@ def test_inverse_sqrt_central_binomials():
 
 
 def test_rational_examples():
-    assert coeffs(series.rational([1], [1, -1], 4)) == [1, 1, 1, 1]
-    assert coeffs(series.rational([1], [1, -1, 1], 7)) == [1, 1, 0, -1, -1, 0, 1]
-    assert coeffs(series.rational([1, 1], [1, 1, 1], 6)) == [1, 0, -1, 1, 0, -1]
-    with pytest.raises(ValueError, match="divisor has zero constant term"):
-        series.rational([1], [0, 1], 4)
+    assert coeffs(Series([1], 4) / Series([1, -1], 4)) == [1, 1, 1, 1]
+    assert coeffs(Series([1], 7) / Series([1, -1, 1], 7)) == [1, 1, 0, -1, -1, 0, 1]
+    assert coeffs(Series([1, 1], 6) / Series([1, 1, 1], 6)) == [1, 0, -1, 1, 0, -1]
 
 
-def _rational_by_div(p, q, order):
-    # the padded-Series route: both forms padded to order, then one div
-    return series.div(Series(p, order), Series(q, order))
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def test_rational_matches_the_padded_div_route_randomized():
-    rng = random.Random(113)
-
-    def form():
-        return [
-            rng.choice([rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 6))])
-            for _ in range(rng.randint(0, 6))
-        ]
-
-    for _ in range(600):
-        p, q, order = form(), form(), rng.randint(0, 9)
-        assert _outcome(series.rational, p, q, order) == _outcome(_rational_by_div, p, q, order)
-    for p, q, order in [
-        ([1], [1, -1], 0),
-        ([1, 2], [0, 1], 5),
-        ([F(1, 2)], [F(0), F(1, 3)], 3),
-        ([1], [], 4),
-        ([1.0], [1, -1], 4),
-        ([1], [1, 0.5], 4),
-        ([1], [1, -1], -1),
+def test_quotient_refuses_what_has_no_expansion():
+    # a rational form p/q expands as one quotient, Series(p, order) / Series(q, order)
+    zero_constant = (ValueError, "divisor has zero constant term")
+    for p, q, order, (error, text) in [
+        ([1], [1, -1], 0, zero_constant),
+        ([1, 2], [0, 1], 5, zero_constant),
+        ([F(1, 2)], [F(0), F(1, 3)], 3, zero_constant),
+        ([1], [], 4, zero_constant),
+        ([1.0], [1, -1], 4, (TypeError, "inexact coefficient 1.0: pass an int or a Fraction")),
+        ([1], [1, 0.5], 4, (TypeError, "inexact coefficient 0.5: pass an int or a Fraction")),
+        ([1], [1, -1], -1, (ValueError, "order must be nonnegative")),
     ]:
-        got = _outcome(series.rational, p, q, order)
-        assert not isinstance(got, Series)
-        assert got == _outcome(_rational_by_div, p, q, order)
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            Series(p, order) / Series(q, order)
 
 
 def _random_series(rng, order, zero_const=False, nonzero_const=False):
