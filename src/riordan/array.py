@@ -68,6 +68,8 @@ def rational_pair(g_form, f_form, order: int) -> RiordanPair:
     """The pair (p/q, u/v) from its forms g_form = (p, q) and f_form = (u, v),
     each a (numerator, denominator) pair of coefficient lists, expanded to
     order as one quotient per form, Series(p, order) / Series(q, order)."""
+    if order < 2:
+        raise ValueError("a Riordan pair needs order >= 2")
     (p, q), (u, v) = g_form, f_form
     return RiordanPair(Series(p, order) / Series(q, order), Series(u, order) / Series(v, order))
 

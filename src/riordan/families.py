@@ -46,6 +46,8 @@ def catalan_gf(order: int) -> Series:
 
 def catalan_pair(order: int) -> RiordanPair:
     """The Catalan matrix pair (c(x), x c(x)), read off x c(x) one order up."""
+    if order < 2:
+        raise ValueError("a Riordan pair needs order >= 2")
     xc = catalan_shift(order + 1)
     return RiordanPair(Series(xc.coeffs[1:], order), xc)
 

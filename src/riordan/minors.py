@@ -17,9 +17,10 @@ a[i][j] = (a[k][j] e_i - a[k+1][j] f_i + a[i][j] q) / prev: the 3 x 3
 minor on rows k, k+1, i and columns k, k+1, j, expanded along column j,
 over prev^2.  Every division is exact by Sylvester's identity, and an
 entry costs 3 products and 1 division where two single steps cost 4 and 2.
-When q = 0, and at the last index of an odd count, the sweep takes the
-single step a[i][j] = (p a[i][j] - a[i][k] a[k][j]) / prev instead, and a
-zero q is folded away as a zero pivot at the next step.
+When q = 0, and at the last index of an odd count, the sweep takes one
+step by the same update, with e_i = -a[i][k], f_i = 0 and the pivot p for
+q: a[i][j] = (p a[i][j] - a[i][k] a[k][j]) / prev.  A zero q is folded
+away as a zero pivot at the next step.
 
 The sweep has two modes, chosen from the entries by one comparison of the
 leading block with its transpose, whatever built the matrix (the
@@ -92,8 +93,9 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
     Each step folds a zero pivot p = a[k][k] away, then computes the next
     pivot q = (p a[k+1][k+1] - a[k+1][k] a[k][k+1]) // prev.  With q != 0 it
     eliminates columns k and k+1 together and advances by two; otherwise
-    (q = 0, or k the last index) it takes one step.  Rows k and k+1 are left
-    at level k: no later step reads them.
+    (q = 0, or k the last index) it takes one step, by the same row update
+    with e = -a[i][k], f = 0 and the pivot p.  Rows k and k+1 are left at
+    level k: no later step reads them.
 
     With ``symmetric`` (the caller has checked the block is symmetric) each
     step updates only the upper half, j >= i, and reads column k as row k;
@@ -123,29 +125,23 @@ def _bareiss_minor_sweep(rows, count: int, symmetric: bool = False):
         p = row_k[k]
         if k >= zero_to:
             minors[k] = p
+        step, row_l, col_l, pivot = 1, row_k, col_k, p
         if k + 1 < count:
-            row_l = a[k + 1]
-            b, c, d = row_k[k + 1], col_k[k + 1], row_l[k + 1]
+            b, c, d = row_k[k + 1], col_k[k + 1], a[k + 1][k + 1]
             q = (p * d - c * b) // prev
             if q:
                 if k + 1 >= zero_to:
                     minors[k + 1] = q
+                row_l = a[k + 1]
                 col_l = row_l if symmetric else [row[k + 1] for row in a]
-                for i in range(k + 2, count):
-                    row_i, x, y = a[i], col_k[i], col_l[i]
-                    e = (c * y - d * x) // prev
-                    f = (p * y - b * x) // prev
-                    for j in range(i if symmetric else k + 2, count):
-                        row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * q) // prev
-                prev = q
-                k += 2
-                continue
-        for i in range(k + 1, count):
-            row_i, x = a[i], col_k[i]
-            for j in range(i if symmetric else k + 1, count):
-                row_i[j] = (row_i[j] * p - x * row_k[j]) // prev
-        prev = p
-        k += 1
+                step, pivot = 2, q
+        for i in range(k + step, count):
+            row_i, x, y = a[i], col_k[i], col_l[i]
+            e, f = (-x, 0) if step == 1 else ((c * y - d * x) // prev, (p * y - b * x) // prev)
+            for j in range(i if symmetric else k + step, count):
+                row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * pivot) // prev
+        prev = pivot
+        k += step
     return minors
 
 

@@ -299,17 +299,25 @@ MUTATIONS = [
     Mutation(
         "two-step sweep with the sign of f flipped",
         "minors.py",
-        "f = (p * y - b * x) // prev",
-        "f = (b * x - p * y) // prev",
+        "(p * y - b * x) // prev",
+        "(b * x - p * y) // prev",
         "tests/test_minors.py::test_two_step_sweep_matches_the_one_step_sweep_randomized",
         True,
     ),
     Mutation(
-        "two-step update divided by q for prev",
+        "row update divided by the pivot for prev",
         "minors.py",
-        "row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * q) // prev",
-        "row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * q) // q",
+        "row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * pivot) // prev",
+        "row_i[j] = (row_k[j] * e - row_l[j] * f + row_i[j] * pivot) // pivot",
         "tests/test_minors.py::test_two_step_sweep_matches_the_one_step_sweep_randomized",
+        True,
+    ),
+    Mutation(
+        "single step with e = x",
+        "minors.py",
+        "(-x, 0)",
+        "(x, 0)",
+        "tests/test_minors.py::test_minors_on_the_two_closed_form_lines",
         True,
     ),
     Mutation(

@@ -323,7 +323,8 @@ def _pair_build(family):
     return partial(build, 1) if family.takes_r else build
 
 
-# every pair constructor: the command line's, Q(a, s) and its inverse
+# every pair constructor: the command line's, Q(a, s) and its inverse, the
+# tilde inverse closed form and the group identity
 PAIR_BUILDS = {
     **{
         name: _pair_build(family)
@@ -332,17 +333,18 @@ PAIR_BUILDS = {
     },
     "quadratic_pair": partial(quadratic_pair, 2, -1),
     "quadratic_inverse": partial(quadratic_inverse, 2, -1),
+    "tilde_inverse_closed": partial(tilde_inverse_closed, 1),
+    "identity_pair": identity_pair,
 }
 
 
 @pytest.mark.parametrize("name", PAIR_BUILDS)
 def test_pair_constructors_build_exactly_their_order(name):
     build = PAIR_BUILDS[name]
-    # a rational form refuses order 0 in its quotient, by a divisor with no terms
-    with pytest.raises(ValueError, match="needs order >= 2|divisor has zero constant term"):
-        build(0)
-    with pytest.raises(ValueError, match="a Riordan pair needs order >= 2"):
-        build(1)
+    # every constructor refuses a short order with one text, before it expands
+    for order in (-1, 0, 1):
+        with pytest.raises(ValueError, match="^a Riordan pair needs order >= 2$"):
+            build(order)
     for n in range(2, 7):
         a = build(n)
         assert a.order == a.g.order == a.f.order == n

@@ -11,6 +11,7 @@ from riordan.bivar import CoeffMatrix
 from riordan.families import (
     classical_asm_matrix,
     make_R,
+    quadratic_pair,
     reference_B20,
     robbins,
     twenty_vertex_matrix,
@@ -447,6 +448,27 @@ def test_zero_pivot_fold_on_sparse_matrices_randomized():
             rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         got = minors._bareiss_minor_sweep(rows, n, symmetric)
         assert got == [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
+
+
+# Sym(Q(0, s)) = P diag((1 + s)^j) P^T and Sym(Q(a, -1)) = U^T diag(a^i) U,
+# P Pascal and U the all-ones upper triangle
+CLOSED_FORM_LINES = sorted({(0, s) for s in range(-3, 4)} | {(a, -1) for a in range(-3, 4)})
+
+
+@pytest.mark.parametrize("a, s", CLOSED_FORM_LINES)
+def test_minors_on_the_two_closed_form_lines(a, s):
+    # minor m is (1 + s)^(m(m-1)/2) on the first line and a^(m(m-1)/2) on the
+    # second; 1 + s = 0 or a = 0 gives zero pivots, and Sym(Q(0, -1)) is the
+    # all-ones matrix, which takes one single step and then finds no fold
+    N = 30
+    base = 1 + s if a == 0 else a
+    want = [base ** (m * (m - 1) // 2) for m in range(1, N + 1)]
+    S = symmetrize(quadratic_pair(a, s, N), N)
+    assert S.den == 1 and principal_minors(S, N) == want
+    for symmetric in (False, True):
+        # the odd count ends on a single step
+        for count in (N - 1, N):
+            assert minors._bareiss_minor_sweep(S.ints, count, symmetric) == want[:count]
 
 
 def _spy_sweep(monkeypatch):
